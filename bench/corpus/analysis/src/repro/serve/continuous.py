@@ -1,0 +1,496 @@
+"""Iteration-level continuous batching (the vLLM/Orca request plane).
+
+The dynamic-batching simulator treats a batch as one opaque service
+call: the replica is busy until the *longest* member finishes, and
+nobody new boards until then.  For autoregressive decoding that is
+ruinous — a 4-token reply waits for a 128-token neighbour, and the
+replica decodes ever-narrower batches as members finish.
+
+:class:`ContinuousBatchingSimulation` reschedules **between decode
+iterations** instead:
+
+* each replica runs an iteration loop (a new ``iter`` event kind):
+  finish sequences that produced their last token, admit queued
+  requests into freed slots, then run either one prefill pass (for the
+  newly admitted) or one decode step (for everyone else);
+* admission is **KV-aware and deadline-aware** — a sequence boards only
+  when the paged allocator can hold its prompt, and a request whose
+  deadline cannot survive even its own prefill is expired at admission
+  instead of burning GPU time;
+* each replica owns a :class:`~repro.gpu.memory.MemoryPool` sized from
+  its instance type, with the weights resident and a
+  :class:`~repro.llm.kvcache.PagedKvCache` on the remainder.  When
+  decode cannot grow every sequence by one page, the **youngest**
+  sequence is preempted — its pages freed, its request requeued for
+  recompute-style resumption — so the oldest work always completes;
+* before a single event fires, the run pre-flights the worst-case KV
+  token budget (``max_batch_size × max_seq_tokens``) through
+  :func:`repro.memcheck.llm_token_budget_preflight` and refuses
+  over-committed configs with a ``MEM-PEAK-OOM`` finding.
+
+Everything else — routing, admission control, retries, autoscaling
+ticks, spot interruptions, billing — is inherited unchanged from
+:class:`~repro.serve.simulator.EndpointSimulation`; the report gains
+tokens/sec, TTFT and inter-token-latency percentiles (exemplar-linked),
+preemption and KV-occupancy stats.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+from dataclasses import dataclass, field as dc_field
+from typing import Iterable
+
+from repro.cloud.pricing import get_instance_type
+from repro.errors import ReproError
+from repro.gpu.memory import Allocation, MemoryPool
+from repro.memcheck.estimate import (
+    llm_token_budget_preflight,
+    usable_gpu_bytes,
+)
+from repro.serve.endpoint import Replica, ReplicaState
+from repro.serve.loadgen import ArrivalTrace
+from repro.serve.report import SloReport
+from repro.serve.request import (
+    OUTCOME_COMPLETED,
+    OUTCOME_EXPIRED,
+    OUTCOME_SHED,
+    Request,
+)
+from repro.serve.simulator import (
+    LATENCY_EXEMPLARS,
+    EndpointSimulation,
+    _ns,
+)
+from repro.telemetry import api as telemetry
+from repro.telemetry.metrics import Histogram
+
+DEFAULT_PAGE_TOKENS = 16
+
+
+@dataclass
+class _Seq:
+    """One admitted sequence: a request plus its decoding progress."""
+
+    req: Request
+    prompt_tokens: int
+    gen_tokens: int
+    produced: int = 0
+    prefilled: bool = False
+    finished: bool = False
+    finish_batch: int = 0         # iteration id that produced the last token
+    iteration_size: int = 0       # batch width of that iteration
+
+
+@dataclass
+class _ReplicaDecoder:
+    """Per-replica device state: the pool, the weights, the KV cache."""
+
+    pool: MemoryPool
+    weights: Allocation
+    kv: object                    # PagedKvCache (lazy-imported)
+    capacity_pages: int
+    running: list[_Seq] = dc_field(default_factory=list)
+    epoch: int = 0
+    scheduled: bool = False
+    #: the last iteration's record, emitted only after its completions
+    #: have resolved (so the sampler's batch refcounts see them)
+    pending_record: tuple | None = None
+
+
+class ContinuousBatchingSimulation(EndpointSimulation):
+    """Drive an endpoint with iteration-level scheduling of an
+    :class:`~repro.llm.backend.LlmBackend`."""
+
+    def __init__(self, endpoint, backend, *,
+                 kv_budget_bytes: int | None = None,
+                 kv_page_tokens: int = DEFAULT_PAGE_TOKENS,
+                 strict_preflight: bool = True,
+                 **kwargs) -> None:
+        for attr in ("spec", "prefill_ms", "decode_ms", "sample_lengths"):
+            if not hasattr(backend, attr):
+                raise ReproError(
+                    "continuous batching needs an iteration-level backend "
+                    f"(LlmBackend-like); {backend!r} has no {attr!r}")
+        if kv_page_tokens < 1:
+            raise ReproError("kv_page_tokens must be >= 1")
+        super().__init__(endpoint, backend, **kwargs)
+        self.kv_budget_bytes = kv_budget_bytes
+        self.kv_page_tokens = kv_page_tokens
+        self.strict_preflight = strict_preflight
+        self.preflight = None
+        self.preflight_findings: tuple = ()
+
+    # -- the run -----------------------------------------------------------
+
+    def run(self, trace: ArrivalTrace,
+            interruptions: Iterable[tuple[float, int]] = ()) -> SloReport:
+        spec = self.backend.spec
+        cfg = self.endpoint.config
+        budget_tokens = cfg.max_batch_size * self.backend.max_seq_tokens
+        self.preflight, findings = llm_token_budget_preflight(
+            spec.weights_bytes, spec.kv_bytes_per_token, budget_tokens,
+            cfg.instance_type, page_tokens=self.kv_page_tokens)
+        self.preflight_findings = tuple(findings)
+        if findings and self.strict_preflight \
+                and self.kv_budget_bytes is None:
+            raise ReproError(
+                "KV token-budget pre-flight failed "
+                f"(MEM-PEAK-OOM): {self.preflight.render()}")
+        self._decoders: dict[int, _ReplicaDecoder] = {}
+        self.preemptions = 0
+        self.kv_shed = 0
+        self.total_generated = 0
+        self.total_prefill = 0
+        self.ttft_hist = Histogram("serve.ttft_ms",
+                                   max_samples=self.latency_reservoir,
+                                   max_exemplars=LATENCY_EXEMPLARS)
+        self.itl_hist = Histogram("serve.itl_ms",
+                                  max_samples=self.latency_reservoir,
+                                  max_exemplars=LATENCY_EXEMPLARS)
+        self.tps_hist = Histogram("serve.tokens_per_sec",
+                                  max_samples=self.latency_reservoir,
+                                  max_exemplars=LATENCY_EXEMPLARS)
+        return super().run(trace, interruptions)
+
+    # -- per-replica device state -----------------------------------------
+
+    def _decoder(self, replica: Replica) -> _ReplicaDecoder:
+        st = self._decoders.get(replica.replica_id)
+        if st is not None:
+            return st
+        # lazy: repro.llm.backend imports repro.serve.backend, so this
+        # module must not import repro.llm at import time
+        from repro.llm.kvcache import PagedKvCache
+        spec = self.backend.spec
+        page_bytes = spec.kv_bytes_per_token * self.kv_page_tokens
+        if self.kv_budget_bytes is not None:
+            capacity = spec.weights_bytes + int(self.kv_budget_bytes)
+        else:
+            itype = get_instance_type(self.endpoint.config.instance_type)
+            capacity = usable_gpu_bytes(itype)
+        pool = MemoryPool(capacity, reserve_fraction=0.0,
+                          stats_page_bytes=page_bytes)
+        weights = pool.allocate(spec.weights_bytes, tag="weights")
+        kv = PagedKvCache(pool, spec.kv_bytes_per_token,
+                          page_tokens=self.kv_page_tokens)
+        st = _ReplicaDecoder(pool=pool, weights=weights, kv=kv,
+                             capacity_pages=kv.free_pages)
+        self._decoders[replica.replica_id] = st
+        return st
+
+    # -- event plumbing ----------------------------------------------------
+
+    def _dispatch(self, kind: str, data) -> None:
+        if kind == "iter":
+            self._on_iter(*data)
+        else:
+            super()._dispatch(kind, data)
+
+    def _pump(self, replica: Replica) -> None:
+        """Kick the replica's iteration loop (replaces batch windows —
+        there is no timer: the next iteration is always the next
+        scheduling opportunity)."""
+        if replica.state is ReplicaState.TERMINATED:
+            return
+        st = self._decoder(replica)
+        if st.scheduled:
+            return
+        if replica.queue or st.running:
+            st.scheduled = True
+            self._push(self.now_ms, "iter", (replica, st.epoch))
+
+    # -- the iteration loop ------------------------------------------------
+
+    def _on_iter(self, replica: Replica, epoch: int) -> None:
+        st = self._decoders.get(replica.replica_id)
+        if st is None or st.epoch != epoch:
+            return
+        if replica.state is ReplicaState.TERMINATED:
+            st.scheduled = False
+            return
+        if replica.in_flight is not None:
+            # close the previous iteration's busy interval
+            replica.recent_busy.append((replica.busy_from_ms,
+                                        replica.busy_until_ms))
+            replica.in_flight = None
+        self._finish_completed(replica, st)
+        if st.pending_record is not None:
+            self._record_iteration(replica, *st.pending_record)
+            st.pending_record = None
+        self._admit(replica, st)
+        if not st.running:
+            st.scheduled = False
+            if replica.state is ReplicaState.DRAINING \
+                    and not replica.queue:
+                self._finish_drain(replica)
+            return
+        new = [s for s in st.running if not s.prefilled]
+        if new:
+            end = self._prefill_iteration(replica, st, new)
+        else:
+            end = self._decode_iteration(replica, st)
+        if not st.running:
+            # the whole batch was preempted/shed away
+            st.scheduled = False
+            if replica.queue:
+                self._pump(replica)
+            return
+        replica.busy_from_ms = self.now_ms
+        replica.busy_until_ms = end
+        replica.invocations += 1
+        # mirror the running set so routing (least-outstanding), drain
+        # and spot-interrupt displacement see iteration-plane work
+        replica.in_flight = [(s.req, end) for s in st.running]
+        self._push(end, "iter", (replica, st.epoch))
+
+    def _admit(self, replica: Replica, st: _ReplicaDecoder) -> None:
+        """Board queued requests into free slots, FIFO, KV- and
+        deadline-aware.  Head-of-line blocking on KV pressure is
+        deliberate: skipping ahead would starve long prompts forever."""
+        cfg = self.endpoint.config
+        backend = self.backend
+        while replica.queue and len(st.running) < cfg.max_batch_size:
+            req = replica.queue[0]
+            if req.expired(self.now_ms):
+                replica.queue.popleft()
+                self._resolve_expired(req)
+                continue
+            prompt, gen = backend.sample_lengths(req.query)
+            pages_lifetime = -(-(prompt + gen) // self.kv_page_tokens)
+            if pages_lifetime > st.capacity_pages:
+                # can never fit, even on an empty cache: fail fast
+                replica.queue.popleft()
+                self.kv_shed += 1
+                self._resolve_shed(req)
+                continue
+            if req.deadline_ms is not None and \
+                    self.now_ms + backend.prefill_ms([prompt]) \
+                    > req.deadline_ms:
+                # deadline-aware admission: it cannot even prefill in
+                # time, so expire it now instead of burning GPU on it
+                replica.queue.popleft()
+                self._resolve_expired(req)
+                continue
+            if not st.kv.allocate(req.request_id, prompt):
+                break               # wait for pages to free up
+            replica.queue.popleft()
+            st.running.append(_Seq(req=req, prompt_tokens=prompt,
+                                   gen_tokens=gen))
+
+    def _prefill_iteration(self, replica: Replica, st: _ReplicaDecoder,
+                           new: list[_Seq]) -> float:
+        """One prefill pass over the newly admitted prompts; each yields
+        its first token (TTFT) at the end of the pass."""
+        prompts = [s.prompt_tokens for s in new]
+        dt = self.backend.prefill_ms(prompts)
+        end = self.now_ms + dt
+        self.batches += 1
+        self.batch_queries += len(new)
+        batch_id = self.batches
+        self.backend.prefill_tokens += sum(prompts)
+        self.total_prefill += sum(prompts)
+        for s in new:
+            s.prefilled = True
+            s.produced = 1
+            self.backend.generated_tokens += 1
+            req = s.req
+            if req.first_token_ms is None:
+                req.first_token_ms = end
+                self.ttft_hist.observe(end - req.arrival_ms,
+                                       exemplar=f"{req.request_id:012d}")
+            if s.produced >= s.gen_tokens:
+                s.finished = True
+                s.finish_batch = batch_id
+                s.iteration_size = len(new)
+        st.pending_record = (
+            batch_id, len(new), self.now_ms, end, "serve.prefill_iter",
+            "prefill", sum(prompts), self.backend.prefill_key(prompts))
+        return end
+
+    def _decode_iteration(self, replica: Replica,
+                          st: _ReplicaDecoder) -> float:
+        """One decode step for every running sequence, preempting the
+        youngest first when the KV pool cannot grow everyone."""
+        kv = st.kv
+        while st.running:
+            need = sum(kv.pages_to_grow(s.req.request_id)
+                       for s in st.running)
+            if need <= kv.free_pages:
+                break
+            victim = st.running.pop()      # youngest boards last
+            kv.release(victim.req.request_id)
+            if st.running:
+                # recompute-style preemption: pages freed, request
+                # requeued at the head; prefill re-runs on re-admission
+                replica.queue.appendleft(victim.req)
+                self.preemptions += 1
+                telemetry.count("serve.preempted")
+            else:
+                # a lone sequence the pool cannot hold mid-decode
+                self.kv_shed += 1
+                self._resolve_shed(victim.req)
+        if not st.running:
+            return self.now_ms
+        ctxs = [s.prompt_tokens + s.produced for s in st.running]
+        dt = self.backend.decode_ms(ctxs)
+        end = self.now_ms + dt
+        self.batches += 1
+        self.batch_queries += len(st.running)
+        batch_id = self.batches
+        for s in st.running:
+            if not kv.grow(s.req.request_id):
+                raise ReproError(
+                    "KV grow failed after capacity check — "
+                    "page accounting is inconsistent")
+            s.produced += 1
+            self.backend.generated_tokens += 1
+            self.itl_hist.observe(dt, exemplar=f"{s.req.request_id:012d}")
+            if s.produced >= s.gen_tokens:
+                s.finished = True
+                s.finish_batch = batch_id
+                s.iteration_size = len(st.running)
+        st.pending_record = (
+            batch_id, len(st.running), self.now_ms, end,
+            "serve.decode_iter", "decode", len(st.running),
+            self.backend.decode_key(ctxs))
+        return end
+
+    def _record_iteration(self, replica: Replica, batch_id: int,
+                          size: int, start_ms: float, end_ms: float,
+                          label: str, phase: str, tokens: int,
+                          calibration_key) -> None:
+        if self.observer is not None:
+            self.observer.on_batch(
+                batch_id, replica.replica_id, size, start_ms, end_ms,
+                label=label, phase=phase, tokens=tokens,
+                calibration_key=calibration_key)
+        else:
+            telemetry.record(
+                label, "stage", _ns(start_ms), _ns(end_ms),
+                attributes={"batch_id": batch_id,
+                            "replica": replica.replica_id,
+                            "batch_size": size, "phase": phase,
+                            "tokens": tokens})
+
+    def _finish_completed(self, replica: Replica,
+                          st: _ReplicaDecoder) -> None:
+        """Resolve sequences whose last token landed at ``now`` — the
+        continuous-batching win: they leave *now*, not when the whole
+        batch drains."""
+        done = [s for s in st.running if s.finished]
+        if not done:
+            return
+        st.running = [s for s in st.running if not s.finished]
+        for s in done:
+            st.kv.release(s.req.request_id)
+            req = s.req
+            req.replica_id = replica.replica_id
+            req.batch_size = s.iteration_size
+            req.tokens_generated = s.produced
+            req.resolve(OUTCOME_COMPLETED, self.now_ms)
+            latency = self.now_ms - req.arrival_ms
+            self.completed += 1
+            self._completions_since_tick += 1
+            self.last_finish_ms = max(self.last_finish_ms, self.now_ms)
+            self.latency_hist.observe(latency,
+                                      exemplar=f"{req.request_id:012d}")
+            replica.queries_served += 1
+            self.total_generated += s.gen_tokens
+            if req.first_token_ms is not None and s.produced >= 2:
+                window_s = (self.now_ms - req.first_token_ms) / 1e3
+                if window_s > 0:
+                    self.tps_hist.observe(
+                        (s.produced - 1) / window_s,
+                        exemplar=f"{req.request_id:012d}")
+            telemetry.observe("serve.latency_ms", latency)
+            telemetry.count("serve.completed")
+            if self.observer is not None:
+                self.observer.on_resolve(req, batch_id=s.finish_batch)
+            else:
+                telemetry.record(
+                    "serve.request", "request",
+                    _ns(req.arrival_ms), _ns(self.now_ms),
+                    attributes={"request_id": req.request_id,
+                                "replica": replica.replica_id,
+                                "batch_size": s.iteration_size,
+                                "tokens": s.produced,
+                                "attempts": req.attempts})
+
+    # -- resolution helpers ------------------------------------------------
+
+    def _resolve_expired(self, req: Request) -> None:
+        req.resolve(OUTCOME_EXPIRED, self.now_ms)
+        self.expired += 1
+        telemetry.count("serve.expired")
+        if self.observer is not None:
+            self.observer.on_resolve(req)
+
+    def _resolve_shed(self, req: Request) -> None:
+        req.resolve(OUTCOME_SHED, self.now_ms)
+        self.shed += 1
+        telemetry.count("serve.shed")
+        if self.observer is not None:
+            self.observer.on_resolve(req)
+
+    # -- fleet lifecycle ---------------------------------------------------
+
+    def _on_interrupt(self, replica_id: int) -> None:
+        st = self._decoders.pop(replica_id, None)
+        if st is not None:
+            # drop the replica's device state; its running requests are
+            # displaced through the in_flight mirror by the base handler
+            # and recompute from scratch on a survivor
+            for s in st.running:
+                st.kv.release(s.req.request_id)
+            st.running = []
+            st.epoch += 1
+        super()._on_interrupt(replica_id)
+
+    # -- the report --------------------------------------------------------
+
+    def _teardown_decoders(self) -> None:
+        """Release weights and assert the KV ledger drained to zero —
+        the conservation check that no completed/preempted/displaced
+        sequence leaked pages."""
+        for rid, st in sorted(self._decoders.items()):
+            if st.kv.live_seqs or st.kv.live_pages:
+                raise ReproError(
+                    f"KV ledger leak on replica {rid}: "
+                    f"{st.kv.live_seqs} sequences / "
+                    f"{st.kv.live_pages} pages still held at teardown")
+            st.pool.free(st.weights)
+            report = st.pool.leak_report()
+            if not report.ok:
+                raise ReproError(
+                    f"device pool leak on replica {rid}:\n"
+                    f"{report.render()}")
+
+    def _build_report(self) -> SloReport:
+        kv_peak = 0
+        kv_util = 0.0
+        for st in self._decoders.values():
+            if st.kv.peak_pages > kv_peak:
+                kv_peak = st.kv.peak_pages
+                kv_util = st.kv.peak_page_utilization
+        self._teardown_decoders()
+        base = super()._build_report()
+        effective_ms = max(base.duration_ms, self.last_finish_ms)
+        return dataclasses.replace(
+            base,
+            total_tokens=self.total_generated,
+            prefill_tokens=self.total_prefill,
+            tokens_per_sec=(self.total_generated / (effective_ms / 1e3)
+                            if effective_ms > 0 else 0.0),
+            ttft_mean_ms=self.ttft_hist.mean,
+            ttft_p50_ms=self.ttft_hist.percentile(50),
+            ttft_p95_ms=self.ttft_hist.percentile(95),
+            ttft_p99_ms=self.ttft_hist.percentile(99),
+            itl_p50_ms=self.itl_hist.percentile(50),
+            itl_p99_ms=self.itl_hist.percentile(99),
+            tokens_per_sec_p50=self.tps_hist.percentile(50),
+            preemptions=self.preemptions,
+            kv_peak_pages=kv_peak,
+            kv_page_utilization=kv_util,
+            ttft_exemplars=tuple(self.ttft_hist.top_exemplars()),
+        )
