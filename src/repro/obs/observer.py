@@ -30,12 +30,9 @@ from repro.obs.logs import LogPlane, MetricFilter
 from repro.obs.sampling import BatchRecord, HeadTailSampler
 from repro.obs.slo import SloMonitor
 from repro.serve.request import OUTCOME_COMPLETED, Request
+from repro.serve.simulator import _ns
 from repro.telemetry import api as telemetry
 from repro.telemetry.span import SpanLink
-
-
-def _ns(ms: float) -> int:
-    return int(round(ms * 1e6))
 
 
 class EndpointObserver:

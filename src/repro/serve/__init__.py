@@ -14,18 +14,20 @@ an **open-loop serving stack** on the simulated clock:
   through :class:`~repro.cloud.billing.BillingService`;
 * :mod:`repro.serve.autoscaler` — target tracking over the CloudWatch
   metrics the fleet publishes, with scale-out/in cooldowns;
-* :mod:`repro.serve.simulator` — the discrete-event request plane:
+* :mod:`repro.serve.simulator` — the one discrete-event request plane:
   least-outstanding-requests load balancing, per-replica bounded
-  queues, dynamic batching, admission control (fast-fail 429 + client
-  retry/backoff), deadlines, graceful drain, and spot interruptions;
+  queues, admission control (fast-fail 429 + client retry/backoff),
+  deadlines, graceful drain, and spot interruptions, with batching
+  delegated to a batch policy (dynamic batching by default);
 * :mod:`repro.serve.report` — :class:`SloReport`, the offered-vs-
   achieved / tail-latency / shed-rate / $-per-1k-requests summary,
   plus the LLM block (tokens/sec, TTFT, inter-token latency, KV and
   preemption stats) when the run was autoregressive;
-* :mod:`repro.serve.continuous` —
-  :class:`ContinuousBatchingSimulation`: iteration-level scheduling of
-  an :class:`~repro.llm.backend.LlmBackend` with a paged KV cache,
-  KV/deadline-aware admission, and preemption under memory pressure.
+* :mod:`repro.serve.continuous` — the continuous-batching policy:
+  iteration-level scheduling of an
+  :class:`~repro.llm.backend.LlmBackend` with a paged KV cache,
+  KV/deadline-aware admission, and preemption under memory pressure;
+  :class:`ContinuousBatchingSimulation` runs the same loop with it.
 
 ``python -m repro.serve`` runs a trace against an endpoint config and
 renders the report.

@@ -1,17 +1,18 @@
 """Iteration-level continuous batching (the vLLM/Orca request plane).
 
-The dynamic-batching simulator treats a batch as one opaque service
-call: the replica is busy until the *longest* member finishes, and
-nobody new boards until then.  For autoregressive decoding that is
-ruinous — a 4-token reply waits for a 128-token neighbour, and the
-replica decodes ever-narrower batches as members finish.
+Dynamic batching treats a batch as one opaque service call: the replica
+is busy until the *longest* member finishes, and nobody new boards until
+then.  For autoregressive decoding that is ruinous — a 4-token reply
+waits for a 128-token neighbour, and the replica decodes ever-narrower
+batches as members finish.
 
-:class:`ContinuousBatchingSimulation` reschedules **between decode
-iterations** instead:
+:class:`ContinuousBatching` is the batch policy that reschedules
+**between decode iterations** instead, inside the one event loop of
+:class:`~repro.serve.simulator.EndpointSimulation`:
 
-* each replica runs an iteration loop (a new ``iter`` event kind):
-  finish sequences that produced their last token, admit queued
-  requests into freed slots, then run either one prefill pass (for the
+* each replica's unit of work is one iteration: when it ends, sequences
+  that produced their last token leave, queued requests board the freed
+  slots, and the next iteration is either one prefill pass (for the
   newly admitted) or one decode step (for everyone else);
 * admission is **KV-aware and deadline-aware** — a sequence boards only
   when the paged allocator can hold its prompt, and a request whose
@@ -26,20 +27,20 @@ iterations** instead:
 * before a single event fires, the run pre-flights the worst-case KV
   token budget (``max_batch_size × max_seq_tokens``) through
   :func:`repro.memcheck.llm_token_budget_preflight` and refuses
-  over-committed configs with a ``MEM-PEAK-OOM`` finding.
+  over-committed configs with a ``MEM-PEAK-OOM`` finding, unless an
+  explicit ``kv_budget_bytes`` sizes the cache.
 
-Everything else — routing, admission control, retries, autoscaling
-ticks, spot interruptions, billing — is inherited unchanged from
-:class:`~repro.serve.simulator.EndpointSimulation`; the report gains
-tokens/sec, TTFT and inter-token-latency percentiles (exemplar-linked),
-preemption and KV-occupancy stats.
+Routing, admission control, retries, autoscaling ticks, spot
+interruptions, billing, request resolution and span recording all stay
+in the loop; the report gains tokens/sec, TTFT and inter-token-latency
+percentiles (exemplar-linked), preemption and KV-occupancy stats.
+:class:`ContinuousBatchingSimulation` is the loop with this policy
+selected.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass, field as dc_field
-from typing import Iterable
 
 from repro.cloud.pricing import get_instance_type
 from repro.errors import ReproError
@@ -48,19 +49,14 @@ from repro.memcheck.estimate import (
     llm_token_budget_preflight,
     usable_gpu_bytes,
 )
-from repro.serve.endpoint import Replica, ReplicaState
-from repro.serve.loadgen import ArrivalTrace
-from repro.serve.report import SloReport
-from repro.serve.request import (
-    OUTCOME_COMPLETED,
-    OUTCOME_EXPIRED,
-    OUTCOME_SHED,
-    Request,
-)
+from repro.serve.endpoint import Replica
+from repro.serve.request import OUTCOME_EXPIRED, OUTCOME_SHED, Request
 from repro.serve.simulator import (
     LATENCY_EXEMPLARS,
+    LATENCY_RESERVOIR,
+    BatchPolicy,
     EndpointSimulation,
-    _ns,
+    WorkUnit,
 )
 from repro.telemetry import api as telemetry
 from repro.telemetry.metrics import Histogram
@@ -70,16 +66,13 @@ DEFAULT_PAGE_TOKENS = 16
 
 @dataclass
 class _Seq:
-    """One admitted sequence: a request plus its decoding progress."""
+    """One admitted sequence: a request plus its decoding progress
+    (``produced == 0`` until its prefill ran)."""
 
     req: Request
     prompt_tokens: int
     gen_tokens: int
     produced: int = 0
-    prefilled: bool = False
-    finished: bool = False
-    finish_batch: int = 0         # iteration id that produced the last token
-    iteration_size: int = 0       # batch width of that iteration
 
 
 @dataclass
@@ -91,72 +84,60 @@ class _ReplicaDecoder:
     kv: object                    # PagedKvCache (lazy-imported)
     capacity_pages: int
     running: list[_Seq] = dc_field(default_factory=list)
-    epoch: int = 0
+    #: an iteration is scheduled or running on the replica
     scheduled: bool = False
-    #: the last iteration's record, emitted only after its completions
-    #: have resolved (so the sampler's batch refcounts see them)
-    pending_record: tuple | None = None
 
 
-class ContinuousBatchingSimulation(EndpointSimulation):
-    """Drive an endpoint with iteration-level scheduling of an
-    :class:`~repro.llm.backend.LlmBackend`."""
+def _histogram(name: str) -> Histogram:
+    return Histogram(name, max_samples=LATENCY_RESERVOIR,
+                     max_exemplars=LATENCY_EXEMPLARS)
 
-    def __init__(self, endpoint, backend, *,
-                 kv_budget_bytes: int | None = None,
-                 kv_page_tokens: int = DEFAULT_PAGE_TOKENS,
-                 strict_preflight: bool = True,
-                 **kwargs) -> None:
+
+class ContinuousBatching(BatchPolicy):
+    """Iteration-level scheduling of an
+    :class:`~repro.llm.backend.LlmBackend` over a paged KV cache."""
+
+    def __init__(self, sim: EndpointSimulation,
+                 kv_budget_bytes: int | None,
+                 kv_page_tokens: int) -> None:
         for attr in ("spec", "prefill_ms", "decode_ms", "sample_lengths"):
-            if not hasattr(backend, attr):
+            if not hasattr(sim.backend, attr):
                 raise ReproError(
                     "continuous batching needs an iteration-level backend "
-                    f"(LlmBackend-like); {backend!r} has no {attr!r}")
+                    f"(LlmBackend-like); {sim.backend!r} has no {attr!r}")
         if kv_page_tokens < 1:
             raise ReproError("kv_page_tokens must be >= 1")
-        super().__init__(endpoint, backend, **kwargs)
+        super().__init__(sim)
+        self.backend = sim.backend
         self.kv_budget_bytes = kv_budget_bytes
         self.kv_page_tokens = kv_page_tokens
-        self.strict_preflight = strict_preflight
-        self.preflight = None
-        self.preflight_findings: tuple = ()
 
-    # -- the run -----------------------------------------------------------
-
-    def run(self, trace: ArrivalTrace,
-            interruptions: Iterable[tuple[float, int]] = ()) -> SloReport:
-        spec = self.backend.spec
-        cfg = self.endpoint.config
-        budget_tokens = cfg.max_batch_size * self.backend.max_seq_tokens
-        self.preflight, findings = llm_token_budget_preflight(
-            spec.weights_bytes, spec.kv_bytes_per_token, budget_tokens,
-            cfg.instance_type, page_tokens=self.kv_page_tokens)
-        self.preflight_findings = tuple(findings)
-        if findings and self.strict_preflight \
-                and self.kv_budget_bytes is None:
-            raise ReproError(
-                "KV token-budget pre-flight failed "
-                f"(MEM-PEAK-OOM): {self.preflight.render()}")
-        self._decoders: dict[int, _ReplicaDecoder] = {}
+    def reset(self) -> None:
+        if self.kv_budget_bytes is None:
+            spec = self.backend.spec
+            cfg = self.sim.endpoint.config
+            verdict, findings = llm_token_budget_preflight(
+                spec.weights_bytes, spec.kv_bytes_per_token,
+                cfg.max_batch_size * self.backend.max_seq_tokens,
+                cfg.instance_type, page_tokens=self.kv_page_tokens)
+            if findings:
+                raise ReproError("KV token-budget pre-flight failed "
+                                 f"(MEM-PEAK-OOM): {verdict.render()}")
+        #: replica id -> device state, for replicas still serving
+        self.decoders: dict[int, _ReplicaDecoder] = {}
+        #: replica id -> device state torn down at a spot interruption
+        self.interrupted: dict[int, _ReplicaDecoder] = {}
         self.preemptions = 0
-        self.kv_shed = 0
         self.total_generated = 0
         self.total_prefill = 0
-        self.ttft_hist = Histogram("serve.ttft_ms",
-                                   max_samples=self.latency_reservoir,
-                                   max_exemplars=LATENCY_EXEMPLARS)
-        self.itl_hist = Histogram("serve.itl_ms",
-                                  max_samples=self.latency_reservoir,
-                                  max_exemplars=LATENCY_EXEMPLARS)
-        self.tps_hist = Histogram("serve.tokens_per_sec",
-                                  max_samples=self.latency_reservoir,
-                                  max_exemplars=LATENCY_EXEMPLARS)
-        return super().run(trace, interruptions)
+        self.ttft_hist = _histogram("serve.ttft_ms")
+        self.itl_hist = _histogram("serve.itl_ms")
+        self.tps_hist = _histogram("serve.tokens_per_sec")
 
     # -- per-replica device state -----------------------------------------
 
     def _decoder(self, replica: Replica) -> _ReplicaDecoder:
-        st = self._decoders.get(replica.replica_id)
+        st = self.decoders.get(replica.replica_id)
         if st is not None:
             return st
         # lazy: repro.llm.backend imports repro.serve.backend, so this
@@ -167,7 +148,7 @@ class ContinuousBatchingSimulation(EndpointSimulation):
         if self.kv_budget_bytes is not None:
             capacity = spec.weights_bytes + int(self.kv_budget_bytes)
         else:
-            itype = get_instance_type(self.endpoint.config.instance_type)
+            itype = get_instance_type(self.sim.endpoint.config.instance_type)
             capacity = usable_gpu_bytes(itype)
         pool = MemoryPool(capacity, reserve_fraction=0.0,
                           stats_page_bytes=page_bytes)
@@ -176,101 +157,60 @@ class ContinuousBatchingSimulation(EndpointSimulation):
                           page_tokens=self.kv_page_tokens)
         st = _ReplicaDecoder(pool=pool, weights=weights, kv=kv,
                              capacity_pages=kv.free_pages)
-        self._decoders[replica.replica_id] = st
+        self.decoders[replica.replica_id] = st
         return st
 
-    # -- event plumbing ----------------------------------------------------
+    # -- the policy -------------------------------------------------------
 
-    def _dispatch(self, kind: str, data) -> None:
-        if kind == "iter":
-            self._on_iter(*data)
-        else:
-            super()._dispatch(kind, data)
-
-    def _pump(self, replica: Replica) -> None:
-        """Kick the replica's iteration loop (replaces batch windows —
-        there is no timer: the next iteration is always the next
-        scheduling opportunity)."""
-        if replica.state is ReplicaState.TERMINATED:
-            return
+    def pump(self, replica: Replica) -> None:
+        """Schedule an iteration now unless one is already scheduled —
+        there is no batch window: the next iteration is always the next
+        scheduling opportunity."""
         st = self._decoder(replica)
-        if st.scheduled:
-            return
-        if replica.queue or st.running:
+        if not st.scheduled:
             st.scheduled = True
-            self._push(self.now_ms, "iter", (replica, st.epoch))
+            sim = self.sim
+            sim._push(sim.now_ms, "done",
+                      (replica, replica.service_epoch, None))
 
-    # -- the iteration loop ------------------------------------------------
-
-    def _on_iter(self, replica: Replica, epoch: int) -> None:
-        st = self._decoders.get(replica.replica_id)
-        if st is None or st.epoch != epoch:
-            return
-        if replica.state is ReplicaState.TERMINATED:
-            st.scheduled = False
-            return
-        if replica.in_flight is not None:
-            # close the previous iteration's busy interval
-            replica.recent_busy.append((replica.busy_from_ms,
-                                        replica.busy_until_ms))
-            replica.in_flight = None
-        self._finish_completed(replica, st)
-        if st.pending_record is not None:
-            self._record_iteration(replica, *st.pending_record)
-            st.pending_record = None
+    def start(self, replica: Replica) -> WorkUnit | None:
+        st = self.decoders[replica.replica_id]
         self._admit(replica, st)
         if not st.running:
             st.scheduled = False
-            if replica.state is ReplicaState.DRAINING \
-                    and not replica.queue:
-                self._finish_drain(replica)
-            return
-        new = [s for s in st.running if not s.prefilled]
+            return None
+        new = [s for s in st.running if not s.produced]
         if new:
-            end = self._prefill_iteration(replica, st, new)
-        else:
-            end = self._decode_iteration(replica, st)
-        if not st.running:
-            # the whole batch was preempted/shed away
-            st.scheduled = False
-            if replica.queue:
-                self._pump(replica)
-            return
-        replica.busy_from_ms = self.now_ms
-        replica.busy_until_ms = end
-        replica.invocations += 1
-        # mirror the running set so routing (least-outstanding), drain
-        # and spot-interrupt displacement see iteration-plane work
-        replica.in_flight = [(s.req, end) for s in st.running]
-        self._push(end, "iter", (replica, st.epoch))
+            return self._prefill(st, new)
+        return self._decode(replica, st)
 
     def _admit(self, replica: Replica, st: _ReplicaDecoder) -> None:
         """Board queued requests into free slots, FIFO, KV- and
         deadline-aware.  Head-of-line blocking on KV pressure is
         deliberate: skipping ahead would starve long prompts forever."""
-        cfg = self.endpoint.config
+        sim = self.sim
+        now = sim.now_ms
+        max_batch = sim.endpoint.config.max_batch_size
         backend = self.backend
-        while replica.queue and len(st.running) < cfg.max_batch_size:
+        while replica.queue and len(st.running) < max_batch:
             req = replica.queue[0]
-            if req.expired(self.now_ms):
+            if req.expired(now):
                 replica.queue.popleft()
-                self._resolve_expired(req)
+                sim._resolve_unserved(req, OUTCOME_EXPIRED)
                 continue
             prompt, gen = backend.sample_lengths(req.query)
             pages_lifetime = -(-(prompt + gen) // self.kv_page_tokens)
             if pages_lifetime > st.capacity_pages:
                 # can never fit, even on an empty cache: fail fast
                 replica.queue.popleft()
-                self.kv_shed += 1
-                self._resolve_shed(req)
+                sim._resolve_unserved(req, OUTCOME_SHED)
                 continue
             if req.deadline_ms is not None and \
-                    self.now_ms + backend.prefill_ms([prompt]) \
-                    > req.deadline_ms:
+                    now + backend.prefill_ms([prompt]) > req.deadline_ms:
                 # deadline-aware admission: it cannot even prefill in
                 # time, so expire it now instead of burning GPU on it
                 replica.queue.popleft()
-                self._resolve_expired(req)
+                sim._resolve_unserved(req, OUTCOME_EXPIRED)
                 continue
             if not st.kv.allocate(req.request_id, prompt):
                 break               # wait for pages to free up
@@ -278,66 +218,41 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             st.running.append(_Seq(req=req, prompt_tokens=prompt,
                                    gen_tokens=gen))
 
-    def _prefill_iteration(self, replica: Replica, st: _ReplicaDecoder,
-                           new: list[_Seq]) -> float:
+    def _prefill(self, st: _ReplicaDecoder, new: list[_Seq]) -> WorkUnit:
         """One prefill pass over the newly admitted prompts; each yields
         its first token (TTFT) at the end of the pass."""
+        backend = self.backend
         prompts = [s.prompt_tokens for s in new]
-        dt = self.backend.prefill_ms(prompts)
-        end = self.now_ms + dt
-        self.batches += 1
-        self.batch_queries += len(new)
-        batch_id = self.batches
-        self.backend.prefill_tokens += sum(prompts)
+        end = self.sim.now_ms + backend.prefill_ms(prompts)
+        backend.prefill_tokens += sum(prompts)
         self.total_prefill += sum(prompts)
         for s in new:
-            s.prefilled = True
             s.produced = 1
-            self.backend.generated_tokens += 1
+            backend.generated_tokens += 1
             req = s.req
             if req.first_token_ms is None:
                 req.first_token_ms = end
                 self.ttft_hist.observe(end - req.arrival_ms,
                                        exemplar=f"{req.request_id:012d}")
-            if s.produced >= s.gen_tokens:
-                s.finished = True
-                s.finish_batch = batch_id
-                s.iteration_size = len(new)
-        st.pending_record = (
-            batch_id, len(new), self.now_ms, end, "serve.prefill_iter",
-            "prefill", sum(prompts), self.backend.prefill_key(prompts))
-        return end
+        return self._unit(st, end, len(new), "prefill", sum(prompts),
+                          backend.prefill_key(prompts))
 
-    def _decode_iteration(self, replica: Replica,
-                          st: _ReplicaDecoder) -> float:
+    def _decode(self, replica: Replica, st: _ReplicaDecoder) -> WorkUnit:
         """One decode step for every running sequence, preempting the
-        youngest first when the KV pool cannot grow everyone."""
+        youngest first when the KV pool cannot grow everyone.  A lone
+        sequence always fits: admission checked its lifetime pages."""
         kv = st.kv
-        while st.running:
-            need = sum(kv.pages_to_grow(s.req.request_id)
-                       for s in st.running)
-            if need <= kv.free_pages:
-                break
+        while len(st.running) > 1 and kv.free_pages < sum(
+                kv.pages_to_grow(s.req.request_id) for s in st.running):
+            # recompute-style preemption: pages freed, request requeued
+            # at the head; prefill re-runs on re-admission
             victim = st.running.pop()      # youngest boards last
             kv.release(victim.req.request_id)
-            if st.running:
-                # recompute-style preemption: pages freed, request
-                # requeued at the head; prefill re-runs on re-admission
-                replica.queue.appendleft(victim.req)
-                self.preemptions += 1
-                telemetry.count("serve.preempted")
-            else:
-                # a lone sequence the pool cannot hold mid-decode
-                self.kv_shed += 1
-                self._resolve_shed(victim.req)
-        if not st.running:
-            return self.now_ms
+            replica.queue.appendleft(victim.req)
+            self.preemptions += 1
+            telemetry.count("serve.preempted")
         ctxs = [s.prompt_tokens + s.produced for s in st.running]
         dt = self.backend.decode_ms(ctxs)
-        end = self.now_ms + dt
-        self.batches += 1
-        self.batch_queries += len(st.running)
-        batch_id = self.batches
         for s in st.running:
             if not kv.grow(s.req.request_id):
                 raise ReproError(
@@ -346,138 +261,85 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             s.produced += 1
             self.backend.generated_tokens += 1
             self.itl_hist.observe(dt, exemplar=f"{s.req.request_id:012d}")
-            if s.produced >= s.gen_tokens:
-                s.finished = True
-                s.finish_batch = batch_id
-                s.iteration_size = len(st.running)
-        st.pending_record = (
-            batch_id, len(st.running), self.now_ms, end,
-            "serve.decode_iter", "decode", len(st.running),
-            self.backend.decode_key(ctxs))
-        return end
+        size = len(st.running)
+        return self._unit(st, self.sim.now_ms + dt, size, "decode", size,
+                          self.backend.decode_key(ctxs))
 
-    def _record_iteration(self, replica: Replica, batch_id: int,
-                          size: int, start_ms: float, end_ms: float,
-                          label: str, phase: str, tokens: int,
-                          calibration_key) -> None:
-        if self.observer is not None:
-            self.observer.on_batch(
-                batch_id, replica.replica_id, size, start_ms, end_ms,
-                label=label, phase=phase, tokens=tokens,
-                calibration_key=calibration_key)
-        else:
-            telemetry.record(
-                label, "stage", _ns(start_ms), _ns(end_ms),
-                attributes={"batch_id": batch_id,
-                            "replica": replica.replica_id,
-                            "batch_size": size, "phase": phase,
-                            "tokens": tokens})
+    @staticmethod
+    def _unit(st: _ReplicaDecoder, end: float, size: int, phase: str,
+              tokens: int, calibration_key) -> WorkUnit:
+        # the in-flight mirror is the whole running set, so routing
+        # (least-outstanding), drain and spot-interrupt displacement see
+        # iteration-plane work
+        return WorkUnit(end_ms=end,
+                        in_flight=[(s.req, end) for s in st.running],
+                        size=size, label=f"serve.{phase}_iter",
+                        phase=phase, tokens=tokens,
+                        calibration_key=calibration_key)
 
-    def _finish_completed(self, replica: Replica,
-                          st: _ReplicaDecoder) -> None:
-        """Resolve sequences whose last token landed at ``now`` — the
-        continuous-batching win: they leave *now*, not when the whole
-        batch drains."""
-        done = [s for s in st.running if s.finished]
+    def finish(self, replica: Replica,
+               unit: WorkUnit) -> list[tuple[Request, float]]:
+        """Sequences whose last token landed in ``unit`` leave *now* —
+        the continuous-batching win — not when the whole batch drains."""
+        st = self.decoders[replica.replica_id]
+        done = [s for s in st.running if s.produced >= s.gen_tokens]
         if not done:
-            return
-        st.running = [s for s in st.running if not s.finished]
+            return []
+        st.running = [s for s in st.running if s.produced < s.gen_tokens]
+        now = self.sim.now_ms
         for s in done:
-            st.kv.release(s.req.request_id)
             req = s.req
-            req.replica_id = replica.replica_id
-            req.batch_size = s.iteration_size
+            st.kv.release(req.request_id)
             req.tokens_generated = s.produced
-            req.resolve(OUTCOME_COMPLETED, self.now_ms)
-            latency = self.now_ms - req.arrival_ms
-            self.completed += 1
-            self._completions_since_tick += 1
-            self.last_finish_ms = max(self.last_finish_ms, self.now_ms)
-            self.latency_hist.observe(latency,
-                                      exemplar=f"{req.request_id:012d}")
-            replica.queries_served += 1
             self.total_generated += s.gen_tokens
-            if req.first_token_ms is not None and s.produced >= 2:
-                window_s = (self.now_ms - req.first_token_ms) / 1e3
-                if window_s > 0:
-                    self.tps_hist.observe(
-                        (s.produced - 1) / window_s,
-                        exemplar=f"{req.request_id:012d}")
-            telemetry.observe("serve.latency_ms", latency)
-            telemetry.count("serve.completed")
-            if self.observer is not None:
-                self.observer.on_resolve(req, batch_id=s.finish_batch)
-            else:
-                telemetry.record(
-                    "serve.request", "request",
-                    _ns(req.arrival_ms), _ns(self.now_ms),
-                    attributes={"request_id": req.request_id,
-                                "replica": replica.replica_id,
-                                "batch_size": s.iteration_size,
-                                "tokens": s.produced,
-                                "attempts": req.attempts})
+            window_s = (now - req.first_token_ms) / 1e3
+            if s.produced >= 2 and window_s > 0:
+                self.tps_hist.observe((s.produced - 1) / window_s,
+                                      exemplar=f"{req.request_id:012d}")
+        return [(s.req, now) for s in done]
 
-    # -- resolution helpers ------------------------------------------------
+    # -- teardown and the audit -------------------------------------------
 
-    def _resolve_expired(self, req: Request) -> None:
-        req.resolve(OUTCOME_EXPIRED, self.now_ms)
-        self.expired += 1
-        telemetry.count("serve.expired")
-        if self.observer is not None:
-            self.observer.on_resolve(req)
+    def on_interrupt(self, replica: Replica) -> None:
+        """Drop the replica's device state: its running requests are
+        displaced through the in-flight mirror and recompute from scratch
+        on a survivor."""
+        st = self.decoders.pop(replica.replica_id, None)
+        if st is None:
+            return
+        for s in st.running:
+            st.kv.release(s.req.request_id)
+        st.running = []
+        st.pool.free(st.weights)
+        self.interrupted[replica.replica_id] = st
 
-    def _resolve_shed(self, req: Request) -> None:
-        req.resolve(OUTCOME_SHED, self.now_ms)
-        self.shed += 1
-        telemetry.count("serve.shed")
-        if self.observer is not None:
-            self.observer.on_resolve(req)
+    def teardown(self) -> None:
+        for st in self.decoders.values():
+            st.pool.free(st.weights)
 
-    # -- fleet lifecycle ---------------------------------------------------
-
-    def _on_interrupt(self, replica_id: int) -> None:
-        st = self._decoders.pop(replica_id, None)
-        if st is not None:
-            # drop the replica's device state; its running requests are
-            # displaced through the in_flight mirror by the base handler
-            # and recompute from scratch on a survivor
-            for s in st.running:
-                st.kv.release(s.req.request_id)
-            st.running = []
-            st.epoch += 1
-        super()._on_interrupt(replica_id)
-
-    # -- the report --------------------------------------------------------
-
-    def _teardown_decoders(self) -> None:
-        """Release weights and assert the KV ledger drained to zero —
-        the conservation check that no completed/preempted/displaced
-        sequence leaked pages."""
-        for rid, st in sorted(self._decoders.items()):
+    def check_invariants(self) -> None:
+        """Every KV ledger and device pool drained to zero: no completed,
+        preempted or displaced sequence leaked pages."""
+        for rid, st in sorted({**self.decoders, **self.interrupted}.items()):
             if st.kv.live_seqs or st.kv.live_pages:
                 raise ReproError(
                     f"KV ledger leak on replica {rid}: "
                     f"{st.kv.live_seqs} sequences / "
                     f"{st.kv.live_pages} pages still held at teardown")
-            st.pool.free(st.weights)
             report = st.pool.leak_report()
             if not report.ok:
                 raise ReproError(
                     f"device pool leak on replica {rid}:\n"
                     f"{report.render()}")
 
-    def _build_report(self) -> SloReport:
+    def report_fields(self, effective_ms: float) -> dict:
         kv_peak = 0
         kv_util = 0.0
-        for st in self._decoders.values():
+        for st in self.decoders.values():
             if st.kv.peak_pages > kv_peak:
                 kv_peak = st.kv.peak_pages
                 kv_util = st.kv.peak_page_utilization
-        self._teardown_decoders()
-        base = super()._build_report()
-        effective_ms = max(base.duration_ms, self.last_finish_ms)
-        return dataclasses.replace(
-            base,
+        return dict(
             total_tokens=self.total_generated,
             prefill_tokens=self.total_prefill,
             tokens_per_sec=(self.total_generated / (effective_ms / 1e3)
@@ -494,3 +356,16 @@ class ContinuousBatchingSimulation(EndpointSimulation):
             kv_page_utilization=kv_util,
             ttft_exemplars=tuple(self.ttft_hist.top_exemplars()),
         )
+
+
+class ContinuousBatchingSimulation(EndpointSimulation):
+    """:class:`~repro.serve.simulator.EndpointSimulation` with the
+    :class:`ContinuousBatching` policy selected."""
+
+    def __init__(self, endpoint, backend, *,
+                 kv_budget_bytes: int | None = None,
+                 kv_page_tokens: int = DEFAULT_PAGE_TOKENS,
+                 **sim_kwargs) -> None:
+        super().__init__(endpoint, backend, **sim_kwargs)
+        self.policy = ContinuousBatching(self, kv_budget_bytes,
+                                         kv_page_tokens)

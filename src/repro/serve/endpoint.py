@@ -117,9 +117,9 @@ class Replica:
         self.in_flight: list[tuple[Request, float]] | None = None
         self.busy_from_ms = 0.0
         self.busy_until_ms = 0.0
-        # epochs invalidate stale scheduled events (timeouts / completions)
+        # bumped at a spot reclaim: invalidates the replica's scheduled
+        # completion
         self.service_epoch = 0
-        self.timer_epoch = 0
         self.invocations = 0          # batches served, lifetime
         self.queries_served = 0
         # busy intervals since the last metrics tick, for GPU utilization

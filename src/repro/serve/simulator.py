@@ -1,7 +1,7 @@
 """The request plane: a discrete-event simulation of one endpoint.
 
 Everything between "a request arrives" and "a response (or 429) leaves"
-runs here, on a millisecond event heap:
+runs here, on one millisecond event heap:
 
 * **routing** — least-outstanding-requests across ``InService``
   replicas (the ALB algorithm SageMaker endpoints sit behind);
@@ -9,12 +9,16 @@ runs here, on a millisecond event heap:
   fast-fails the request (HTTP 429) and the client retries with
   exponential backoff until its budget runs out (then it counts as
   *shed*);
-* **dynamic batching** — an idle replica opens a batch window on first
+* **batching** — delegated to a :class:`BatchPolicy`, which answers
+  three questions: when a replica may start work, what one unit of
+  work costs, and which requests finish when it ends.
+  :class:`DynamicBatching` (the default) opens a batch window on first
   arrival and serves when either ``max_batch_size`` queries gathered or
   ``batch_timeout_ms`` elapsed; a busy replica batches whatever queued
-  while it served (continuous batching).  Service profiles come from
-  the :class:`~repro.serve.backend.ModelBackend`, measured on the
-  simulated GPU;
+  while it served.  Service profiles come from the
+  :class:`~repro.serve.backend.ModelBackend`, measured on the simulated
+  GPU.  :class:`~repro.serve.continuous.ContinuousBatching` schedules
+  decode iterations instead;
 * **deadlines** — a request whose deadline passes while queued is
   dropped as *expired* at dequeue time;
 * **autoscaling ticks** — every ``tick_ms`` the fleet publishes
@@ -24,7 +28,8 @@ runs here, on a millisecond event heap:
 * **spot interruptions** — injected reclaims terminate a replica
   mid-flight; its queued and in-flight requests re-dispatch to the
   survivors and a replacement launches.  No request is ever lost or
-  double-counted; the report asserts conservation.
+  double-counted; :meth:`EndpointSimulation.check_invariants` asserts
+  conservation when the report is built.
 
 The loop is fully deterministic: the heap breaks ties by insertion
 order, every random choice upstream (trace, reservoir) is seeded, and
@@ -35,6 +40,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from repro.errors import ReproError
@@ -60,10 +66,129 @@ from repro.telemetry.metrics import Histogram
 
 LATENCY_RESERVOIR = 8192
 LATENCY_EXEMPLARS = 5
+#: one simulated millisecond of the event clock in cloud-session hours
+HOURS_PER_MS = 1.0 / MS_PER_HOUR
 
 
 def _ns(ms: float) -> int:
     return int(round(ms * 1e6))
+
+
+@dataclass
+class WorkUnit:
+    """One batch (or decode iteration) a policy started on a replica."""
+
+    end_ms: float
+    #: what the replica holds while the unit runs: ``(request, finish_ms)``
+    in_flight: list[tuple[Request, float]]
+    size: int                     # requests the unit serves: its batch size
+    label: str = "serve.batch"
+    phase: str = ""
+    tokens: int = 0
+    calibration_key: object = None
+    batch_id: int = 0
+
+
+class BatchPolicy:
+    """What one batching discipline decides; the loop does the rest."""
+
+    def __init__(self, sim: "EndpointSimulation") -> None:
+        self.sim = sim
+
+    def reset(self) -> None:
+        """Clear per-run state; called at the start of every run."""
+
+    def pump(self, replica: Replica) -> None:
+        """A request joined ``replica``'s queue: start work now (through
+        ``sim._start_work``), schedule it, or wait."""
+        raise NotImplementedError
+
+    def start(self, replica: Replica) -> WorkUnit | None:
+        """Take work off ``replica``'s queue and price one unit of it;
+        ``None`` when there is nothing to run."""
+        raise NotImplementedError
+
+    def finish(self, replica: Replica,
+               unit: WorkUnit) -> Iterable[tuple[Request, float]]:
+        """The ``(request, finish_ms)`` pairs that complete as ``unit``
+        ends."""
+        raise NotImplementedError
+
+    def on_timeout(self, event) -> None:
+        """A ``timeout`` event this policy pushed fired."""
+        raise NotImplementedError
+
+    def on_interrupt(self, replica: Replica) -> None:
+        """``replica`` is being reclaimed; drop its policy state."""
+
+    def teardown(self) -> None:
+        """Release per-run device state once the heap is empty."""
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ReproError` if policy state leaked."""
+
+    def report_fields(self, effective_ms: float) -> dict:
+        """Extra :class:`SloReport` fields this policy measures."""
+        return {}
+
+
+class DynamicBatching(BatchPolicy):
+    """One-shot batches behind a ``batch_timeout_ms`` window: members
+    board together and the replica is busy until the whole batch
+    returns."""
+
+    def reset(self) -> None:
+        #: replica id -> token of its armed batch-window timeout
+        self._timers: dict[int, int] = {}
+        self._tokens = itertools.count()
+
+    def pump(self, replica: Replica) -> None:
+        if replica.in_flight is not None:
+            return
+        sim = self.sim
+        cfg = sim.endpoint.config
+        if len(replica.queue) >= cfg.max_batch_size \
+                or cfg.batch_timeout_ms == 0:
+            sim._start_work(replica)
+        elif replica.replica_id not in self._timers:
+            token = self._timers[replica.replica_id] = next(self._tokens)
+            sim._push(sim.now_ms + cfg.batch_timeout_ms, "timeout",
+                      (replica, token))
+
+    def on_timeout(self, event: tuple[Replica, int]) -> None:
+        # an armed timer implies an idle replica with a queue: starting
+        # a batch (or an interruption) disarms it first
+        replica, token = event
+        if self._timers.get(replica.replica_id) == token:
+            self.sim._start_work(replica)
+
+    def start(self, replica: Replica) -> WorkUnit | None:
+        sim = self.sim
+        self._timers.pop(replica.replica_id, None)
+        batch: list[Request] = []
+        max_batch = sim.endpoint.config.max_batch_size
+        while replica.queue and len(batch) < max_batch:
+            req = replica.queue.popleft()
+            if req.expired(sim.now_ms):
+                sim._resolve_unserved(req, OUTCOME_EXPIRED)
+            else:
+                batch.append(req)
+        if not batch:
+            return None
+        result = sim.backend.serve_batch([r.query for r in batch])
+        now = sim.now_ms
+        return WorkUnit(
+            end_ms=now + result.service_ms,
+            in_flight=[(req, now + offset)
+                       for req, offset in zip(batch, result.per_query_ms)],
+            size=len(batch))
+
+    def finish(self, replica: Replica,
+               unit: WorkUnit) -> list[tuple[Request, float]]:
+        return unit.in_flight
+
+    def on_interrupt(self, replica: Replica) -> None:
+        self._timers.pop(replica.replica_id, None)
 
 
 class EndpointSimulation:
@@ -73,29 +198,22 @@ class EndpointSimulation:
                  autoscaler: Autoscaler | None = None,
                  retry_policy: RetryPolicy | None = None,
                  tick_ms: float = 25.0,
-                 hours_per_ms: float = 1.0 / MS_PER_HOUR,
                  settle_ms: float = 0.0,
-                 replace_interrupted: bool = True,
-                 latency_reservoir: int = LATENCY_RESERVOIR,
                  observer=None) -> None:
         if tick_ms <= 0:
             raise ReproError("tick_ms must be positive")
-        if hours_per_ms <= 0:
-            raise ReproError("hours_per_ms must be positive")
         self.endpoint = endpoint
         self.backend = backend
         self.autoscaler = autoscaler
         self.retry_policy = retry_policy or RetryPolicy()
         self.tick_ms = tick_ms
-        self.hours_per_ms = hours_per_ms
         self.settle_ms = settle_ms
-        self.replace_interrupted = replace_interrupted
-        self.latency_reservoir = latency_reservoir
         # An observation layer (repro.obs's EndpointObserver, or anything
         # with the same hooks).  When attached it owns span emission for
         # requests/batches — sampled and bounded — so the inline
         # every-request telemetry.record calls are suppressed.
         self.observer = observer
+        self.policy: BatchPolicy = DynamicBatching(self)
 
     # -- event plumbing ---------------------------------------------------
 
@@ -106,13 +224,10 @@ class EndpointSimulation:
     def _advance_cloud(self) -> None:
         """Bring the cloud session's hour clock up to the event clock, so
         instance lifecycle changes settle billing at the exact moment."""
-        target_h = self._epoch_h + self.now_ms * self.hours_per_ms
+        target_h = self._epoch_h + self.now_ms * HOURS_PER_MS
         session = self.endpoint.session
         if target_h > session.now_h:
             session.advance_hours(target_h - session.now_h)
-
-    def _timestamp_h(self, time_ms: float) -> float:
-        return self._epoch_h + time_ms * self.hours_per_ms
 
     # -- the run ----------------------------------------------------------
 
@@ -126,6 +241,7 @@ class EndpointSimulation:
         ep = self.endpoint
         if not ep.in_service():
             raise ReproError(f"endpoint {ep.name} has no serving replicas")
+        self.policy.reset()
         self._events: list = []
         self._seq = itertools.count()
         self.now_ms = 0.0
@@ -143,9 +259,8 @@ class EndpointSimulation:
         self.last_finish_ms = 0.0
         self.peak_replicas = len(ep.in_service())
         self.replica_timeline: list[tuple[float, int, int]] = []
-        self._batch_of_replica: dict[int, int] = {}
         self.latency_hist = Histogram("serve.latency_ms",
-                                      max_samples=self.latency_reservoir,
+                                      max_samples=LATENCY_RESERVOIR,
                                       max_exemplars=LATENCY_EXEMPLARS)
         requests = [
             Request(request_id=i, query=a.query, arrival_ms=a.time_ms,
@@ -166,43 +281,27 @@ class EndpointSimulation:
             for time_ms, replica_id in interruptions:
                 self._push(float(time_ms), "interrupt", int(replica_id))
             self._push(self.tick_ms, "tick", None)
-            while self._events:
-                time_ms, _, kind, data = heapq.heappop(self._events)
+            handlers = {"arrival": self._on_arrival, "done": self._on_done,
+                        "timeout": self.policy.on_timeout,
+                        "tick": self._on_tick,
+                        "provisioned": self._on_provisioned,
+                        "interrupt": self._on_interrupt}
+            events = self._events
+            while events:
+                time_ms, _, kind, data = heapq.heappop(events)
                 self.now_ms = time_ms
-                self._dispatch(kind, data)
+                handlers[kind](data)
             self._advance_cloud()
+            self.policy.teardown()
             if self.observer is not None:
                 self.observer.finalize()
         return self._build_report()
-
-    def _dispatch(self, kind: str, data) -> None:
-        """Route one popped event to its handler.  Subclasses that add
-        event kinds (the continuous-batching plane's ``iter``) extend
-        this; an unknown kind is a bug, not a silent drop."""
-        if kind == "arrival":
-            self._on_arrival(data)
-        elif kind == "timeout":
-            self._on_timeout(*data)
-        elif kind == "done":
-            self._on_done(*data)
-        elif kind == "provisioned":
-            self._on_provisioned(data)
-        elif kind == "interrupt":
-            self._on_interrupt(data)
-        elif kind == "tick":
-            self._on_tick()
-        else:
-            raise ReproError(f"unknown event kind {kind!r}")
 
     # -- arrivals / admission ---------------------------------------------
 
     def _on_arrival(self, req: Request) -> None:
         if req.expired(self.now_ms):
-            req.resolve(OUTCOME_EXPIRED, self.now_ms)
-            self.expired += 1
-            telemetry.count("serve.expired")
-            if self.observer is not None:
-                self.observer.on_resolve(req)
+            self._resolve_unserved(req, OUTCOME_EXPIRED)
             return
         cfg = self.endpoint.config
         candidates = [r for r in self.endpoint.replicas
@@ -213,7 +312,7 @@ class EndpointSimulation:
         replica = min(candidates,
                       key=lambda r: (r.outstanding, r.replica_id))
         replica.queue.append(req)
-        self._pump(replica)
+        self.policy.pump(replica)
 
     def _reject(self, req: Request) -> None:
         """Admission control said 429: back off and retry, or shed."""
@@ -224,82 +323,55 @@ class EndpointSimulation:
             delay = self.retry_policy.delay_ms(req.attempts)
             self._push(self.now_ms + delay, "arrival", req)
         else:
-            req.resolve(OUTCOME_SHED, self.now_ms)
+            self._resolve_unserved(req, OUTCOME_SHED)
+
+    def _resolve_unserved(self, req: Request, outcome: str) -> None:
+        """Resolve ``req`` as shed or expired at the current instant."""
+        req.resolve(outcome, self.now_ms)
+        if outcome == OUTCOME_SHED:
             self.shed += 1
-            telemetry.count("serve.shed")
-            if self.observer is not None:
-                self.observer.on_resolve(req)
+        else:
+            self.expired += 1
+        telemetry.count(f"serve.{outcome}")
+        if self.observer is not None:
+            self.observer.on_resolve(req)
 
-    # -- batching ---------------------------------------------------------
+    # -- units of work ----------------------------------------------------
 
-    def _pump(self, replica: Replica) -> None:
-        """Start a batch, arm the batch-timeout window, or wait."""
-        if replica.in_flight is not None or not replica.queue:
-            return
-        if replica.state is ReplicaState.TERMINATED:
-            return
-        cfg = self.endpoint.config
-        if (len(replica.queue) >= cfg.max_batch_size
-                or replica.state is ReplicaState.DRAINING
-                or cfg.batch_timeout_ms == 0):
-            self._start_batch(replica)
-            return
-        if not getattr(replica, "timer_armed", False):
-            replica.timer_armed = True
-            replica.timer_epoch += 1
-            self._push(self.now_ms + cfg.batch_timeout_ms, "timeout",
-                       (replica, replica.timer_epoch))
-
-    def _on_timeout(self, replica: Replica, epoch: int) -> None:
-        if epoch != replica.timer_epoch or not getattr(
-                replica, "timer_armed", False):
-            return
-        replica.timer_armed = False
-        if replica.in_flight is None and replica.queue \
-                and replica.state is not ReplicaState.TERMINATED:
-            self._start_batch(replica)
-
-    def _start_batch(self, replica: Replica) -> None:
-        cfg = self.endpoint.config
-        replica.timer_armed = False
-        replica.timer_epoch += 1
-        batch: list[Request] = []
-        while replica.queue and len(batch) < cfg.max_batch_size:
-            req = replica.queue.popleft()
-            if req.expired(self.now_ms):
-                req.resolve(OUTCOME_EXPIRED, self.now_ms)
-                self.expired += 1
-                telemetry.count("serve.expired")
-                if self.observer is not None:
-                    self.observer.on_resolve(req)
-                continue
-            batch.append(req)
-        if not batch:
-            if replica.state is ReplicaState.DRAINING:
+    def _start_work(self, replica: Replica) -> None:
+        """Run the policy's next unit on ``replica``, or let a draining
+        replica go once it has nothing left."""
+        unit = self.policy.start(replica)
+        if unit is None:
+            if replica.state is ReplicaState.DRAINING and not replica.queue:
                 self._finish_drain(replica)
             return
-        result = self.backend.serve_batch([r.query for r in batch])
-        replica.service_epoch += 1
-        replica.in_flight = [(req, self.now_ms + offset)
-                             for req, offset in zip(batch,
-                                                    result.per_query_ms)]
-        replica.busy_from_ms = self.now_ms
-        replica.busy_until_ms = self.now_ms + result.service_ms
-        replica.invocations += 1
         self.batches += 1
-        self.batch_queries += len(batch)
-        self._batch_of_replica[replica.replica_id] = self.batches
-        self._push(replica.busy_until_ms, "done",
-                   (replica, replica.service_epoch))
+        self.batch_queries += unit.size
+        unit.batch_id = self.batches
+        replica.in_flight = unit.in_flight
+        replica.busy_from_ms = self.now_ms
+        replica.busy_until_ms = unit.end_ms
+        replica.invocations += 1
+        self._push(unit.end_ms, "done",
+                   (replica, replica.service_epoch, unit))
 
-    def _on_done(self, replica: Replica, epoch: int) -> None:
-        if epoch != replica.service_epoch or replica.in_flight is None:
+    def _on_done(self, event: tuple[Replica, int, WorkUnit | None]) -> None:
+        """``unit`` ended on ``replica`` (``None``: a policy asked for a
+        start); resolve what finished, then start the next unit."""
+        replica, epoch, unit = event
+        if epoch != replica.service_epoch:
             return
-        batch_size = len(replica.in_flight)
-        batch_id = self._batch_of_replica.get(replica.replica_id, 0)
-        for req, finish_ms in replica.in_flight:
-            req.replica_id = replica.replica_id
-            req.batch_size = batch_size
+        if unit is not None:
+            self._end_work(replica, unit)
+        self._start_work(replica)
+
+    def _end_work(self, replica: Replica, unit: WorkUnit) -> None:
+        rid = replica.replica_id
+        observer = self.observer
+        for req, finish_ms in self.policy.finish(replica, unit):
+            req.replica_id = rid
+            req.batch_size = unit.size
             req.resolve(OUTCOME_COMPLETED, finish_ms)
             latency = finish_ms - req.arrival_ms
             self.completed += 1
@@ -310,33 +382,36 @@ class EndpointSimulation:
             replica.queries_served += 1
             telemetry.observe("serve.latency_ms", latency)
             telemetry.count("serve.completed")
-            if self.observer is not None:
-                self.observer.on_resolve(req, batch_id=batch_id)
-            else:
-                telemetry.record(
-                    "serve.request", "request",
-                    _ns(req.arrival_ms), _ns(finish_ms),
-                    attributes={"request_id": req.request_id,
-                                "replica": replica.replica_id,
-                                "batch_size": batch_size,
-                                "attempts": req.attempts})
-        if self.observer is not None:
-            self.observer.on_batch(
-                batch_id, replica.replica_id, batch_size,
-                replica.busy_from_ms, replica.busy_until_ms)
+            if observer is not None:
+                observer.on_resolve(req, batch_id=unit.batch_id)
+                continue
+            attributes = {"request_id": req.request_id, "replica": rid,
+                          "batch_size": unit.size,
+                          "attempts": req.attempts}
+            if req.tokens_generated:
+                attributes["tokens"] = req.tokens_generated
+            telemetry.record("serve.request", "request",
+                             _ns(req.arrival_ms), _ns(finish_ms),
+                             attributes=attributes)
+        # the unit's span follows its requests' resolutions, so the
+        # sampler's batch refcounts already see them
+        if observer is not None:
+            observer.on_batch(
+                unit.batch_id, rid, unit.size,
+                replica.busy_from_ms, replica.busy_until_ms,
+                label=unit.label, phase=unit.phase, tokens=unit.tokens,
+                calibration_key=unit.calibration_key)
         else:
-            telemetry.record(
-                "serve.batch", "stage",
-                _ns(replica.busy_from_ms), _ns(replica.busy_until_ms),
-                attributes={"replica": replica.replica_id,
-                            "batch_size": batch_size})
+            attributes = {"replica": rid, "batch_size": unit.size}
+            if unit.phase:
+                attributes.update(batch_id=unit.batch_id,
+                                  phase=unit.phase, tokens=unit.tokens)
+            telemetry.record(unit.label, "stage", _ns(replica.busy_from_ms),
+                             _ns(replica.busy_until_ms),
+                             attributes=attributes)
         replica.recent_busy.append((replica.busy_from_ms,
                                     replica.busy_until_ms))
         replica.in_flight = None
-        if replica.queue:
-            self._start_batch(replica)
-        elif replica.state is ReplicaState.DRAINING:
-            self._finish_drain(replica)
 
     # -- fleet lifecycle --------------------------------------------------
 
@@ -350,6 +425,12 @@ class EndpointSimulation:
         self._advance_cloud()
         self.endpoint.terminate_replica(replica)
 
+    def _launch_replica(self) -> None:
+        ep = self.endpoint
+        fresh = ep.launch_replica(state=ReplicaState.PROVISIONING)
+        self._push(self.now_ms + ep.config.provision_delay_ms,
+                   "provisioned", fresh)
+
     def _on_interrupt(self, replica_id: int) -> None:
         ep = self.endpoint
         replica = next((r for r in ep.replicas
@@ -357,25 +438,21 @@ class EndpointSimulation:
         if replica is None or replica.state is ReplicaState.TERMINATED:
             return
         self._advance_cloud()
+        self.policy.on_interrupt(replica)
         displaced = [req for req, _ in (replica.in_flight or [])]
         displaced.extend(replica.queue)
         if replica.in_flight is not None:
-            # the aborted batch still occupied the GPU until the reclaim
+            # the aborted unit still occupied the GPU until the reclaim
             replica.recent_busy.append((replica.busy_from_ms, self.now_ms))
         replica.in_flight = None
         replica.queue.clear()
         replica.service_epoch += 1
-        replica.timer_epoch += 1
-        replica.timer_armed = False
         ep.terminate_replica(replica)
         ep.interrupted_replicas += 1
         telemetry.add_event("endpoint.spot_interruption",
                             replica=replica_id,
                             displaced=len(displaced))
-        if self.replace_interrupted:
-            fresh = ep.launch_replica(state=ReplicaState.PROVISIONING)
-            self._push(self.now_ms + ep.config.provision_delay_ms,
-                       "provisioned", fresh)
+        self._launch_replica()
         # re-dispatch displaced work onto the survivors, oldest first
         for req in displaced:
             self._on_arrival(req)
@@ -385,25 +462,24 @@ class EndpointSimulation:
     def _publish_metrics(self, serving: Sequence[Replica]) -> float:
         """Flush fleet metrics to CloudWatch; returns the timestamp."""
         cw = self.endpoint.session.cloudwatch
-        ts = self._timestamp_h(self.now_ms)
+        ts = self._epoch_h + self.now_ms * HOURS_PER_MS
         n = max(len(serving), 1)
         window_ms = max(self.now_ms - self._last_tick_ms, 1e-9)
         invocations = self._completions_since_tick / n
         queue_depth = sum(len(r.queue) for r in serving) / n
-        busy_ms = sum(r.busy_ms_in(self._last_tick_ms, self.now_ms)
-                      for r in serving)
-        util = 100.0 * busy_ms / (n * window_ms)
+        busy = [r.busy_ms_in(self._last_tick_ms, self.now_ms)
+                for r in serving]
+        util = 100.0 * sum(busy) / (n * window_ms)
         name = self.endpoint.name
         cw.put_metric(METRIC_NAMESPACE, "InvocationsPerReplica", name,
                       invocations, ts)
         cw.put_metric(METRIC_NAMESPACE, "QueueDepthPerReplica", name,
                       queue_depth, ts)
         cw.put_metric(METRIC_NAMESPACE, "GPUUtilization", name, util, ts)
-        for r in serving:
-            r_util = 100.0 * r.busy_ms_in(
-                self._last_tick_ms, self.now_ms) / window_ms
+        for r, r_busy in zip(serving, busy):
             cw.put_metric(METRIC_NAMESPACE, "GPUUtilization",
-                          r.instance.instance_id, r_util, ts)
+                          r.instance.instance_id,
+                          100.0 * r_busy / window_ms, ts)
             r.prune_busy(self.now_ms)
         telemetry.gauge("serve.queue_depth", queue_depth)
         telemetry.gauge("serve.gpu_utilization", util)
@@ -411,7 +487,7 @@ class EndpointSimulation:
         self.endpoint.recent_utilization = util
         return ts
 
-    def _on_tick(self) -> None:
+    def _on_tick(self, _=None) -> None:
         ep = self.endpoint
         serving = [r for r in ep.replicas
                    if r.state in (ReplicaState.IN_SERVICE,
@@ -431,11 +507,7 @@ class EndpointSimulation:
             desired = decision.desired
             if decision.action == "scale_out":
                 for _ in range(decision.desired - current):
-                    fresh = ep.launch_replica(
-                        state=ReplicaState.PROVISIONING)
-                    self._push(
-                        self.now_ms + ep.config.provision_delay_ms,
-                        "provisioned", fresh)
+                    self._launch_replica()
             elif decision.action == "scale_in":
                 self._scale_in(current - decision.desired)
         n_in_service = len(ep.in_service())
@@ -480,9 +552,9 @@ class EndpointSimulation:
 
     # -- the report -------------------------------------------------------
 
-    def _build_report(self) -> SloReport:
-        ep = self.endpoint
-        trace = self._trace
+    def check_invariants(self) -> None:
+        """Raise :class:`ReproError` unless every submitted request was
+        resolved exactly once and the policy's device state drained."""
         submitted = len(self._requests)
         resolved = self.completed + self.shed + self.expired
         if resolved != submitted:
@@ -490,6 +562,13 @@ class EndpointSimulation:
                 f"request conservation violated: {submitted} submitted "
                 f"but {resolved} resolved ({self.completed} completed, "
                 f"{self.shed} shed, {self.expired} expired)")
+        self.policy.check_invariants()
+
+    def _build_report(self) -> SloReport:
+        self.check_invariants()
+        ep = self.endpoint
+        trace = self._trace
+        submitted = len(self._requests)
         effective_ms = max(trace.duration_ms, self.last_finish_ms)
         cost = ep.billed_cost_usd(self._billing_start)
         hist = self.latency_hist
@@ -529,4 +608,5 @@ class EndpointSimulation:
                              if self.completed else 0.0),
             replica_timeline=tuple(self.replica_timeline),
             latency_exemplars=tuple(hist.top_exemplars()),
+            **self.policy.report_fields(effective_ms),
         )

@@ -40,14 +40,17 @@ class TestConservation:
         ep = make_endpoint()
         sim = ContinuousBatchingSimulation(ep, llm_backend())
         sim.run(constant_trace(40.0, 400.0, PROMPTS, seed=1))
-        for st in sim._decoders.values():   # every pool audited + emptied
+        assert sim.policy.decoders
+        for st in sim.policy.decoders.values():   # every pool emptied
             assert st.kv.live_seqs == 0 and st.kv.live_pages == 0
             assert st.pool.leak_report().ok
             assert st.pool.free_bytes == st.pool.total_bytes
+        sim.check_invariants()
 
     def test_interruption_releases_the_replicas_kv(self, make_endpoint):
         # reclaim the replica mid-decode: running sequences displace or
-        # shed, their pages go back, and the teardown audit still passes
+        # shed, and the reclaimed replica's pool is torn down through the
+        # same audit as the survivors'
         ep = make_endpoint(min_replicas=1, max_replicas=2)
         sim = ContinuousBatchingSimulation(ep, llm_backend())
         report = sim.run(constant_trace(40.0, 400.0, PROMPTS, seed=1),
@@ -55,8 +58,13 @@ class TestConservation:
         assert report.interrupted_replicas == 1
         assert (report.completed + report.shed + report.expired
                 == report.submitted)
-        for st in sim._decoders.values():
-            assert st.kv.live_pages == 0 and st.pool.leak_report().ok
+        victim = sim.policy.interrupted[0]
+        assert victim.kv.peak_pages > 0           # it was mid-decode
+        assert victim.kv.live_seqs == 0 and victim.kv.live_pages == 0
+        assert victim.pool.leak_report().ok
+        assert victim.pool.free_bytes == victim.pool.total_bytes
+        assert 0 not in sim.policy.decoders
+        sim.check_invariants()
 
 
 class TestLlmReportFields:
@@ -115,7 +123,7 @@ class TestPagedKvPressure:
         budget = backend.spec.kv_bytes_per_token * 16 * 40   # 40 pages
         ep = make_endpoint(max_batch_size=8, max_queue_depth=128)
         sim = ContinuousBatchingSimulation(
-            ep, backend, kv_budget_bytes=budget, strict_preflight=False)
+            ep, backend, kv_budget_bytes=budget)
         report = sim.run(poisson_trace(40.0, 800.0, PROMPTS, seed=2))
         assert report.preemptions > 0
         assert report.kv_peak_pages <= 40        # the ledger held the line
