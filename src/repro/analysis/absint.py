@@ -124,6 +124,15 @@ class LaunchEnv:
                                     else Interval(1, INF))
         return ranges
 
+    def grid_form(self, axis: int) -> Affine:
+        """``cuda.grid``'s index on ``axis``: ``bdim·bid + tid`` when the
+        block dim is known, else the global-index atom."""
+        ax = _AXES[axis]
+        bdim = self.block[axis]
+        if bdim:
+            return Affine.make({f"bid.{ax}": bdim, f"tid.{ax}": 1})
+        return Affine.atom(f"gidx.{ax}")
+
     def extent_of(self, param: str, axis: int) -> Affine:
         """The extent the subscript on ``axis`` must stay under —
         launch-derived when known, an anonymous atom otherwise (the
@@ -351,6 +360,21 @@ class _State:
 
 _NEGATE = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
            ast.GtE: ast.Lt, ast.NotEq: ast.Eq}
+
+
+def is_sync(stmt, cuda_names) -> bool:
+    """Is ``stmt`` a barrier statement: ``cuda.syncthreads()`` through
+    one of ``cuda_names``, or a bare ``syncthreads()``?  The JIT launcher
+    compiles exactly these statements into ``yield``, so the analyzer
+    and the executor agree on what a barrier is."""
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+        return False
+    func = stmt.value.func
+    if isinstance(func, ast.Name):
+        return func.id == "syncthreads"
+    return (isinstance(func, ast.Attribute) and func.attr == "syncthreads"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in cuda_names)
 
 
 # ---------------------------------------------------------------------------
@@ -641,13 +665,7 @@ class _KernelInterp:
         return isinstance(node, ast.Name) and node.id in self.cuda_names
 
     def _grid_val(self, axis: int) -> AbsVal:
-        ax = _AXES[axis]
-        bdim = self.env.block[axis]
-        if bdim:
-            form = Affine.make({f"bid.{ax}": bdim, f"tid.{ax}": 1})
-        else:
-            form = Affine.atom(f"gidx.{ax}")
-        return self._mk(form, Interval.top(), T_GLOBAL)
+        return self._mk(self.env.grid_form(axis), Interval.top(), T_GLOBAL)
 
     def _eval(self, node, state: _State, check: bool) -> AbsVal:
         if isinstance(node, ast.Constant):
@@ -1032,16 +1050,9 @@ class _KernelInterp:
         self._div_walk(self.fn.body, 0, 0, out)
         return out
 
-    def _is_sync(self, stmt) -> bool:
-        return (isinstance(stmt, ast.Expr)
-                and isinstance(stmt.value, ast.Call)
-                and (self._is_cuda_attr(stmt.value.func, "syncthreads")
-                     or (isinstance(stmt.value.func, ast.Name)
-                         and stmt.value.func.id == "syncthreads")))
-
     def _div_walk(self, body, depth: int, dline: int, out: list) -> None:
         for stmt in body:
-            if self._is_sync(stmt):
+            if is_sync(stmt, self.cuda_names):
                 out.append((stmt, depth > 0, dline))
                 continue
             if isinstance(stmt, (ast.If, ast.While)):
@@ -1103,14 +1114,7 @@ def absint_context(ctx) -> AbsintResult:
         return cached
     result = AbsintResult()
     if ctx.tree is not None:
-        kernels = {}
-        helpers = {}
-        for node in ast.walk(ctx.tree):
-            if isinstance(node, ast.FunctionDef):
-                if _is_kernel_def(node, ctx.cuda_names):
-                    kernels.setdefault(node.name, node)
-                else:
-                    helpers[node.name] = node
+        kernels, helpers = _kernel_defs(ctx)
         if kernels:
             launches = _scan_launches(ctx, kernels)
             analyzed = set()
@@ -1125,6 +1129,19 @@ def absint_context(ctx) -> AbsintResult:
             result.analyzed = frozenset(analyzed)
     ctx._absint_result = result
     return result
+
+
+def _kernel_defs(ctx) -> tuple[dict, dict]:
+    """``({kernel name: def}, {helper name: def})`` over one file."""
+    kernels: dict = {}
+    helpers: dict = {}
+    for node in ast.walk(ctx.tree):
+        if isinstance(node, ast.FunctionDef):
+            if _is_kernel_def(node, ctx.cuda_names):
+                kernels.setdefault(node.name, node)
+            else:
+                helpers[node.name] = node
+    return kernels, helpers
 
 
 def _analyze_kernel(ctx, fn, helpers, launch_envs,
@@ -1256,18 +1273,26 @@ def absint_source(source: str, filename: str = "<string>", *,
                                           line_offset=line_offset))
 
 
-def classify_kernel(kernel) -> KernelClass:
+def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
     """Classify a live kernel (a :class:`repro.jit.cuda.CudaKernel`,
-    a plain function, or a source string).  With no launch site in the
-    extracted source, extents are anonymous atoms — guards still prove
+    a plain function, or a source string).
+
+    With ``env`` the kernel is analyzed under exactly that launch (the
+    JIT launcher passes its live grid, block and argument shapes).
+    Without it, extents come from launch sites in the extracted source;
+    with none there they are anonymous atoms — guards still prove
     safety, launch-dependent bounds stay unknown."""
     import inspect
     import textwrap
 
+    from repro.analysis.context import AnalysisContext
+
+    name = None
     if isinstance(kernel, str):
-        result = absint_source(kernel)
+        ctx = AnalysisContext(kernel)
     else:
         fn = getattr(kernel, "fn", kernel)
+        name = fn.__name__
         try:
             lines, start = inspect.getsourcelines(fn)
             filename = inspect.getsourcefile(fn) or "<kernel>"
@@ -1277,12 +1302,21 @@ def classify_kernel(kernel) -> KernelClass:
                 "string")
         # kernels are routinely defined inside functions; dedent so the
         # extracted block parses standalone
-        result = absint_source(textwrap.dedent("".join(lines)),
-                               filename=filename,
-                               line_offset=start - 1)
-    if not result.classes:
+        ctx = AnalysisContext(textwrap.dedent("".join(lines)),
+                              filename=filename, line_offset=start - 1)
+    if env is None:
+        classes = absint_context(ctx).classes
+    else:
+        kernels, helpers = (_kernel_defs(ctx) if ctx.tree is not None
+                            else ({}, {}))
+        picked = kernels.get(name) or next(
+            (kernels[k] for k in sorted(kernels)), None)
+        kc = None if picked is None else _analyze_kernel(
+            ctx, picked, helpers, [env], Report())
+        classes = [kc] if kc is not None else []
+    if not classes:
         raise ValueError("no @cuda.jit kernel found in the source")
-    return result.classes[0]
+    return classes[0]
 
 
 __all__ = [
@@ -1292,4 +1326,5 @@ __all__ = [
     "absint_context",
     "absint_source",
     "classify_kernel",
+    "is_sync",
 ]

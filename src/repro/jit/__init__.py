@@ -5,11 +5,15 @@ utilized Python JIT libraries such as Numba and CuPy").  This package is
 the Numba stand-in:
 
 * :mod:`repro.jit.cuda` — a ``numba.cuda``-style kernel simulator.  Kernels
-  are plain Python functions executed once per CUDA thread with real
-  ``threadIdx``/``blockIdx`` semantics, block-shared memory, barriers, and
-  atomics; each launch is also *costed* on the virtual GPU so profiler
-  timelines and speedups come out of the same hardware model as
-  :mod:`repro.xp`.  (Numba itself ships the same idea as
+  are plain Python functions with real ``threadIdx``/``blockIdx``
+  semantics, block-shared memory, barriers, and atomics, interpreted once
+  per CUDA thread — except where :mod:`repro.jit.lowering` proves a
+  faster path gives the same bytes: a verified elementwise or stencil
+  launch runs once as whole-array NumPy, and a kernel with barriers runs
+  each block's threads as generators on one OS thread.  Each launch is
+  also *costed* on the virtual GPU, identically on every path, so
+  profiler timelines and speedups come out of the same hardware model as
+  :mod:`repro.xp`.  (Numba itself ships the per-thread idea as
   ``numba.cuda.simulator``.)
 * :mod:`repro.jit.cpu` — ``@jit`` / ``@vectorize`` / ``prange`` facades
   that model compile-on-first-call latency and a compile cache, so the

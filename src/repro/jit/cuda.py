@@ -7,16 +7,35 @@ simulated CUDA thread sees the standard intrinsics (:data:`threadIdx`,
 :func:`shared.array <SharedMemory.array>`, :func:`atomic.add
 <AtomicNamespace.add>`).
 
-Two execution strategies, chosen automatically:
+Four execution paths, chosen per launch from the kernel and the launch
+alone (no option selects one), all giving the same output bytes:
 
-* **Sequential** (default): threads of a block run one after another.
-  Correct for the overwhelmingly common data-parallel kernels where
-  threads only communicate through *global* memory or not at all.
-* **Barrier-threaded**: if the kernel's source mentions ``syncthreads``,
-  every CUDA thread of a block becomes a real OS thread synchronized on a
-  ``threading.Barrier`` — the strategy ``numba.cuda.simulator`` itself
-  uses — so producer/consumer shared-memory patterns (tiled matmul,
-  block reductions) execute correctly.
+* **Lowered**: a kernel whose body, after one thread guard, is
+  straight-line code over parameter arrays indexed by ``cuda.grid(n)``
+  runs once as whole-array NumPy, when the abstract interpreter
+  classifies it ``elementwise`` or ``stencil`` and ``verified`` under
+  this launch's grid, block and argument shapes
+  (:mod:`repro.jit.lowering`).
+* **Sequential**: any other kernel that never calls ``syncthreads``.
+  The threads of a block run one after another; this per-thread
+  interpreter is the reference the other paths are tested against.
+* **Generator blocks**: a kernel that calls ``syncthreads`` is
+  recompiled with each barrier statement turned into ``yield``, and a
+  block's threads are resumed round-robin in thread order on the
+  launching thread, so producer/consumer shared-memory patterns (tiled
+  matmul, block reductions) execute correctly without OS threads.
+* **OS-thread blocks**: only for a barrier kernel whose source cannot be
+  retrieved (``exec``'d or REPL kernels).  Each simulated thread gets an
+  OS thread — the strategy of ``numba.cuda.simulator`` — but the same
+  round-robin scheduler passes a baton at every barrier, so one thread
+  runs at a time, in the same order as on the generator path.
+
+An attached race detector (:func:`set_instrumentation`) keeps a launch
+off the lowered path.  On both block schedulers an exception in a
+simulated thread is re-raised from the launch, and a block in which some
+threads return while others wait at a barrier raises
+:class:`~repro.errors.DeviceError` (barrier divergence) instead of
+hanging.
 
 Launches are *costed* via the roofline model: the decorator's
 ``flops_per_thread`` / ``bytes_per_thread`` hints (or conservative
@@ -26,6 +45,7 @@ kernels appear in profiles alongside :mod:`repro.xp` library kernels.
 
 from __future__ import annotations
 
+import sys
 import threading
 from dataclasses import dataclass
 from typing import Callable
@@ -36,6 +56,7 @@ from repro.errors import DeviceError
 from repro.gpu.device import VirtualGpu
 from repro.gpu.kernelmodel import KernelCost, normalize_launch
 from repro.gpu.system import current_device
+from repro.jit import lowering
 from repro.xp.ndarray import ndarray as XpArray
 
 
@@ -69,6 +90,7 @@ class _ThreadCtx(threading.local):
         self.shared_call_index = 0
         self.barrier_epoch = 0      # syncthreads barriers passed so far
         self.in_atomic = False      # suppresses race tracking in atomics
+        self.baton: "_OsThread | None" = None   # set on an OS-thread block
 
 
 _ctx = _ThreadCtx()
@@ -101,12 +123,13 @@ def _require_kernel_context() -> _ThreadCtx:
 class _BlockState:
     """State shared by every thread of one block: the shared-memory
     allocations (keyed by call order, so all threads get the same array)
-    and the barrier for ``syncthreads``."""
+    and what ``syncthreads`` needs to report a barrier it cannot honour."""
 
-    def __init__(self, n_threads: int, threaded: bool) -> None:
+    def __init__(self, kernel: str, n_threads: int) -> None:
         self.shared_arrays: list[np.ndarray] = []
         self.lock = threading.Lock()
-        self.barrier = threading.Barrier(n_threads) if threaded else None
+        self.kernel = kernel
+        self.n_threads = n_threads
 
 
 # ---------------------------------------------------------------------------
@@ -168,12 +191,24 @@ def gridsize(ndim: int):
 
 
 def syncthreads() -> None:
-    """Block-wide barrier.  In sequential mode the executor has already
-    proven no thread is concurrently running, so it is a no-op; in
-    barrier-threaded mode it is a real ``threading.Barrier`` wait."""
+    """Block-wide barrier.
+
+    A barrier statement written in the kernel never calls this on the
+    generator path: it was compiled into ``yield``, and the block
+    scheduler resumes the thread past it.  On the OS-thread path this
+    hands the baton back to the scheduler.  Anywhere else (a barrier
+    reached through a device helper) it cannot hold the block's other
+    threads, so in a block of more than one thread it raises.
+    """
     c = _require_kernel_context()
-    if c.block_state and c.block_state.barrier is not None:
-        c.block_state.barrier.wait()
+    if c.baton is not None:
+        c.baton.park()
+    elif c.block_state.n_threads > 1:
+        raise DeviceError(
+            f"kernel {c.block_state.kernel}: syncthreads() reached outside "
+            "the kernel's own statements (through a device helper?) in a "
+            f"block of {c.block_state.n_threads} threads; only a barrier "
+            "written in the kernel body can hold the other threads")
     # the epoch counts barrier intervals: accesses in different epochs of
     # the same block are ordered, same-epoch ones are not (race detector)
     c.barrier_epoch += 1
@@ -339,6 +374,24 @@ class CudaKernel:
         self.uses_syncthreads = "syncthreads" in fn.__code__.co_names
         self.launch_count = 0
         self.performance_warnings: list[str] = []
+        #: the execution path of the latest launch: ``"lowered"``,
+        #: ``"sequential"``, ``"generator"`` or ``"os-threads"``
+        self.last_path: str | None = None
+        # compiled variants by kind, built on first use (None: the
+        # kernel's source does not allow that variant), and per launch
+        # signature the written argument positions when the kernel's
+        # class under that launch admits the lowered variant (else None)
+        self._variants: dict = {}
+        self._admitted: dict = {}
+
+    def _variant(self, kind: str):
+        """The ``"lowered"`` or ``"generator"`` variant, or ``None``."""
+        if kind not in self._variants:
+            build = (lowering.lower if kind == "lowered"
+                     else lowering.generator_variant)
+            self._variants[kind] = build(
+                self.fn, lowering.cuda_names(self.fn, sys.modules[__name__]))
+        return self._variants[kind]
 
     def __getitem__(self, launch_config) -> "_Launcher":
         if not isinstance(launch_config, tuple) \
@@ -358,7 +411,7 @@ class CudaKernel:
         )
 
     def classify(self):
-        """Statically classify this kernel for the JIT roadmap.
+        """Statically classify this kernel.
 
         Runs the abstract interpreter
         (:func:`repro.analysis.absint.classify_kernel`) over the
@@ -368,10 +421,109 @@ class CudaKernel:
         OOB/barrier verdicts a lowering pass must respect.  Extents
         are anonymous (no launch site is visible from here), so bound
         guards still prove safety but launch-dependent bounds report
-        ``unknown``.
+        ``unknown``; the launcher classifies each launch under its own
+        grid, block and argument shapes instead.
         """
         from repro.analysis.absint import classify_kernel
         return classify_kernel(self)
+
+
+def _signature(args) -> tuple:
+    """What a launch's lowering proof depends on besides grid and block:
+    array dtypes and shapes, the type of every other argument, and the
+    value of integer ones (they bind into the proof's bounds)."""
+    return tuple((a.dtype.str, a.shape) if isinstance(a, np.ndarray)
+                 else (type(a), int(a)) if isinstance(a, (int, np.integer))
+                 else type(a) for a in args)
+
+
+class _GeneratorThread:
+    """One simulated thread as a generator on the launching thread; its
+    own part of the thread context is swapped in at every resume."""
+
+    __slots__ = ("gen", "tid", "shared_index", "epoch")
+
+    def __init__(self, gen, tid: Dim3) -> None:
+        self.gen = gen
+        self.tid = tid
+        self.shared_index = 0
+        self.epoch = 0
+
+    def resume(self) -> bool:
+        """Run to the next barrier (``True``) or to the end (``False``)."""
+        c = _ctx
+        c.thread_idx = self.tid
+        c.shared_call_index = self.shared_index
+        c.barrier_epoch = self.epoch
+        try:
+            next(self.gen)
+        except StopIteration:
+            return False
+        self.shared_index = c.shared_call_index
+        self.epoch = c.barrier_epoch + 1
+        return True
+
+    def close(self) -> None:
+        self.gen.close()
+
+
+class _Cancelled(BaseException):
+    """Unwinds a parked OS thread whose launch was abandoned."""
+
+
+class _OsThread:
+    """One simulated thread on its own OS thread, for a barrier kernel
+    whose source cannot be recompiled.  It runs only while it holds the
+    baton: :meth:`resume` hands it over and waits until the thread parks
+    at a barrier (``syncthreads`` calls :meth:`park`) or returns."""
+
+    def __init__(self, launcher: "_Launcher", tid: Dim3, block_idx: Dim3,
+                 state: _BlockState, run_args) -> None:
+        self._go = threading.Semaphore(0)
+        self._back = threading.Semaphore(0)
+        self._done = False
+        self._cancelled = False
+        self._error: BaseException | None = None
+        self._thread = threading.Thread(
+            target=self._main, daemon=True,
+            args=(launcher, tid, block_idx, state, run_args))
+        self._thread.start()
+
+    def _main(self, launcher, tid, block_idx, state, run_args) -> None:
+        self._go.acquire()
+        try:
+            if not self._cancelled:
+                launcher._run_thread(tid, block_idx, state, run_args,
+                                     baton=self)
+        except _Cancelled:
+            pass
+        except BaseException as exc:    # re-raised by resume()
+            self._error = exc
+        finally:
+            self._done = True
+            self._back.release()
+
+    def park(self) -> None:
+        """Hand the baton back at a barrier; wait for the next turn."""
+        self._back.release()
+        self._go.acquire()
+        if self._cancelled:
+            raise _Cancelled
+
+    def resume(self) -> bool:
+        """Run to the next barrier (``True``) or to the end (``False``)."""
+        self._go.release()
+        self._back.acquire()
+        if self._error is not None:
+            raise self._error
+        return not self._done
+
+    def close(self) -> None:
+        if not self._done:
+            self._cancelled = True
+            self._go.release()
+            self._back.acquire()
+        self._thread.join()
 
 
 class _Launcher:
@@ -384,6 +536,8 @@ class _Launcher:
         self.cfg = normalize_launch(grid_spec, block_spec)
         self.grid3 = tuple(list(self.cfg.grid) + [1] * (3 - len(self.cfg.grid)))
         self.block3 = tuple(list(self.cfg.block) + [1] * (3 - len(self.cfg.block)))
+        self.grid_dim = Dim3(*self.grid3)
+        self.block_dim = Dim3(*self.block3)
 
     def __call__(self, *args) -> None:
         device = current_device()
@@ -442,50 +596,104 @@ class _Launcher:
     # -- functional execution --------------------------------------------------
 
     def _execute(self, run_args) -> None:
-        threaded = self.kernel.uses_syncthreads
-        gx, gy, gz = self.grid3
-        for bz in range(gz):
-            for by in range(gy):
-                for bx in range(gx):
-                    self._run_block(Dim3(bx, by, bz), run_args, threaded)
-
-    def _run_block(self, block_idx: Dim3, run_args, threaded: bool) -> None:
+        kernel = self.kernel
+        if not kernel.uses_syncthreads:
+            if _instrumentation is None and self._run_lowered(run_args):
+                kernel.last_path = "lowered"
+                return
+            kernel.last_path, run_block = "sequential", self._run_sequential
+        elif kernel._variant("generator") is not None:
+            kernel.last_path, run_block = "generator", self._run_generators
+        else:
+            kernel.last_path, run_block = "os-threads", self._run_os_threads
         bx, by, bz = self.block3
-        n_threads = bx * by * bz
-        state = _BlockState(n_threads, threaded)
-        thread_ids = [Dim3(tx, ty, tz)
-                      for tz in range(bz) for ty in range(by) for tx in range(bx)]
-        if not threaded:
-            for tid in thread_ids:
-                self._run_thread(tid, block_idx, state, run_args)
-            return
-        workers = [
-            threading.Thread(
-                target=self._run_thread, args=(tid, block_idx, state, run_args)
-            )
-            for tid in thread_ids
-        ]
-        for w in workers:
-            w.start()
-        for w in workers:
-            w.join()
+        tids = [Dim3(tx, ty, tz)
+                for tz in range(bz) for ty in range(by) for tx in range(bx)]
+        gx, gy, gz = self.grid3
+        for z in range(gz):
+            for y in range(gy):
+                for x in range(gx):
+                    run_block(Dim3(x, y, z), tids, run_args)
+
+    def _run_lowered(self, run_args) -> bool:
+        """Run the launch as whole-array NumPy when the kernel's class
+        under this launch admits it (decided once per launch signature)."""
+        lowered = self.kernel._variant("lowered")
+        if lowered is None:
+            return False
+        key = (self.grid3, self.block3, _signature(run_args))
+        admitted = self.kernel._admitted
+        if key not in admitted:
+            admitted[key] = lowered.admit(self.kernel, self.grid3,
+                                          self.block3, run_args)
+        return admitted[key] is not None and lowered.run(
+            self.grid3, self.block3, run_args, admitted[key])
+
+    def _run_sequential(self, block_idx: Dim3, tids, run_args) -> None:
+        state = _BlockState(self.kernel.name, len(tids))
+        for tid in tids:
+            self._run_thread(tid, block_idx, state, run_args)
+
+    def _run_generators(self, block_idx: Dim3, tids, run_args) -> None:
+        body = self.kernel._variant("generator")
+        self._enter(block_idx, _BlockState(self.kernel.name, len(tids)))
+        try:
+            self._schedule(block_idx, [_GeneratorThread(body(*run_args), tid)
+                                       for tid in tids])
+        finally:
+            self._leave()
+
+    def _run_os_threads(self, block_idx: Dim3, tids, run_args) -> None:
+        state = _BlockState(self.kernel.name, len(tids))
+        self._schedule(block_idx, [
+            _OsThread(self, tid, block_idx, state, run_args) for tid in tids])
+
+    def _schedule(self, block_idx: Dim3, threads: list) -> None:
+        """Run one block's threads round-robin in thread order, each until
+        it parks at a barrier or returns, so all pass each barrier
+        together.  A round in which some park and others return is
+        barrier divergence, which would hang a real block."""
+        waiting = threads
+        try:
+            while waiting:
+                parked = [t for t in waiting if t.resume()]
+                if parked and len(parked) < len(waiting):
+                    raise DeviceError(
+                        f"kernel {self.kernel.name}: barrier divergence in "
+                        f"block {tuple(block_idx)}: {len(parked)} of "
+                        f"{len(threads)} threads reached syncthreads() and "
+                        "the others returned without it")
+                waiting = parked
+        finally:
+            for t in threads:
+                t.close()
+
+    def _enter(self, block_idx: Dim3, state: _BlockState) -> None:
+        """Set the block-wide part of this OS thread's kernel context."""
+        _ctx.active = True
+        _ctx.block_idx = block_idx
+        _ctx.block_dim = self.block_dim
+        _ctx.grid_dim = self.grid_dim
+        _ctx.block_state = state
+        _ctx.in_atomic = False
+
+    @staticmethod
+    def _leave() -> None:
+        _ctx.active = False
+        _ctx.block_state = None
+        _ctx.baton = None
 
     def _run_thread(self, tid: Dim3, block_idx: Dim3, state: _BlockState,
-                    run_args) -> None:
-        _ctx.active = True
+                    run_args, baton: "_OsThread | None" = None) -> None:
+        self._enter(block_idx, state)
         _ctx.thread_idx = tid
-        _ctx.block_idx = block_idx
-        _ctx.block_dim = Dim3(*self.block3)
-        _ctx.grid_dim = Dim3(*self.grid3)
-        _ctx.block_state = state
         _ctx.shared_call_index = 0
         _ctx.barrier_epoch = 0
-        _ctx.in_atomic = False
+        _ctx.baton = baton
         try:
             self.kernel.fn(*run_args)
         finally:
-            _ctx.active = False
-            _ctx.block_state = None
+            self._leave()
 
     # -- timing -----------------------------------------------------------------
 

@@ -1,8 +1,10 @@
 """Dynamic race detector for the ``@cuda.jit`` simulator.
 
 The moral equivalent of ``compute-sanitizer --tool racecheck``: while a
-kernel executes on the simulator's own executor (sequential or
-barrier-threaded), every shared- and global-array element access is
+kernel executes on the simulator's per-thread executor (sequential, or
+barrier blocks on generators or OS threads — an attached detector keeps
+a launch off the whole-array lowered path), every shared- and
+global-array element access is
 shadow-tracked with the accessing thread's coordinates and its *barrier
 epoch* — the number of ``syncthreads()`` barriers the thread has passed.
 
