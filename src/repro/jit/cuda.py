@@ -15,20 +15,23 @@ alone (no option selects one), all giving the same output bytes:
   runs once as whole-array NumPy, when the abstract interpreter
   classifies it ``elementwise`` or ``stencil`` and ``verified`` under
   this launch's grid, block and argument shapes
-  (:mod:`repro.jit.lowering`).
+  (:mod:`repro.jit.lowering`).  The verdict is cached per launch
+  signature; a signature first seen on a small launch is classified
+  when it recurs, so one-off small launches never pay for the proof.
 * **Sequential**: any other kernel that never calls ``syncthreads``.
   The threads of a block run one after another; this per-thread
   interpreter is the reference the other paths are tested against.
-* **Generator blocks**: a kernel that calls ``syncthreads`` is
-  recompiled with each barrier statement turned into ``yield``, and a
-  block's threads are resumed round-robin in thread order on the
+* **Generator blocks**: a kernel that calls ``syncthreads`` in its own
+  body is recompiled with each barrier statement turned into ``yield``,
+  and a block's threads are resumed round-robin in thread order on the
   launching thread, so producer/consumer shared-memory patterns (tiled
   matmul, block reductions) execute correctly without OS threads.
 * **OS-thread blocks**: only for a barrier kernel whose source cannot be
-  retrieved (``exec``'d or REPL kernels).  Each simulated thread gets an
-  OS thread — the strategy of ``numba.cuda.simulator`` — but the same
-  round-robin scheduler passes a baton at every barrier, so one thread
-  runs at a time, in the same order as on the generator path.
+  retrieved (``exec``'d or REPL kernels) or that reaches a barrier
+  through a helper function.  Each simulated thread gets an OS thread —
+  the strategy of ``numba.cuda.simulator`` — but the same round-robin
+  scheduler passes a baton at every barrier, so one thread runs at a
+  time, in the same order as on the generator path.
 
 An attached race detector (:func:`set_instrumentation`) keeps a launch
 off the lowered path.  On both block schedulers an exception in a
@@ -45,6 +48,7 @@ kernels appear in profiles alongside :mod:`repro.xp` library kernels.
 
 from __future__ import annotations
 
+import functools
 import sys
 import threading
 from dataclasses import dataclass
@@ -196,19 +200,22 @@ def syncthreads() -> None:
     A barrier statement written in the kernel never calls this on the
     generator path: it was compiled into ``yield``, and the block
     scheduler resumes the thread past it.  On the OS-thread path this
-    hands the baton back to the scheduler.  Anywhere else (a barrier
-    reached through a device helper) it cannot hold the block's other
-    threads, so in a block of more than one thread it raises.
+    hands the baton back to the scheduler.  Anywhere else it was reached
+    through a function the kernel does not name (one passed in as an
+    argument, say), so the launcher did not prepare the block for it; it
+    cannot hold the other threads, and in a block of more than one
+    thread it raises.
     """
     c = _require_kernel_context()
     if c.baton is not None:
         c.baton.park()
     elif c.block_state.n_threads > 1:
         raise DeviceError(
-            f"kernel {c.block_state.kernel}: syncthreads() reached outside "
-            "the kernel's own statements (through a device helper?) in a "
-            f"block of {c.block_state.n_threads} threads; only a barrier "
-            "written in the kernel body can hold the other threads")
+            f"kernel {c.block_state.kernel}: syncthreads() reached through "
+            "a function the kernel does not name (passed as an argument?) "
+            f"in a block of {c.block_state.n_threads} threads; only a "
+            "barrier in the kernel body or in a helper it calls by name "
+            "can hold the other threads")
     # the epoch counts barrier intervals: accesses in different epochs of
     # the same block are ordered, same-epoch ones are not (race detector)
     c.barrier_epoch += 1
@@ -368,21 +375,23 @@ class CudaKernel:
         self.name = fn.__name__
         self.flops_per_thread = flops_per_thread
         self.bytes_per_thread = bytes_per_thread
-        # Attribute/global names referenced by the bytecode include
-        # "syncthreads" whenever the kernel calls it (robust even when
-        # inspect.getsource fails, e.g. for REPL-defined kernels).
-        self.uses_syncthreads = "syncthreads" in fn.__code__.co_names
         self.launch_count = 0
         self.performance_warnings: list[str] = []
         #: the execution path of the latest launch: ``"lowered"``,
         #: ``"sequential"``, ``"generator"`` or ``"os-threads"``
         self.last_path: str | None = None
         # compiled variants by kind, built on first use (None: the
-        # kernel's source does not allow that variant), and per launch
-        # signature the written argument positions when the kernel's
-        # class under that launch admits the lowered variant (else None)
+        # kernel's source does not allow that variant)
         self._variants: dict = {}
-        self._admitted: dict = {}
+
+    @functools.cached_property
+    def uses_syncthreads(self) -> bool:
+        """Does the kernel call ``syncthreads``, itself or through a
+        helper it names?  Read from the bytecode, so it holds for kernels
+        without retrievable source, and on first use, so helpers defined
+        after the kernel are seen."""
+        return ("syncthreads" in self.fn.__code__.co_names
+                or lowering.helper_syncs(self.fn))
 
     def _variant(self, kind: str):
         """The ``"lowered"`` or ``"generator"`` variant, or ``None``."""
@@ -426,15 +435,6 @@ class CudaKernel:
         """
         from repro.analysis.absint import classify_kernel
         return classify_kernel(self)
-
-
-def _signature(args) -> tuple:
-    """What a launch's lowering proof depends on besides grid and block:
-    array dtypes and shapes, the type of every other argument, and the
-    value of integer ones (they bind into the proof's bounds)."""
-    return tuple((a.dtype.str, a.shape) if isinstance(a, np.ndarray)
-                 else (type(a), int(a)) if isinstance(a, (int, np.integer))
-                 else type(a) for a in args)
 
 
 class _GeneratorThread:
@@ -617,17 +617,13 @@ class _Launcher:
 
     def _run_lowered(self, run_args) -> bool:
         """Run the launch as whole-array NumPy when the kernel's class
-        under this launch admits it (decided once per launch signature)."""
+        under this launch admits it."""
         lowered = self.kernel._variant("lowered")
         if lowered is None:
             return False
-        key = (self.grid3, self.block3, _signature(run_args))
-        admitted = self.kernel._admitted
-        if key not in admitted:
-            admitted[key] = lowered.admit(self.kernel, self.grid3,
-                                          self.block3, run_args)
-        return admitted[key] is not None and lowered.run(
-            self.grid3, self.block3, run_args, admitted[key])
+        written = lowered.admitted(self.grid3, self.block3, run_args)
+        return written is not None and lowered.run(
+            self.grid3, self.block3, run_args, written)
 
     def _run_sequential(self, block_idx: Dim3, tids, run_args) -> None:
         state = _BlockState(self.kernel.name, len(tids))

@@ -13,21 +13,23 @@ globals and closure cells, so every name resolves as in the original:
   straight-line code over its parameter arrays indexed by
   ``cuda.grid(n)`` becomes two whole-array functions: the guard, which
   yields a mask, and the body, which runs over the masked ``np.arange``
-  index arrays.  :meth:`Lowered.admit` decides per launch, from the
-  kernel's :class:`~repro.analysis.kernelclass.KernelClass` under that
-  launch's grid, block and argument shapes, whether the result is the
-  interpreter's, byte for byte.
+  index arrays.  :meth:`Lowered.admitted` decides per launch signature,
+  from the kernel's :class:`~repro.analysis.kernelclass.KernelClass`
+  under that launch's grid, block and argument shapes, whether the
+  result is the interpreter's, byte for byte.
 
-Both return ``None`` when the kernel's source cannot be retrieved or
-does not have the required form; the launcher then keeps the per-thread
-path.
+Both return ``None`` when the kernel's source cannot be retrieved, does
+not compile to the kernel's live code, or does not have the required
+form; the launcher then keeps the per-thread path.
 """
 
 from __future__ import annotations
 
 import ast
 import copy
+import dis
 import inspect
+import math
 import textwrap
 import types
 
@@ -38,9 +40,20 @@ import numpy as np
 #: (under NumPy 1.x a float32 scalar times a Python float is float64)
 _NEP50 = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
+#: a launch signature first seen on fewer threads than this is classified
+#: only when it recurs, and runs on the interpreter until then.
+#: Classification takes 1.5-6 ms, about what the interpreter spends on a
+#: thousand threads at 2-10 us each (2-vCPU x86 VM), so a one-off small
+#: launch is cheaper there.
+EAGER_THREADS = 1024
+#: admission decisions kept per kernel; the oldest is dropped first
+_DECISIONS = 256
+_SEEN = object()        # a small launch's signature, not yet classified
+
 _LOWERABLE = ("elementwise", "stencil")
 _NUMBERS = (int, float, complex, np.number, np.bool_)
 
+_JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
 _MASK_OPS = {ast.And: ast.BitAnd, ast.Or: ast.BitOr}
 _COMPARE_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
 _INDEX_OPS = (ast.Add, ast.Sub, ast.Mult)
@@ -55,8 +68,9 @@ _VALUE_OPS = _INDEX_OPS + (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 def _kernel_def(fn):
     """``(FunctionDef, filename)`` for ``fn`` with its original line
     numbers and no decorators or annotations, or ``None`` when the source
-    is not there (``exec``'d or REPL kernels) or does not match the live
-    code."""
+    is not there (``exec``'d or REPL kernels) or does not compile to the
+    live code (``inspect`` re-reads a source file edited since the kernel
+    was imported)."""
     code = fn.__code__
     if hasattr(fn, "__wrapped__") or code.co_flags & inspect.CO_GENERATOR:
         return None
@@ -67,26 +81,55 @@ def _kernel_def(fn):
     except (OSError, TypeError, SyntaxError):
         return None
     node = tree.body[0] if tree.body else None
-    if not isinstance(node, ast.FunctionDef) or node.name != code.co_name \
-            or [a.arg for a in node.args.args] \
-            != list(code.co_varnames[:code.co_argcount]):
+    if not isinstance(node, ast.FunctionDef):
         return None
     ast.increment_lineno(node, start - 1)
     node.decorator_list = []
     node.returns = None
     for arg in node.args.args:
         arg.annotation = None
-    return node, filename
+    try:
+        same = _same_code(
+            _recompile(fn, copy.deepcopy(node), filename).__code__, code)
+    except SyntaxError:
+        return None
+    return (node, filename) if same else None
+
+
+def _same_code(a: types.CodeType, b: types.CodeType) -> bool:
+    """Do ``a`` and ``b`` compile the same statements?"""
+    fields = ("co_name", "co_argcount", "co_varnames", "co_freevars",
+              "co_cellvars")
+    return all(getattr(a, f) == getattr(b, f) for f in fields) \
+        and _ops(a) == _ops(b)
+
+
+def _ops(code: types.CodeType) -> tuple:
+    """``code``'s instructions as (operation, argument) pairs that do not
+    depend on where it was compiled: positions dropped, jumps by
+    instruction index, nested code by its own operations, and
+    ``LOAD_METHOD`` as ``LOAD_ATTR`` (CPython 3.11 emits the latter for
+    ``m.f()`` when ``m`` is imported at the top of the module being
+    compiled, which only the kernel's own module knows)."""
+    ins = list(dis.get_instructions(code))
+    index = {i.offset: k for k, i in enumerate(ins)}
+    return tuple(
+        (i.opname.replace("LOAD_METHOD", "LOAD_ATTR"),
+         index.get(i.argval) if i.opcode in _JUMPS
+         else _ops(i.argval) if isinstance(i.argval, types.CodeType)
+         else (type(i.argval), i.argval))
+        for i in ins)
 
 
 def _recompile(fn, node: ast.FunctionDef, filename: str):
     """Compile ``node`` into a function sharing ``fn``'s globals and
     closure cells.  The def is nested in a factory whose parameters are
-    ``fn``'s free variables, so its names bind as in the original."""
+    ``fn``'s free variables, so its names bind as in the original; the
+    def's own name stays global unless it was free in ``fn`` as well."""
     free = fn.__code__.co_freevars
     module = ast.parse(f"def _factory({', '.join(free)}):\n    pass\n")
-    module.body[0].body = [node, ast.Return(
-        value=ast.Name(id=node.name, ctx=ast.Load()))]
+    module.body[0].body = [node] if node.name in free \
+        else [ast.Global(names=[node.name]), node]
     code = compile(ast.fix_missing_locations(module), filename, "exec")
     factory = next(c for c in code.co_consts
                    if isinstance(c, types.CodeType))
@@ -119,6 +162,26 @@ def cuda_names(fn, module) -> set:
             if _resolve(fn, n) is module}
 
 
+def helper_syncs(fn) -> bool:
+    """Does a plain function that ``fn`` names, directly or through other
+    such functions, name ``syncthreads``?  Every name of the code is
+    resolved, attribute names included: a function that merely shares
+    one can send a kernel to the slower barrier path, never past a
+    barrier."""
+    seen = {fn.__code__}
+    todo = [fn]
+    while todo:
+        f = todo.pop()
+        for name in f.__code__.co_names + f.__code__.co_freevars:
+            g = _resolve(f, name)
+            if isinstance(g, types.FunctionType) and g.__code__ not in seen:
+                if "syncthreads" in g.__code__.co_names:
+                    return True
+                seen.add(g.__code__)
+                todo.append(g)
+    return False
+
+
 # ---------------------------------------------------------------------------
 # Generator blocks
 # ---------------------------------------------------------------------------
@@ -145,9 +208,11 @@ def _yield_at_barriers(body: list, names: set) -> int:
 
 def generator_variant(fn, names: set):
     """``fn`` recompiled as a generator that yields at each barrier, or
-    ``None`` when its source is unavailable or a ``syncthreads`` remains
-    that is not a plain barrier statement of the kernel's own body."""
-    found = _kernel_def(fn)
+    ``None`` when its source is unavailable, a ``syncthreads`` remains
+    that is not a plain barrier statement of the kernel's own body, or a
+    helper it calls reaches one (only an OS thread can wait inside a
+    called function)."""
+    found = None if helper_syncs(fn) else _kernel_def(fn)
     if found is None:
         return None
     node, filename = found
@@ -170,18 +235,57 @@ class Lowered:
     Both take the ``cuda.grid`` index arrays first, then the kernel's own
     arguments.  ``guard`` is ``None`` for a kernel with no thread guard;
     ``free`` names the values the statements read by bare name, which
-    must be numbers at launch.
+    must be numbers at launch, and ``bound`` those of them the guard and
+    the subscripts depend on.
     """
 
-    def __init__(self, fn, ndim: int, guard, body, free: frozenset) -> None:
+    def __init__(self, fn, ndim: int, guard, body, free: set,
+                 bound: set) -> None:
         self.fn = fn
         self.ndim = ndim
         self.params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
         self.guard = guard
         self.body = body
-        self.free = free
+        self.free = frozenset(free)
+        self._bound = tuple(k for k, p in enumerate(self.params)
+                            if p in bound)
+        self._globals = tuple(sorted(self.free - set(self.params)))
+        self._decisions: dict = {}
 
-    def admit(self, kernel, grid3: tuple, block3: tuple, args) -> tuple | None:
+    def admitted(self, grid3: tuple, block3: tuple, args) -> tuple | None:
+        """Positions of the arguments the launch writes when it may run
+        lowered, else ``None``: :meth:`_admit`, decided once per launch
+        signature (:meth:`_key`).  A signature first seen on a launch of
+        fewer than :data:`EAGER_THREADS` threads is decided when it
+        recurs; that first launch stays on the interpreter."""
+        key = self._key(grid3, block3, args)
+        decisions = self._decisions
+        seen = key in decisions
+        if seen and decisions[key] is not _SEEN:
+            return decisions[key]
+        if not seen and math.prod(grid3 + block3) < EAGER_THREADS:
+            decision = _SEEN
+        else:
+            decision = self._admit(grid3, block3, args)
+        if not seen and len(decisions) >= _DECISIONS:
+            del decisions[next(iter(decisions))]
+        decisions[key] = decision
+        return None if decision is _SEEN else decision
+
+    def _key(self, grid3: tuple, block3: tuple, args) -> tuple:
+        """What :meth:`_admit` decides from: the launch shape, each
+        array's dtype and shape, the value of each integer the guard or
+        a subscript reads (it binds into the bounds), and the type of
+        every other argument and of each global the statements read.
+        An integer read only into values cannot move the verdict."""
+        return grid3, block3, tuple(
+            (a.dtype.str, a.shape) if isinstance(a, np.ndarray)
+            else (type(a), int(a)) if k in self._bound
+            and isinstance(a, (int, np.integer))
+            else type(a) for k, a in enumerate(args)), tuple(
+            type(_resolve(self.fn, n)) for n in self._globals)
+
+    def _admit(self, grid3: tuple, block3: tuple, args) -> tuple | None:
         """Positions of the arguments the launch writes when it may run
         lowered, else ``None``.
 
@@ -208,13 +312,14 @@ class Lowered:
 
         env = LaunchEnv(
             block=block3, grid=grid3,
-            scalars={p: Affine.constant(int(a)) for p, a in scope.items()
-                     if isinstance(a, (int, np.integer))
-                     and not isinstance(a, bool)},
+            scalars={self.params[k]: Affine.constant(int(args[k]))
+                     for k in self._bound
+                     if isinstance(args[k], (int, np.integer))
+                     and not isinstance(args[k], bool)},
             extents={p: tuple(Affine.constant(d) for d in a.shape)
                      for p, a in arrays.items()})
         try:
-            kc = classify_kernel(kernel, env)
+            kc = classify_kernel(self.fn, env)
         except ValueError:
             return None
         if kc.klass not in _LOWERABLE or not kc.verified:
@@ -258,7 +363,10 @@ def lower(fn, names: set) -> Lowered | None:
     names appear only in the guard and in subscripts of parameter arrays,
     and before the guard not at all: a value mixing an index into its
     arithmetic would be a Python int in the interpreter but an ``int64``
-    array here, which NumPy promotes differently.
+    array here, which NumPy promotes differently.  For the same reason
+    ``t op= v`` becomes ``t = t op v``: the interpreter rebinds a scalar
+    to the promoted result, where an in-place ufunc on an array would
+    cast into the target's dtype.
     """
     if not _NEP50:
         return None
@@ -280,6 +388,7 @@ def lower(fn, names: set) -> Lowered | None:
     ndim, index = grid
     guard = stmts.pop() if stmts and isinstance(stmts[-1], ast.If) else None
     prefix, body = (stmts, guard.body) if guard else ([], stmts)
+    prefix, body = [_rebind(s) for s in prefix], [_rebind(s) for s in body]
     check = _Checker(params, index, names)
     if guard is not None and guard.orelse \
             or not all(check.stmt(s, indexed=False) for s in prefix):
@@ -293,7 +402,18 @@ def lower(fn, names: set) -> Lowered | None:
         mask_fn = _recompile(fn, _def_like(node, index, prefix + [
             ast.copy_location(ast.Return(value=mask), guard)]), filename)
     body_fn = _recompile(fn, _def_like(node, index, prefix + body), filename)
-    return Lowered(fn, ndim, mask_fn, body_fn, frozenset(check.free))
+    return Lowered(fn, ndim, mask_fn, body_fn, check.free, check.bound)
+
+
+def _rebind(stmt):
+    """``t op= v`` as ``t = t op v``; any other statement as it is."""
+    if not isinstance(stmt, ast.AugAssign):
+        return stmt
+    load = copy.deepcopy(stmt.target)
+    load.ctx = ast.Load()
+    return ast.copy_location(ast.Assign(
+        targets=[stmt.target],
+        value=ast.BinOp(left=load, op=stmt.op, right=stmt.value)), stmt)
 
 
 def _def_like(node: ast.FunctionDef, index: tuple, body: list):
@@ -332,34 +452,36 @@ def _grid_def(stmt, names: set):
 class _Checker:
     """The statement and expression forms a lowered kernel may use.
 
-    Checking also collects :attr:`free`: every name read by bare name that
+    Checking also collects :attr:`free`, every name read by bare name that
     is neither an index name nor a temporary assigned by an earlier
-    checked statement.
+    checked statement, and :attr:`bound`, the free names that the guard
+    and the subscripts read, directly or through temporaries: only these
+    can move the bounds a launch's proof rests on.
     """
 
     def __init__(self, params: list, index: tuple, names: set) -> None:
         self.params = set(params)
         self.index = set(index)
         self.cuda = names
-        self.temps: set = set()
+        self.temps: dict = {}   # temporary -> the free names its value read
         self.free: set = set()
+        self.bound: set = set()
+        self._reads: set = set()
 
     def stmt(self, stmt, indexed: bool) -> bool:
         """Is ``stmt`` a plain assignment?  ``indexed``: the index names
         are bound here (inside the guard, or with no guard at all)."""
         if isinstance(stmt, ast.Assign):
             targets = stmt.targets
-        elif isinstance(stmt, (ast.AugAssign, ast.AnnAssign)) \
-                and stmt.value is not None:
+        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
             targets = [stmt.target]
         else:
             return isinstance(stmt, ast.Pass)
-        if isinstance(stmt, ast.AugAssign) \
-                and not self.value(stmt.target, indexed):
-            return False
+        self._reads = set()
         ok = self.value(stmt.value, indexed) and all(
             self.target(t, indexed) for t in targets)
-        self.temps.update(t.id for t in targets if isinstance(t, ast.Name))
+        self.temps.update((t.id, self._reads) for t in targets
+                          if isinstance(t, ast.Name))
         return ok
 
     def target(self, node, indexed: bool) -> bool:
@@ -377,11 +499,16 @@ class _Checker:
                 else [node.slice])
         return all(self.index_expr(e) for e in elts)
 
-    def name(self, node: ast.Name, index_ok: bool) -> bool:
+    def name(self, node: ast.Name, bounds: bool) -> bool:
+        """``bounds``: read by the guard or a subscript, where the index
+        names may appear."""
         if node.id in self.index:
-            return index_ok
-        if node.id not in self.temps:
+            return bounds
+        reads = self.temps.get(node.id)
+        if reads is None:
+            reads = {node.id}
             self.free.add(node.id)
+        (self.bound if bounds else self._reads).update(reads)
         return node.id not in self.cuda
 
     def index_expr(self, node) -> bool:
@@ -392,7 +519,7 @@ class _Checker:
             return isinstance(node.op, ast.USub) \
                 and self.index_expr(node.operand)
         if isinstance(node, ast.Name):
-            return self.name(node, index_ok=True)
+            return self.name(node, bounds=True)
         return self.leaf(node)
 
     def value(self, node, indexed: bool) -> bool:
@@ -404,7 +531,7 @@ class _Checker:
             return isinstance(node.op, (ast.USub, ast.UAdd)) \
                 and self.value(node.operand, indexed)
         if isinstance(node, ast.Name):
-            return self.name(node, index_ok=False)
+            return self.name(node, bounds=False)
         if indexed and self.element(node):
             return True
         return self.leaf(node)
@@ -451,4 +578,5 @@ class _Checker:
         return out
 
 
-__all__ = ["Lowered", "cuda_names", "generator_variant", "lower"]
+__all__ = ["EAGER_THREADS", "Lowered", "cuda_names", "generator_variant",
+           "helper_syncs", "lower"]

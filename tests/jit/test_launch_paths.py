@@ -6,10 +6,13 @@ that only the per-thread paths remain.  Both runs must give the same
 output bytes, device span durations and ``launch_count``.  The scenarios
 are every test of ``test_cuda_sim.py``, the walkthrough in
 ``examples/custom_kernels.py``, the course's Lab 5, and derandomized
-saxpy and blur shapes.
+saxpy and blur shapes.  Every launch here is classified on first sight,
+so even small one-off launches take their fast path; ``TestAdmission``
+covers the launcher's real policy.
 """
 
 import contextlib
+import importlib.util
 import inspect
 import runpy
 import textwrap
@@ -20,6 +23,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from repro.analysis import absint
 from repro.course.labs import lab5_custom_kernel
 from repro.errors import DeviceError
 from repro.gpu import make_system
@@ -30,6 +34,14 @@ from repro.sanitize import check_launch
 from . import test_cuda_sim
 
 REPO = Path(__file__).resolve().parents[2]
+EAGER_THREADS = lowering.EAGER_THREADS
+
+
+@pytest.fixture(autouse=True, scope="module")
+def classify_on_first_sight():
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowering, "EAGER_THREADS", 0)
+        yield
 
 
 @contextlib.contextmanager
@@ -167,6 +179,43 @@ def test_blur_shapes_lower_byte_identically(rows, cols, block, lo, hi):
                     np.zeros_like(img), lo, hi) == "lowered"
 
 
+# -- augmented assignment promotes as on scalars ------------------------------
+
+@cuda.jit
+def widening_sum(x, y, out):
+    i = cuda.grid(1)
+    if i < out.size:
+        acc = x[i]
+        acc += y[i]
+        out[i] = acc
+
+
+@cuda.jit
+def halve_and_tally(counts, halves, tally):
+    i = cuda.grid(1)
+    if i < counts.size:
+        v = counts[i]
+        v /= 2
+        halves[i] = v
+        tally[i] += 0.5
+        tally[i] *= 3
+
+
+class TestAugmentedAssignment:
+    """``t op= v`` rebinds a scalar to the promoted result in the
+    interpreter; the lowered path must not cast into the target."""
+
+    def test_accumulator_widens(self, system1):
+        rng = np.random.default_rng(0)
+        assert run_both(widening_sum, 4, 100,
+                        rng.random(400, dtype=np.float32),
+                        rng.random(400), np.zeros(400)) == "lowered"
+
+    def test_integer_targets_take_float_results(self, system1):
+        assert run_both(halve_and_tally, 3, 100, np.arange(300),
+                        np.zeros(300), np.arange(300)) == "lowered"
+
+
 # -- what stays on the interpreter --------------------------------------------
 
 @cuda.jit
@@ -260,6 +309,117 @@ class TestInterpreterKept:
         assert saxpy.last_path == "sequential"
         np.testing.assert_array_equal(out.get(), np.full(512, 3.0))
 
+    def test_source_edited_after_import(self, system1, tmp_path):
+        # the notebook workflow: the file changes, the module is not
+        # re-imported, and inspect would hand back the edited body
+        path = tmp_path / "edited_kernel.py"
+        source = ("from repro.jit import cuda\n\n\n@cuda.jit\n"
+                  "def scale(x, out):\n    i = cuda.grid(1)\n"
+                  "    if i < out.size:\n        out[i] = {} * x[i]\n")
+        path.write_text(source.format("2.0"))
+        spec = importlib.util.spec_from_file_location("edited_kernel", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        path.write_text(source.format("30.0"))
+        x = cuda.to_device(np.arange(64, dtype=np.float32))
+        out = cuda.device_array(64)
+        module.scale[1, 64](x, out)
+        assert module.scale.last_path == "sequential"
+        np.testing.assert_array_equal(out.get(), 2.0 * np.arange(64))
+
+
+# -- when a launch is classified ----------------------------------------------
+
+@cuda.jit
+def add_step(x, out, step):
+    i = cuda.grid(1)
+    if i < out.size:
+        out[i] = x[i] + step
+
+
+@cuda.jit
+def copy_upto(x, out, n):
+    i = cuda.grid(1)
+    last = n - 1
+    if i <= last:
+        out[i] = x[i]
+
+
+@pytest.fixture
+def classifications(monkeypatch):
+    """The launches ``classify_kernel`` is called for, by kernel name."""
+    calls = []
+    classify = absint.classify_kernel
+
+    def counting(kernel, env=None):
+        calls.append(kernel.__name__)
+        return classify(kernel, env)
+
+    monkeypatch.setattr(absint, "classify_kernel", counting)
+    return calls
+
+
+class TestAdmission:
+    """The launcher's own policy, with the real :data:`EAGER_THREADS`."""
+
+    @pytest.fixture(autouse=True)
+    def real_threshold(self, monkeypatch):
+        monkeypatch.setattr(lowering, "EAGER_THREADS", EAGER_THREADS)
+
+    def test_small_launch_is_classified_when_it_recurs(self, system1,
+                                                        classifications):
+        k = cuda.CudaKernel(saxpy.fn)
+        x = cuda.to_device(np.ones(256, np.float32))
+        out = cuda.device_array(256)
+        paths = []
+        for _ in range(3):
+            k[2, 128](2.0, x, x, out)
+            paths.append(k.last_path)
+        assert paths == ["sequential", "lowered", "lowered"]
+        assert classifications == ["saxpy"]
+
+    def test_large_launch_is_classified_at_once(self, system1,
+                                                classifications):
+        k = cuda.CudaKernel(saxpy.fn)
+        n = EAGER_THREADS
+        x = cuda.to_device(np.ones(n, np.float32))
+        out = cuda.device_array(n)
+        k[n // 256, 256](2.0, x, x, out)
+        assert k.last_path == "lowered"
+        np.testing.assert_array_equal(out.get(), np.full(n, 3.0))
+
+    def test_integer_read_only_as_a_value_is_not_part_of_the_key(
+            self, system1, classifications):
+        x = cuda.to_device(np.ones(4096, np.float32))
+        out = cuda.device_array(4096)
+        for step in range(5):
+            add_step[16, 256](x, out, step)
+            assert add_step.last_path == "lowered"
+        np.testing.assert_array_equal(out.get(), np.full(4096, 5.0))
+        assert classifications == ["add_step"]
+
+    def test_integer_in_the_guard_is(self, system1, classifications):
+        # through a temporary, too: each new bound is a new proof
+        x = cuda.to_device(np.arange(4096, dtype=np.float32))
+        out = cuda.device_array(4096)
+        for n in (4096, 100, 4096, 2000):
+            copy_upto[16, 256](x, out, n)
+            assert copy_upto.last_path == "lowered"
+        np.testing.assert_array_equal(out.get(), np.arange(4096))
+        assert classifications == ["copy_upto"] * 3
+
+    def test_small_one_off_launches_are_never_classified(
+            self, system1, classifications):
+        k = cuda.CudaKernel(copy_upto.fn)
+        x = cuda.to_device(np.arange(64, dtype=np.float32))
+        out = cuda.device_array(64)
+        for n in range(1, 301):
+            k[1, 64](x, out, n)
+            assert k.last_path == "sequential"
+        np.testing.assert_array_equal(out.get(), np.arange(64))
+        assert classifications == []
+        assert len(k._variant("lowered")._decisions) == lowering._DECISIONS
+
 
 # -- barrier blocks: generators, and OS threads for exec'd kernels ------------
 
@@ -317,6 +477,38 @@ def reverse_twice(x, out):
     tile[tx] = x[tx]
     cuda.syncthreads()
     sync()
+    out[tx] = tile[7 - tx]
+
+
+@cuda.jit
+def reverse_via_chain(x, out):
+    tile = cuda.shared.array(8, np.float32)
+    tx = cuda.threadIdx.x
+    tile[tx] = x[tx]
+    chained_sync()          # defined below the kernel
+    out[tx] = tile[7 - tx]
+
+
+def chained_sync():
+    sync()
+
+
+@cuda.jit
+def reverse_via_argument(x, out, barrier):
+    tile = cuda.shared.array(8, np.float32)
+    tx = cuda.threadIdx.x
+    tile[tx] = x[tx]
+    barrier()
+    out[tx] = tile[7 - tx]
+
+
+@cuda.jit
+def reverse_then_argument(x, out, barrier):
+    tile = cuda.shared.array(8, np.float32)
+    tx = cuda.threadIdx.x
+    tile[tx] = x[tx]
+    cuda.syncthreads()
+    barrier()
     out[tx] = tile[7 - tx]
 
 
@@ -387,31 +579,34 @@ class TestBarrierBlocks:
 class TestHelperBarrier:
     """``syncthreads()`` reached through a device helper."""
 
-    def test_sequential_block_raises(self, system1):
-        # the kernel itself never names syncthreads, so it runs on the
-        # sequential path, where the barrier used to be a silent no-op
+    @pytest.mark.parametrize("kernel", [
+        reverse_via_helper, reverse_twice, reverse_via_chain,
+        exec_copy(reverse_twice)], ids=["helper", "own-and-helper",
+                                        "helper-chain", "exec"])
+    def test_os_thread_blocks_honour_it(self, system1, kernel):
+        # a generator can yield only at the kernel's own statements, so a
+        # kernel whose helper waits takes the OS-thread path; on the
+        # sequential path the barrier used to be a silent no-op
         x = cuda.to_device(np.arange(8, dtype=np.float32))
         out = cuda.device_array(8)
-        with pytest.raises(DeviceError, match="reverse_via_helper.*helper"):
-            reverse_via_helper[1, 8](x, out)
-
-    def test_generator_block_raises(self, system1):
-        x = cuda.to_device(np.arange(8, dtype=np.float32))
-        out = cuda.device_array(8)
-        with pytest.raises(DeviceError, match="reverse_twice.*helper"):
-            reverse_twice[1, 8](x, out)
-        assert reverse_twice.last_path == "generator"
-
-    def test_os_thread_block_honours_it(self, system1):
-        k = exec_copy(reverse_twice)
-        x = cuda.to_device(np.arange(8, dtype=np.float32))
-        out = cuda.device_array(8)
-        within(10, k[1, 8], x, out)
-        assert k.last_path == "os-threads"
+        within(10, kernel[1, 8], x, out)
+        assert kernel.uses_syncthreads
+        assert kernel.last_path == "os-threads"
         np.testing.assert_array_equal(out.get(), np.arange(8)[::-1])
+
+    @pytest.mark.parametrize("kernel, path", [
+        (reverse_via_argument, "sequential"),
+        (reverse_then_argument, "generator")])
+    def test_unnamed_helper_raises(self, system1, kernel, path):
+        x = cuda.to_device(np.arange(8, dtype=np.float32))
+        out = cuda.device_array(8)
+        with pytest.raises(DeviceError,
+                           match=f"{kernel.name}.*does not name.*8 threads"):
+            kernel[1, 8](x, out, sync)
+        assert kernel.last_path == path
 
     def test_single_thread_blocks_need_no_barrier(self, system1):
         x = cuda.to_device(np.arange(8, dtype=np.float32))
         out = cuda.device_array(8)
-        reverse_via_helper[8, 1](x, out)
-        assert reverse_via_helper.last_path == "sequential"
+        reverse_via_argument[8, 1](x, out, sync)
+        assert reverse_via_argument.last_path == "sequential"
