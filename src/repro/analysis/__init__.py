@@ -5,9 +5,10 @@ perf/cost/IAM passes, memcheck, and the DET determinism rules) rides
 the same substrate:
 
 * :mod:`repro.analysis.context` — :class:`AnalysisContext`: each file
-  parsed **exactly once**, with the source, line index, namespace
-  aliases, and ``# repro: disable`` suppression table shared by every
-  pass (``parse_count()`` is the test hook proving the single parse);
+  parsed and walked **exactly once**, with the source, line index,
+  module nodes, namespace aliases, and ``# repro: disable`` suppression
+  table shared by every pass (``parse_count()`` is the test hook
+  proving the single parse);
 * :mod:`repro.analysis.cfg` — per-scope basic-block CFGs and the
   canonical unrolled statement schedule the abstract interpreters walk;
 * :mod:`repro.analysis.dataflow` — the generic forward/backward

@@ -1131,13 +1131,15 @@ def absint_context(ctx) -> AbsintResult:
     return result
 
 
-def _kernel_defs(ctx) -> tuple[dict, dict]:
-    """``({kernel name: def}, {helper name: def})`` over one file."""
+def _kernel_defs(ctx, live: str | None = None) -> tuple[dict, dict]:
+    """``({kernel name: def}, {helper name: def})`` over one file.  A def
+    named ``live`` is a kernel with or without ``@cuda.jit``: it is the
+    source of a live kernel, which ``cuda.jit(fn)`` may have made."""
     kernels: dict = {}
     helpers: dict = {}
-    for node in ast.walk(ctx.tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.FunctionDef):
-            if _is_kernel_def(node, ctx.cuda_names):
+            if node.name == live or _is_kernel_def(node, ctx.cuda_names):
                 kernels.setdefault(node.name, node)
             else:
                 helpers[node.name] = node
@@ -1281,7 +1283,9 @@ def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
     JIT launcher passes its live grid, block and argument shapes).
     Without it, extents come from launch sites in the extracted source;
     with none there they are anonymous atoms — guards still prove
-    safety, launch-dependent bounds stay unknown."""
+    safety, launch-dependent bounds stay unknown.  A live kernel's def
+    is found by the function's name, so one made by calling
+    ``cuda.jit(fn)`` on an undecorated def classifies too."""
     import inspect
     import textwrap
 
@@ -1304,19 +1308,17 @@ def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
         # extracted block parses standalone
         ctx = AnalysisContext(textwrap.dedent("".join(lines)),
                               filename=filename, line_offset=start - 1)
-    if env is None:
-        classes = absint_context(ctx).classes
-    else:
-        kernels, helpers = (_kernel_defs(ctx) if ctx.tree is not None
-                            else ({}, {}))
-        picked = kernels.get(name) or next(
-            (kernels[k] for k in sorted(kernels)), None)
-        kc = None if picked is None else _analyze_kernel(
-            ctx, picked, helpers, [env], Report())
-        classes = [kc] if kc is not None else []
-    if not classes:
+    kernels, helpers = _kernel_defs(ctx, live=name)
+    picked = kernels.get(name) or next(
+        (kernels[k] for k in sorted(kernels)), None)
+    kc = None
+    if picked is not None:
+        envs = [env] if env is not None else _scan_launches(
+            ctx, {picked.name: picked})[picked.name]
+        kc = _analyze_kernel(ctx, picked, helpers, envs, Report())
+    if kc is None:
         raise ValueError("no @cuda.jit kernel found in the source")
-    return classes[0]
+    return kc
 
 
 __all__ = [

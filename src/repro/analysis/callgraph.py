@@ -376,7 +376,7 @@ class _FileScanner:
                          class_name=None)
 
     def _scan_imports(self) -> None:
-        for node in ast.walk(self.ctx.tree):
+        for node in self.ctx.nodes:
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]

@@ -23,6 +23,8 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
+from repro.analysis.context import module_nodes
+
 #: how many times the canonical schedule repeats a loop body: two, so a
 #: binding (or free) left by iteration one is observed by iteration two
 LOOP_PASSES = 2
@@ -220,7 +222,10 @@ def scopes(tree: ast.AST):
     function definition — the units a per-scope analysis runs over."""
     if isinstance(tree, ast.Module):
         yield tree, list(tree.body)
-    for node in ast.walk(tree):
+        nodes = module_nodes(tree)
+    else:
+        nodes = ast.walk(tree)
+    for node in nodes:
         if isinstance(node, SCOPE_TYPES):
             yield node, list(node.body)
 

@@ -1,4 +1,5 @@
-"""One parse per file: the :class:`AnalysisContext` every pass shares.
+"""One parse and one walk per file: the :class:`AnalysisContext` every
+pass shares.
 
 Before the unified framework, each analyzer family re-read and
 re-parsed the same file — the kernel linter, the perflint families, and
@@ -6,9 +7,17 @@ the memcheck pass each called ``ast.parse`` on identical source.  The
 context parses **exactly once** and hands every pass the same tree,
 source, line index, namespace aliases, and suppression table.
 
+:func:`module_nodes` walks a parsed module **once** and keeps its
+nodes, in ``ast.walk`` order, on the tree itself.  Every family's
+whole-module scan for file-level facts (imports, kernel defs, launch
+plans) reads that sequence, whether the pass is handed the context
+(``ctx.nodes``) or only the tree; sub-tree walks (one statement, one
+scope) stay walks.
+
 ``parse_count()`` / ``reset_parse_count()`` expose the framework's own
 instrumentation: the test-suite runs the full all-analyzers driver over
-the repository and asserts one parse per file.
+the repository and asserts one parse per file (and, counting
+``ast.walk`` calls, one walk per module).
 """
 
 from __future__ import annotations
@@ -30,6 +39,20 @@ def parse_count() -> int:
 def reset_parse_count() -> None:
     global _parse_count
     _parse_count = 0
+
+
+def module_nodes(tree: ast.Module) -> tuple[ast.AST, ...]:
+    """Every node of ``tree`` in ``ast.walk`` order, walked once per tree.
+
+    Pure in the tree, so the sequence is memoized on the module node
+    itself: every pass that scans the whole module, handed a context or
+    only the tree, reads the same tuple.
+    """
+    nodes = getattr(tree, "_repro_nodes", None)
+    if nodes is None:
+        nodes = tuple(ast.walk(tree))
+        tree._repro_nodes = nodes
+    return nodes
 
 
 #: ``# repro: disable=RULE-A,RULE-B`` (or bare ``# repro: disable``)
@@ -102,6 +125,11 @@ class AnalysisContext:
         marks = self.suppressions.get(line, ())
         return "*" in marks or rule.upper() in marks
 
+    @property
+    def nodes(self) -> tuple[ast.AST, ...]:
+        """The module's nodes in ``ast.walk`` order (:func:`module_nodes`)."""
+        return () if self.tree is None else module_nodes(self.tree)
+
     @cached_property
     def cuda_names(self) -> set[str]:
         """Names bound to a cuda-like namespace (kernel linter)."""
@@ -124,9 +152,7 @@ class AnalysisContext:
     def imports_repro(self) -> bool:
         """Does the module import anything from the simulated stack?
         The DET wall-clock rule only applies to simulated-clock code."""
-        if self.tree is None:
-            return False
-        for node in ast.walk(self.tree):
+        for node in self.nodes:
             if isinstance(node, ast.Import):
                 if any(a.name == "repro" or a.name.startswith("repro.")
                        for a in node.names):
@@ -139,4 +165,5 @@ class AnalysisContext:
         return False
 
 
-__all__ = ["AnalysisContext", "parse_count", "reset_parse_count"]
+__all__ = ["AnalysisContext", "module_nodes", "parse_count",
+           "reset_parse_count"]

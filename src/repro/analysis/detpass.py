@@ -204,13 +204,14 @@ class _DetPass:
     def __init__(self, ctx: AnalysisContext) -> None:
         self.ctx = ctx
         self.tree = ctx.tree
-        # one walk of the whole tree feeds every file-level gate: the
-        # alias tables, draw/seed presence, and set-construct presence
+        # one pass over the shared node sequence feeds every file-level
+        # gate: the alias tables, draw/seed presence, and set-construct
+        # presence
         imports: list[ast.stmt] = []
         calls: list[ast.Call] = []
         self.has_sets = False
         self.has_emitters = False
-        for node in ast.walk(self.tree):
+        for node in ctx.nodes:
             if isinstance(node, (ast.Import, ast.ImportFrom)):
                 imports.append(node)
             elif isinstance(node, ast.Call):

@@ -1,8 +1,11 @@
-"""The unified analyzer driver: one parse, every family, one report.
+"""The unified analyzer driver: one parse and one walk per file, every
+family, one report.
 
 Before the framework each ``--analyzers`` family re-read and re-parsed
 every file.  The driver builds one :class:`AnalysisContext` per file
-and hands the *same* context to every requested pass:
+and hands the *same* context to every requested pass; each pass reads
+the module's nodes from the context's one walk (``ctx.nodes``) rather
+than walking the tree again:
 
 * ``kernel`` — :func:`repro.sanitize.astlint.lint_context`
 * ``perf`` / ``cost`` / ``iam`` — :func:`repro.perflint.analyze_context`
@@ -151,13 +154,14 @@ class AnalysisRun:
 
 def run_paths(paths, analyzers=KNOWN_ANALYZERS, *,
               interprocedural: bool = False) -> AnalysisRun:
-    """Analyze files and/or directories with one parse per file.
+    """Analyze files and/or directories with one parse and one walk per
+    file.
 
     With ``interprocedural=True`` the run additionally resolves the
-    project-wide call graph over the same contexts (still one parse
-    per file), composes function summaries bottom-up, and appends the
-    cross-function findings — the intra-procedural findings are
-    byte-identical either way.
+    project-wide call graph over the same contexts (still one parse and
+    one walk per file), composes function summaries bottom-up, and
+    appends the cross-function findings — the intra-procedural findings
+    are byte-identical either way.
     """
     report = Report()
     contexts: dict[str, AnalysisContext] = {}

@@ -154,7 +154,8 @@ class FileEnv:
 
     def __init__(self, ctx: AnalysisContext) -> None:
         tree = ctx.tree
-        imports = [n for n in ast.walk(tree)
+        nodes = ctx.nodes
+        imports = [n for n in nodes
                    if isinstance(n, (ast.Import, ast.ImportFrom))]
         self.aliases = _Aliases(imports, ctx.namespaces[2])
         self.xp_names = ctx.namespaces[0]
@@ -162,7 +163,7 @@ class FileEnv:
         # same file-level gate the intra DET fast path uses
         self.seeded: set[str] = set()
         self.identifiers: set[str] = set()
-        for node in ast.walk(tree):
+        for node in nodes:
             if isinstance(node, ast.Call):
                 fam = self.aliases.seed_call(node)
                 if fam is not None:

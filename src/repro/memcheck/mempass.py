@@ -38,6 +38,7 @@ import re
 import numpy as np
 
 from repro.analysis.cfg import LOOP_PASSES
+from repro.analysis.context import module_nodes
 from repro.cloud.pricing import get_instance_type
 from repro.errors import CloudError
 from repro.gpu.specs import get_spec
@@ -437,7 +438,7 @@ def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
     target_label, current_instance_or_None)``; ``(0, "", None)`` when
     nothing in the file names a target — no target, no OOM verdict.
     """
-    for node in ast.walk(tree):
+    for node in module_nodes(tree):
         if not isinstance(node, ast.Call):
             continue
         func = node.func

@@ -30,6 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
+from repro.analysis.context import module_nodes
 from repro.cloud.billing import DEFAULT_BUDGET_CAP_USD
 from repro.cloud.bootstrap import BootstrapScript
 from repro.cloud.pricing import get_instance_type, plan_cost
@@ -96,7 +97,7 @@ def _literal(node: ast.AST) -> object:
 def _identifiers(tree: ast.Module) -> set[str]:
     """Every Name id and Attribute attr in the module (context markers)."""
     out: set[str] = set()
-    for n in ast.walk(tree):
+    for n in module_nodes(tree):
         if isinstance(n, ast.Name):
             out.add(n.id)
         elif isinstance(n, ast.Attribute):
@@ -116,7 +117,8 @@ def extract_plans(tree: ast.Module) -> list[PlanSite]:
         return cached
     plans: list[PlanSite] = []
     owner = "student"
-    for node in ast.walk(tree):
+    nodes = module_nodes(tree)
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func
@@ -126,7 +128,7 @@ def extract_plans(tree: ast.Module) -> list[PlanSite]:
             lit = _literal(node.args[0])
             if isinstance(lit, str):
                 owner = lit
-    for node in ast.walk(tree):
+    for node in nodes:
         if not isinstance(node, ast.Call):
             continue
         func = node.func

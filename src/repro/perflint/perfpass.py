@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.context import module_nodes
 from repro.distributed.collectives import PERFLINT_FUSED, PERFLINT_PER_TENSOR
 from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
@@ -52,7 +53,7 @@ _PER_TENSOR = set(PERFLINT_PER_TENSOR) - set(PERFLINT_FUSED)
 def _xp_aliases(tree: ast.Module) -> set[str]:
     """Names bound to the ``repro.xp`` (or ``cupy``-like) namespace."""
     names = {"xp", "cp", "cupy"}
-    for node in ast.walk(tree):
+    for node in module_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in ("repro.xp", "cupy") and alias.asname:

@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from repro.analysis.context import module_nodes
 from repro.nn.layers import PERFLINT_SHAPE_PRESERVING
 from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
@@ -552,7 +553,7 @@ class ShapeInterp:
 def _namespace_aliases(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
     """(xp-like, nn-related, numpy) names bound by the module's imports."""
     xp, nn, np_names = {"xp"}, set(), {"np", "numpy"}
-    for node in ast.walk(tree):
+    for node in module_nodes(tree):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]

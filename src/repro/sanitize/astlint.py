@@ -42,6 +42,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from repro.analysis.cfg import unrolled_schedule
+from repro.analysis.context import AnalysisContext, module_nodes
 from repro.sanitize.findings import Report
 from repro.sanitize.rules import make_finding
 
@@ -501,7 +502,7 @@ class _StreamScan:
 def _cuda_aliases(tree: ast.Module) -> set[str]:
     """Names the module binds to a cuda-like namespace (default: cuda)."""
     names = {"cuda"}
-    for node in ast.walk(tree):
+    for node in module_nodes(tree):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if alias.name == "cuda":
@@ -526,7 +527,7 @@ def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     shared :class:`repro.analysis.context.AnalysisContext` — the parse
-    already happened; this pass only walks the tree."""
+    already happened; this pass reads the shared ``ctx.nodes``."""
     report = Report()
     filename = ctx.filename
     if ctx.tree is None:
@@ -537,7 +538,7 @@ def lint_context(ctx) -> Report:
         return report
     tree = ctx.tree
     cuda_names = ctx.cuda_names
-    for node in ast.walk(tree):
+    for node in ctx.nodes:
         if isinstance(node, ast.FunctionDef):
             if _is_kernel_def(node, cuda_names):
                 report.extend(
@@ -553,8 +554,6 @@ def lint_source(source: str, filename: str = "<string>",
                 line_offset: int = 0) -> Report:
     """Lint a source string; ``line_offset`` shifts reported lines for
     snippets extracted from a larger file."""
-    from repro.analysis.context import AnalysisContext
-
     return lint_context(AnalysisContext(source, filename=filename,
                                         line_offset=line_offset))
 

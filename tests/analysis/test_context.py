@@ -1,10 +1,16 @@
-"""AnalysisContext: the one-parse-per-file contract and derived views."""
+"""AnalysisContext: the one-parse, one-walk-per-file contract and
+derived views."""
 
+import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 from repro.analysis import (
+    ALL_ANALYZERS,
     KNOWN_ANALYZERS,
     AnalysisContext,
     parse_count,
@@ -43,6 +49,55 @@ class TestSingleParse:
         for family in KNOWN_ANALYZERS:
             analyze_context(ctx, analyzers=(family,))
         assert parse_count() == 1
+
+
+class TestSingleWalk:
+    def test_nodes_are_the_walk_order_for_every_source_file(self):
+        files = collect_files([REPO / "src" / "repro"])
+        assert len(files) > 100
+        for f in files:
+            ctx = AnalysisContext.from_file(f)
+            assert ctx.nodes == tuple(ast.walk(ctx.tree)), f
+
+    def test_all_analyzers_walk_each_module_at_most_once(self, monkeypatch):
+        """Every family and the interprocedural layer read the one
+        memoized node sequence instead of re-walking the module."""
+        walks: dict[int, list] = {}
+        walk = ast.walk
+
+        def counting_walk(node):
+            if isinstance(node, ast.Module):
+                # keep the module alive so its id is never reused
+                walks.setdefault(id(node), [node, 0])[1] += 1
+            return walk(node)
+
+        monkeypatch.setattr(ast, "walk", counting_walk)
+        run = run_paths([REPO / "src" / "repro", REPO / "examples"],
+                        ALL_ANALYZERS, interprocedural=True)
+        assert len(run.contexts) > 100
+        assert len(walks) == len(run.contexts)
+        assert max(count for _, count in walks.values()) == 1
+
+    def test_nodes_are_memoized_on_the_tree(self):
+        from repro.analysis.context import module_nodes
+
+        ctx = AnalysisContext("import numpy as np\nx = np.zeros(3)\n",
+                              "f.py")
+        assert ctx.nodes is module_nodes(ctx.tree)
+        assert ctx.nodes[0] is ctx.tree
+        assert AnalysisContext("def broken(:\n", "bad.py").nodes == ()
+
+
+@pytest.mark.parametrize("package", ["repro.analysis", "repro.sanitize",
+                                     "repro.perflint", "repro.memcheck"])
+def test_each_analyzer_package_imports_first(package):
+    """The families import ``module_nodes`` from the framework, so any
+    of them can be the first analyzer module a process imports."""
+    proc = subprocess.run(
+        [sys.executable, "-c", f"import {package}"], capture_output=True,
+        text=True, cwd=REPO,
+        env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
 
 
 class TestDerivedViews:

@@ -94,6 +94,16 @@ SIM_TESTS = sorted(
     for name in vars(cls) if name.startswith("test_"))
 
 
+def saxpy_undecorated(a, x, y, out, n):
+    i = cuda.grid(1)
+    if i < n:
+        out[i] = a * x[i] + y[i]
+
+
+#: a kernel made by calling ``cuda.jit`` on a def with no decorator
+saxpy_called = cuda.jit(saxpy_undecorated)
+
+
 class TestByteIdentity:
     def test_cuda_sim_kernels(self):
         paths = {}
@@ -117,6 +127,12 @@ class TestByteIdentity:
     def test_lab5(self):
         assert paths_match_interpreter(lab5_custom_kernel) == {
             "saxpy": "lowered"}
+
+    def test_kernel_made_by_calling_cuda_jit(self, system1):
+        rng = np.random.default_rng(0)
+        x, y = rng.standard_normal(1000), rng.standard_normal(1000)
+        assert run_both(saxpy_called, 8, 128, 2.0, x, y, np.zeros(1000),
+                        1000) == "lowered"
 
 
 # -- derandomized shapes, block sizes and guard bounds ------------------------

@@ -209,9 +209,11 @@ class TestDeviceMemory:
     def test_memory_pressure_alarm_fires_and_clears(self, system1):
         from repro.telemetry.metrics import record_device_memory
 
-        buf = self._load(system1,
-                         nbytes=int(system1.device(0).memory.total_bytes
-                                    * 0.95))
+        # accounting-only ballast: 95% of the simulated card costs no
+        # host memory
+        memory = system1.device(0).memory
+        ballast = memory.allocate(int(memory.total_bytes * 0.95),
+                                  tag="ballast")
         cw = CloudWatch()
         cw.put_alarm(Alarm(name="memory-pressure", namespace="telemetry",
                            metric="DeviceMemoryUtilization",
@@ -222,7 +224,7 @@ class TestDeviceMemory:
         reg.publish_cloudwatch(cw, dimension="i-1", timestamp_h=1.0)
         assert cw.evaluate_alarms()["memory-pressure"] is AlarmState.ALARM
 
-        buf.free()
+        memory.free(ballast)
         reg2 = MetricsRegistry()
         record_device_memory(reg2, system1)
         reg2.publish_cloudwatch(cw, dimension="i-1", timestamp_h=2.0)
