@@ -478,26 +478,19 @@ class MemoryPool:
             return ()
         need = -(-int(nbytes) // self.page_bytes)  # ceil-div
         used = self._page_used
-        n = self._page_count
-        # contiguous first-fit from the hint
-        start = self._free_page_hint
-        i = start
-        while i + need <= n:
-            if used[i]:
-                i += 1
-                continue
-            j = i
-            while j < i + need and not used[j]:
-                j += 1
-            if j == i + need:
-                for k in range(i, j):
-                    used[k] = 1
-                if i == self._free_page_hint:
-                    self._free_page_hint = j
-                return tuple(range(i, j))
-            i = j + 1
+        # contiguous first-fit: the hint never exceeds the lowest free
+        # slot, so the first run of ``need`` free flags at or after it
+        # is the lowest such run in the map
+        hint = self._free_page_hint
+        i = used.find(bytes(need), hint)
+        if i >= 0:
+            j = i + need
+            used[i:j] = b"\x01" * need
+            if i == hint:
+                self._free_page_hint = j
+            return tuple(range(i, j))
         # scattered fallback: any free slots, lowest-index first
-        free = [k for k in range(n) if not used[k]]
+        free = [k for k in range(hint, self._page_count) if not used[k]]
         if len(free) < need:
             return ()
         taken = free[:need]
@@ -510,6 +503,47 @@ class MemoryPool:
             self._page_used[k] = 0
         if pages:
             self._free_page_hint = min(self._free_page_hint, pages[0])
+
+    def check_invariants(self) -> None:
+        """Raise :class:`DeviceError` naming the first broken invariant:
+        the per-tag totals equal a recount of the live ledger, tracked
+        bytes ≤ ``used_bytes`` ≤ ``total_bytes``, the page map flags
+        exactly the live allocations' slots (none held twice), and the
+        placement hint sits at or below the lowest free slot."""
+        tag_bytes: dict[str, int] = {}
+        tag_counts: dict[str, int] = {}
+        slots = bytearray(self._page_count)
+        for alloc_id, alloc in self._live.items():
+            if alloc.alloc_id != alloc_id or alloc.freed:
+                raise DeviceError(f"ledger entry #{alloc_id} is not a live "
+                                  f"allocation: {alloc!r}")
+            tag_bytes[alloc.tag] = tag_bytes.get(alloc.tag, 0) + alloc.nbytes
+            tag_counts[alloc.tag] = tag_counts.get(alloc.tag, 0) + 1
+            for k in alloc.pages:
+                if slots[k]:
+                    raise DeviceError(f"page slot {k} is held twice "
+                                      f"(again by {alloc!r})")
+                slots[k] = 1
+        kept_bytes = {t: b for t, b in self._tag_bytes.items() if b}
+        kept_counts = {t: c for t, c in self._tag_counts.items() if c}
+        if kept_bytes != {t: b for t, b in tag_bytes.items() if b} \
+                or kept_counts != tag_counts:
+            raise DeviceError(
+                f"per-tag totals {kept_bytes} / {kept_counts} differ from "
+                f"the live ledger's {tag_bytes} / {tag_counts}")
+        tracked = sum(tag_bytes.values())
+        if not tracked <= self.used_bytes <= self.total_bytes:
+            raise DeviceError(
+                f"byte accounting out of order: {tracked} B tracked, "
+                f"{self.used_bytes} B used, {self.total_bytes} B total")
+        if slots != self._page_used:
+            raise DeviceError("page map differs from the live "
+                              "allocations' slots")
+        lowest = slots.find(0)
+        if lowest >= 0 and self._free_page_hint > lowest:
+            raise DeviceError(
+                f"placement hint {self._free_page_hint} is past the "
+                f"lowest free slot {lowest}")
 
     def fragmentation(self) -> FragmentationStats:
         """Occupancy/fragmentation snapshot from the page map."""

@@ -8,6 +8,12 @@ each, on demand, with a per-sequence page table — internal fragmentation
 is bounded by one page per sequence and the batch is capped by *live*
 tokens.
 
+The cache keeps running page and token totals, updated by
+:meth:`~PagedKvCache.allocate`, :meth:`~PagedKvCache.grow` and
+:meth:`~PagedKvCache.release`, so occupancy reads and the high-water
+bookkeeping cost O(1) per decode step rather than a sum over every
+page table; :meth:`~PagedKvCache.check_invariants` recounts them.
+
 Every page is one tracked allocation in the replica's
 :class:`~repro.gpu.memory.MemoryPool`, so the pool's conservation
 invariant, leak report, OOM enrichment, and
@@ -39,6 +45,9 @@ class PagedKvCache:
         self.tag = tag
         self._tables: dict[int, list[Allocation]] = {}
         self._tokens: dict[int, int] = {}
+        # running totals over every table (see check_invariants)
+        self._live_pages = 0
+        self._live_tokens = 0
         self.peak_pages = 0
         self.peak_page_utilization = 1.0
         self.failed_grows = 0
@@ -50,7 +59,7 @@ class PagedKvCache:
 
     @property
     def live_pages(self) -> int:
-        return sum(len(t) for t in self._tables.values())
+        return self._live_pages
 
     @property
     def live_seqs(self) -> int:
@@ -83,6 +92,7 @@ class PagedKvCache:
         and the call returns ``False`` (caller preempts or queues)."""
         if seq_id in self._tables:
             raise ReproError(f"sequence {seq_id} already has a page table")
+        tokens = int(tokens)
         need = self._pages_for(tokens)
         if need > self.free_pages:
             self.failed_grows += 1
@@ -90,7 +100,9 @@ class PagedKvCache:
         table = [self.pool.allocate(self.page_bytes, tag=self.tag)
                  for _ in range(need)]
         self._tables[seq_id] = table
-        self._tokens[seq_id] = int(tokens)
+        self._tokens[seq_id] = tokens
+        self._live_pages += need
+        self._live_tokens += tokens
         self._note_peak()
         return True
 
@@ -98,18 +110,21 @@ class PagedKvCache:
         """Extend a sequence by ``tokens`` (one per decode step).  Only
         allocates when the append crosses a page boundary; returns
         ``False`` on exhaustion with the sequence unchanged."""
-        if seq_id not in self._tables:
+        table = self._tables.get(seq_id)
+        if table is None:
             raise ReproError(f"sequence {seq_id} has no page table")
-        held = self._tokens[seq_id]
-        extra = self._pages_for(held + tokens) - len(self._tables[seq_id])
+        tokens = int(tokens)
+        held = self._tokens[seq_id] + tokens
+        extra = self._pages_for(held) - len(table)
         if extra > 0:
             if extra > self.free_pages:
                 self.failed_grows += 1
                 return False
-            self._tables[seq_id].extend(
-                self.pool.allocate(self.page_bytes, tag=self.tag)
-                for _ in range(extra))
-        self._tokens[seq_id] = held + int(tokens)
+            table.extend(self.pool.allocate(self.page_bytes, tag=self.tag)
+                         for _ in range(extra))
+            self._live_pages += extra
+        self._tokens[seq_id] = held
+        self._live_tokens += tokens
         self._note_peak()
         return True
 
@@ -117,11 +132,11 @@ class PagedKvCache:
         """High-water bookkeeping: page count and, *at* the page peak,
         how full those pages were (the report's internal-fragmentation
         number)."""
-        pages = self.live_pages
+        pages = self._live_pages
         if pages >= self.peak_pages and pages:
             self.peak_pages = pages
             self.peak_page_utilization = (
-                sum(self._tokens.values()) / (pages * self.page_tokens))
+                self._live_tokens / (pages * self.page_tokens))
 
     def pages_to_grow(self, seq_id: int, tokens: int = 1) -> int:
         """Pages a :meth:`grow` of ``tokens`` would need (0 when the
@@ -139,7 +154,8 @@ class PagedKvCache:
         table = self._tables.pop(seq_id, None)
         if table is None:
             return 0
-        del self._tokens[seq_id]
+        self._live_tokens -= self._tokens.pop(seq_id)
+        self._live_pages -= len(table)
         for alloc in table:
             self.pool.free(alloc)
         return len(table)
@@ -154,7 +170,43 @@ class PagedKvCache:
     def utilization(self) -> float:
         """Live tokens over the capacity of the pages holding them —
         internal fragmentation from partial last pages."""
-        pages = self.live_pages
+        pages = self._live_pages
         if not pages:
             return 1.0
-        return sum(self._tokens.values()) / (pages * self.page_tokens)
+        return self._live_tokens / (pages * self.page_tokens)
+
+    def check_invariants(self) -> None:
+        """Raise :class:`ReproError` naming the first broken invariant:
+        the running totals equal a recount over the page tables, each
+        table holds exactly ``ceil(tokens / page_tokens)`` pages, and
+        every page is one live allocation of this cache in its pool."""
+        if self._tables.keys() != self._tokens.keys():
+            raise ReproError("KV page tables and token counts name "
+                             "different sequences")
+        pages = sum(len(t) for t in self._tables.values())
+        tokens = sum(self._tokens.values())
+        if (self._live_pages, self._live_tokens) != (pages, tokens):
+            raise ReproError(
+                f"KV running totals drifted: {self._live_pages} pages / "
+                f"{self._live_tokens} tokens kept, {pages} / {tokens} "
+                "recounted")
+        live = self.pool._live
+        seen: set[int] = set()
+        for seq_id, table in self._tables.items():
+            want = self._pages_for(self._tokens[seq_id])
+            if len(table) != want:
+                raise ReproError(
+                    f"sequence {seq_id} holds {len(table)} pages for "
+                    f"{self._tokens[seq_id]} tokens (needs {want})")
+            for alloc in table:
+                if (live.get(alloc.alloc_id) is not alloc
+                        or alloc.tag != self.tag
+                        or alloc.nbytes != self.page_bytes):
+                    raise ReproError(
+                        f"sequence {seq_id} holds a page that is not a "
+                        f"live {self.page_bytes} B {self.tag!r} "
+                        f"allocation of its pool: {alloc!r}")
+                if alloc.alloc_id in seen:
+                    raise ReproError(f"page allocation #{alloc.alloc_id} "
+                                     "sits in two page tables")
+                seen.add(alloc.alloc_id)

@@ -242,11 +242,14 @@ class ContinuousBatching(BatchPolicy):
         youngest first when the KV pool cannot grow everyone.  A lone
         sequence always fits: admission checked its lifetime pages."""
         kv = st.kv
-        while len(st.running) > 1 and kv.free_pages < sum(
-                kv.pages_to_grow(s.req.request_id) for s in st.running):
+        # pages this step needs: summed once per iteration, and each
+        # victim takes its own share with it
+        need = sum(kv.pages_to_grow(s.req.request_id) for s in st.running)
+        while len(st.running) > 1 and kv.free_pages < need:
             # recompute-style preemption: pages freed, request requeued
             # at the head; prefill re-runs on re-admission
             victim = st.running.pop()      # youngest boards last
+            need -= kv.pages_to_grow(victim.req.request_id)
             kv.release(victim.req.request_id)
             replica.queue.appendleft(victim.req)
             self.preemptions += 1
@@ -318,9 +321,12 @@ class ContinuousBatching(BatchPolicy):
             st.pool.free(st.weights)
 
     def check_invariants(self) -> None:
-        """Every KV ledger and device pool drained to zero: no completed,
-        preempted or displaced sequence leaked pages."""
+        """Every KV ledger and device pool consistent and drained to
+        zero: no completed, preempted or displaced sequence leaked
+        pages, and each cache's running totals match a recount."""
         for rid, st in sorted({**self.decoders, **self.interrupted}.items()):
+            st.kv.check_invariants()
+            st.pool.check_invariants()
             if st.kv.live_seqs or st.kv.live_pages:
                 raise ReproError(
                     f"KV ledger leak on replica {rid}: "
@@ -335,7 +341,8 @@ class ContinuousBatching(BatchPolicy):
     def report_fields(self, effective_ms: float) -> dict:
         kv_peak = 0
         kv_util = 0.0
-        for st in self.decoders.values():
+        # a spot-reclaimed replica's high-water mark counts too
+        for st in (*self.decoders.values(), *self.interrupted.values()):
             if st.kv.peak_pages > kv_peak:
                 kv_peak = st.kv.peak_pages
                 kv_util = st.kv.peak_page_utilization

@@ -13,6 +13,7 @@ workflow metrics instead of raw activity timestamps.
 
 from __future__ import annotations
 
+import heapq
 import random
 import zlib
 from dataclasses import dataclass, field
@@ -74,6 +75,9 @@ class Histogram:
     so a p99 read off the reservoir can be followed back to the worst
     concrete offenders.  Ties break toward the lexicographically largest
     label, keeping the retained set independent of observation order.
+    ``exemplars`` is kept as a min-heap of those pairs, so an observation
+    that does not make the top k costs one comparison; read them ranked
+    through :meth:`top_exemplars`.
     """
 
     name: str
@@ -91,6 +95,7 @@ class Histogram:
             raise ReproError("max_exemplars must be non-negative")
         self._observed = len(self.samples)
         self._total = float(np.sum(self.samples)) if self.samples else 0.0
+        heapq.heapify(self.exemplars)
         self._rng = random.Random(
             zlib.crc32(f"{self.name}:{self.max_samples}".encode()))
 
@@ -110,12 +115,14 @@ class Histogram:
             self.samples[j] = value
 
     def _keep_exemplar(self, value: float, label: str) -> None:
-        self.exemplars.append((value, label))
-        if len(self.exemplars) > self.max_exemplars:
-            # drop the smallest (value, label) — top-k by value, label
-            # tiebreak, so the kept set is observation-order independent
-            self.exemplars.sort()
-            del self.exemplars[0]
+        # top-k by (value, label): the heap root is the smallest kept
+        # pair, and a new pair displaces it only by beating it, so the
+        # kept set is observation-order independent
+        heap = self.exemplars
+        if len(heap) < self.max_exemplars:
+            heapq.heappush(heap, (value, label))
+        elif (value, label) > heap[0]:
+            heapq.heapreplace(heap, (value, label))
 
     def top_exemplars(self) -> list[tuple[float, str]]:
         """Retained exemplars, worst (largest value) first."""

@@ -189,6 +189,29 @@ class TestAllocationLedger:
         with pytest.raises(OutOfMemoryError, match="hog"):
             pool.allocate(200, tag="straw")
 
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda pool, a: pool._tag_bytes.update(x=1), "per-tag totals"),
+        (lambda pool, a: pool._tag_counts.update(x=5), "per-tag totals"),
+        (lambda pool, a: setattr(pool, "used_bytes", 100), "out of order"),
+        (lambda pool, a: setattr(pool, "used_bytes", 10_000),
+         "out of order"),
+        (lambda pool, a: pool._page_used.__setitem__(9, 1), "page map"),
+        (lambda pool, a: setattr(a, "pages", (0, 1)), "held twice"),
+        (lambda pool, a: setattr(pool, "_free_page_hint", 5),
+         "placement hint"),
+        (lambda pool, a: setattr(a, "freed", True), "not a live"),
+    ])
+    def test_check_invariants_names_the_broken_invariant(self, corrupt,
+                                                         message):
+        pool = MemoryPool(1000, reserve_fraction=0.0, stats_page_bytes=100)
+        pool.allocate(200, tag="x")
+        second = pool.allocate(150, tag="y")
+        pool.reserve(50)
+        pool.check_invariants()
+        corrupt(pool, second)
+        with pytest.raises(DeviceError, match=message):
+            pool.check_invariants()
+
 
 class TestPinnedHostPool:
     def test_pin_unpin_roundtrip_and_fraction(self):

@@ -67,6 +67,19 @@ class TestGrow:
             cache.pages_to_grow(99)
 
 
+def _move_page(cache):
+    """Totals still add up; sequence 1 is one page short."""
+    cache._tables[2].append(cache._tables[1].pop())
+
+
+def _share_page(cache):
+    """Totals and per-table counts add up; one page sits in two tables."""
+    cache._tables[1].append(cache._tables[2][0])
+    cache._tokens[1] += PAGE_TOKENS
+    cache._live_pages += 1
+    cache._live_tokens += PAGE_TOKENS
+
+
 class TestReleaseAndConservation:
     def test_release_returns_pages_to_the_pool(self, cache):
         cache.allocate(1, 7)
@@ -84,6 +97,24 @@ class TestReleaseAndConservation:
         report = cache.pool.leak_report()
         assert not report.ok                  # pages held = "leaks" live
         assert report.total_bytes == 3 * PAGE_BYTES
+
+    @pytest.mark.parametrize("corrupt, message", [
+        (lambda c: setattr(c, "_live_pages", 4), "running totals"),
+        (lambda c: setattr(c, "_live_tokens", 1), "running totals"),
+        (lambda c: c._tokens.pop(2), "different sequences"),
+        (_move_page, "holds 1 pages for 7 tokens"),
+        (lambda c: c.pool.free(c._tables[2][0]), "not a live"),
+        (lambda c: setattr(c._tables[2][0], "tag", "weights"), "not a live"),
+        (_share_page, "two page tables"),
+    ])
+    def test_check_invariants_names_the_broken_invariant(self, cache,
+                                                         corrupt, message):
+        cache.allocate(1, 7)
+        cache.allocate(2, 4)
+        cache.check_invariants()
+        corrupt(cache)
+        with pytest.raises(ReproError, match=message):
+            cache.check_invariants()
 
 
 class TestPeakStats:

@@ -66,6 +66,20 @@ class TestConservation:
         assert 0 not in sim.policy.decoders
         sim.check_invariants()
 
+    @pytest.mark.parametrize("reclaim_ms", [300.0, 380.0])
+    def test_reclaimed_replicas_kv_peak_is_reported(self, make_endpoint,
+                                                    reclaim_ms):
+        # replica 0 peaks at 70 pages before its reclaim; the survivor
+        # peaks lower (300 ms) or never decodes at all (380 ms)
+        ep = make_endpoint(min_replicas=1, max_replicas=2)
+        sim = ContinuousBatchingSimulation(ep, llm_backend())
+        report = sim.run(constant_trace(40.0, 400.0, PROMPTS, seed=1),
+                         interruptions=[(reclaim_ms, 0)])
+        victim = sim.policy.interrupted[0].kv
+        assert victim.peak_pages == 70
+        assert report.kv_peak_pages == victim.peak_pages
+        assert report.kv_page_utilization == victim.peak_page_utilization
+
 
 class TestLlmReportFields:
     @pytest.fixture(scope="class")

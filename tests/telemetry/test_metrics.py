@@ -1,6 +1,7 @@
 """Metrics instruments, the registry, and the CloudWatch bridge."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.cloud.cloudwatch import Alarm, AlarmState, CloudWatch
 from repro.errors import ReproError
@@ -257,20 +258,37 @@ class TestExemplars:
         assert h.top_exemplars() == [(50.0, "b"), (40.0, "d"),
                                      (30.0, "e")]
 
-    def test_retention_is_observation_order_independent(self):
-        import random
-        pairs = [(float(v), f"{i:04d}") for i, v in
-                 enumerate(random.Random(5).sample(range(500), 100))]
-        baseline = None
-        for seed in range(3):
-            order = list(pairs)
-            random.Random(seed).shuffle(order)
-            h = Histogram("lat", max_exemplars=7)
-            for v, label in order:
+    # few values and few labels, so streams tie on either; pairs are
+    # distinct because merged() re-ranks the union of its shards
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(stream=st.lists(st.tuples(st.sampled_from([1.0, 2.0, 3.0, 5.0]),
+                                     st.sampled_from("abcd")),
+                           unique=True),
+           k=st.integers(1, 6), data=st.data())
+    def test_retention_is_observation_order_independent(self, stream, k,
+                                                        data):
+        expected = sorted(stream, reverse=True)[:k]
+        order = data.draw(st.permutations(stream))
+        cut = data.draw(st.integers(0, len(order)))
+
+        def observed(pairs):
+            h = Histogram("lat", max_exemplars=k)
+            for v, label in pairs:
                 h.observe(v, exemplar=label)
-            if baseline is None:
-                baseline = h.top_exemplars()
-            assert h.top_exemplars() == baseline
+            return h
+
+        assert observed(stream).top_exemplars() == expected
+        assert observed(order).top_exemplars() == expected
+        merged = Histogram.merged(
+            "lat", [observed(order[:cut]), observed(order[cut:])],
+            max_exemplars=k)
+        assert merged.top_exemplars() == expected
+
+    def test_constructor_exemplars_join_the_ranking(self):
+        h = Histogram("lat", max_exemplars=2,
+                      exemplars=[(9.0, "b"), (1.0, "a")])
+        h.observe(5.0, exemplar="c")
+        assert h.top_exemplars() == [(9.0, "b"), (5.0, "c")]
 
     def test_observe_without_exemplar_keeps_none(self):
         h = Histogram("lat", max_exemplars=3)
