@@ -2,11 +2,14 @@
 
 Under test: opting the ``absint`` family into the full-repo sweep
 (``src/repro`` + ``examples``) stays within a small factor of the
-six-family gate it rides on.  The interpreter runs a fixpoint per
-kernel per launch environment, but kernels are a tiny fraction of the
-repo's functions, so the sweep must stay CI-shaped: the proof-grade
-verdicts are only worth shipping if they are cheap enough to run on
-every push.
+six-family gate it rides on.  The six-family sweep now runs the
+interpreter itself — the ``kernel`` family's SAN-OOB and
+SAN-BARRIER-DIV are its proofs — so the opt-in family adds only the
+``VEC-*`` notes over the run cached on each file's context.  The
+interpreter runs a fixpoint per kernel per launch environment, but
+kernels are a tiny fraction of the repo's functions, so the sweep must
+stay CI-shaped: the proof-grade verdicts are only worth shipping if
+they are cheap enough to run on every push.
 
 The same run doubles as the acceptance gate for the verdicts
 themselves: the sweep shares one parse per file with the other

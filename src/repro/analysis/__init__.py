@@ -26,11 +26,14 @@ the same substrate:
   project-wide call graph, composable per-function summaries, and the
   cross-function rules behind ``--interprocedural``;
 * :mod:`repro.analysis.absint` / :mod:`repro.analysis.domains` /
-  :mod:`repro.analysis.kernelclass` — the opt-in abstract interpreter
-  (``--analyzers absint``): proof-grade SAN-OOB / SAN-BARRIER-DIV
-  verdicts over interval + affine domains and the serializable
-  :class:`KernelClass` vectorizability contract the JIT roadmap
-  consumes (``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT``).
+  :mod:`repro.analysis.kernelclass` — the abstract interpreter: the
+  SAN-OOB / SAN-BARRIER-DIV proofs the ``kernel`` family reports, over
+  interval + affine domains, and the serializable :class:`KernelClass`
+  vectorizability contract the JIT roadmap consumes, reported as
+  ``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT`` notes by the opt-in
+  ``absint`` family;
+* :mod:`repro.analysis.rules` — the one rule registry (every family's
+  rule ids, severities and fix hints) and ``make_finding``.
 
 Rule-by-rule documentation lives in ``docs/analysis.md``.
 """
@@ -114,7 +117,7 @@ from repro.analysis.pipeline import (
     normalize_path,
     repo_root,
 )
-from repro.analysis.rules import all_rules
+from repro.analysis.rules import RULES
 from repro.analysis.sarif import from_sarif, render_sarif, to_sarif
 from repro.analysis.summaries import (
     Effect,
@@ -178,7 +181,7 @@ __all__ = [
     "clear_summary_cache",
     "summary_cache_info",
     "interprocedural_pass",
-    "all_rules",
+    "RULES",
     "from_sarif",
     "render_sarif",
     "to_sarif",

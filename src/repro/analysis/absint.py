@@ -1,8 +1,8 @@
 """Worklist abstract interpreter over ``@cuda.jit`` kernel bodies.
 
-Where :mod:`repro.sanitize.astlint` pattern-matches, this pass
-*computes*: every kernel body is run to a fixpoint over its per-scope
-CFG (:func:`repro.analysis.cfg.build_cfg`) with the domains of
+This pass *computes* rather than pattern-matches: every kernel body is
+run to a fixpoint over its per-scope CFG
+(:func:`repro.analysis.cfg.build_cfg`) with the domains of
 :mod:`repro.analysis.domains` — an interval per value, a symbolic
 affine form ``a·tid + b·bid + c`` where one exists, and the set of
 affine branch constraints that hold on the current path.  Widening at
@@ -15,12 +15,12 @@ Three results ride the fixpoint:
   same file (``kern[(n+255)//256, 256](a, x, out)`` binds block/grid
   dims, scalar arguments, and host-side array shapes, so ``x`` and
   ``out`` built from the same ``n`` share an extent); with no visible
-  launch each array gets anonymous extent atoms.  A verdict is
-  ``safe`` only when ``0 ≤ index`` and ``index ≤ extent-1`` are both
-  entailed; ``oob`` needs positive evidence (a grid-varying index with
-  no extent-shaped bound on a reachable path); anything else is
-  ``unknown`` and stays silent — precision over recall, like every
-  pass in the suite.
+  launch each array gets anonymous extent atoms and each scalar
+  parameter its own atom.  A verdict is ``safe`` only when
+  ``0 ≤ index`` and ``index ≤ extent-1`` are both entailed; ``oob``
+  needs positive evidence (a grid-varying index no constraint on a
+  reachable path bounds); anything else is ``unknown`` and stays
+  silent — precision over recall, like every pass in the suite.
 * **precise SAN-BARRIER-DIV** — a ``syncthreads()`` is divergent only
   when it is control-dependent on a predicate whose *affine* taint is
   thread-varying (an early ``return`` under such a predicate extends
@@ -32,9 +32,11 @@ Three results ride the fixpoint:
   reduction / tiled-matmul / divergent-fallback decision and the
   ``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT`` notes.
 
-When the driver runs both ``kernel`` and ``absint``, the interpreter's
-verdicts *own* SAN-OOB and SAN-BARRIER-DIV for the kernels it analyzed
-— the syntactic heuristics stay as the fallback when absint is off.
+The interpreter is the only engine behind SAN-OOB and SAN-BARRIER-DIV:
+the ``kernel`` family (:func:`repro.sanitize.astlint.lint_context`)
+reports those two rules from :func:`absint_context`, whose result is
+cached on the file's context, and the opt-in ``absint`` family reports
+the same findings plus the ``VEC-*`` notes.
 
 Device helper calls resolve through
 :func:`repro.analysis.summaries.device_affine_summary` (a pure affine
@@ -67,9 +69,9 @@ from repro.analysis.kernelclass import (
     class_finding,
     classify,
 )
+from repro.analysis.rules import make_finding
 from repro.sanitize.astlint import _is_kernel_def, _KernelLinter
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 _THREAD_VARYING = (T_THREAD, T_GLOBAL)
 
@@ -650,10 +652,10 @@ class _KernelInterp:
         if val is not None:
             return val
         if name in self.params:
-            aff = self.env.scalars.get(name)
-            if aff is not None:
-                return self._mk(aff, Interval.top(), T_NONE)
-            return AbsVal(None, Interval.top(), T_NONE)
+            # a parameter no launch binds is still one uniform value:
+            # its own atom lets a guard on it bound the index
+            aff = self.env.scalars.get(name) or Affine.atom(f"param:{name}")
+            return self._mk(aff, Interval.top(), T_NONE)
         return AbsVal(None, Interval.top(), T_NONE)
 
     def _is_cuda_attr(self, node, *path) -> bool:
@@ -952,18 +954,36 @@ class _KernelInterp:
             else None
         overruns = val.interval.hi == INF or (
             ext_hi is not None and val.interval.hi > ext_hi)
+        anonymous = next((a for a in ext.atoms() if a.startswith("ext:")),
+                         None) if ext is not None else None
         if not safe_high and overruns \
-                and not self._bounded(aff, grid_part, state):
+                and not self._bounded(aff, grid_part, state, anonymous):
             return "oob", "has no extent-shaped upper bound"
         return "unknown", ""
 
-    def _bounded(self, form: Affine, grid_atoms, state: _State) -> bool:
+    def _bounded(self, form: Affine, grid_atoms, state: _State,
+                 anonymous: str | None = None) -> bool:
         """Is the grid-varying part of ``form`` bounded by *some*
         constraint (even one we cannot relate to this extent)?  Then
-        the access is merely unknown, not positively out of bounds."""
+        the access is merely unknown, not positively out of bounds.
+
+        A constraint bounds ``form`` when its grid coefficients equal
+        the form's.  Against an ``anonymous`` extent atom (no launch
+        sizes the array) a constraint that does not mention that atom
+        also bounds a positive integer multiple of its grid part: under
+        ``if i < out.size``, ``x[i * 4]`` is in bounds whenever ``x``
+        is four times the size of ``out``, and nothing says it is not.
+        """
+        grid = [(a, c) for a, c in form.coeffs if a in grid_atoms]
         for f in state.cons:
-            diff = form - f
-            if not any(a in grid_atoms for a in diff.atoms()):
+            coeffs = dict(f.coeffs)
+            # the integer k with c == k * coeffs[a] per grid atom (0: none)
+            ratios = {c // coeffs[a] if coeffs.get(a)
+                      and c % coeffs[a] == 0 else 0 for a, c in grid}
+            if ratios <= {1}:
+                return True
+            if anonymous is not None and anonymous not in coeffs \
+                    and len(ratios) == 1 and min(ratios) > 0:
                 return True
         return False
 
@@ -1096,19 +1116,13 @@ class AbsintResult:
 
     report: Report = field(default_factory=Report)
     classes: list = field(default_factory=list)
-    #: kernel names whose SAN-OOB / SAN-BARRIER-DIV findings absint
-    #: owns (the syntactic heuristic is suppressed for these)
-    analyzed: frozenset = frozenset()
-
-
-#: heuristic rules absint supersedes for the kernels it analyzed
-OWNED_RULES = ("SAN-BARRIER-DIV", "SAN-OOB")
 
 
 def absint_context(ctx) -> AbsintResult:
     """Run the abstract interpreter over every kernel in one shared
     :class:`~repro.analysis.context.AnalysisContext` (cached there —
-    the driver and the classifier share one run)."""
+    the ``kernel`` family, the ``absint`` family and the classifier
+    share one run)."""
     cached = getattr(ctx, "_absint_result", None)
     if cached is not None:
         return cached
@@ -1117,16 +1131,12 @@ def absint_context(ctx) -> AbsintResult:
         kernels, helpers = _kernel_defs(ctx)
         if kernels:
             launches = _scan_launches(ctx, kernels)
-            analyzed = set()
             for name in sorted(kernels):
-                fn = kernels[name]
-                kc = _analyze_kernel(ctx, fn, helpers,
+                kc = _analyze_kernel(ctx, kernels[name], helpers,
                                      launches.get(name, ()),
                                      result.report)
                 if kc is not None:
                     result.classes.append(kc)
-                    analyzed.add(name)
-            result.analyzed = frozenset(analyzed)
     ctx._absint_result = result
     return result
 
@@ -1166,8 +1176,9 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
             KeyError):  # pragma: no cover - defensive fallback
         return None
 
-    facts = KernelFacts(kernel=fn.name, file=ctx.filename,
-                        line=fn.lineno + ctx.line_offset,
+    # the context already shifted the tree by its line offset, so
+    # every lineno below is a line of the real file
+    facts = KernelFacts(kernel=fn.name, file=ctx.filename, line=fn.lineno,
                         launches=len(launch_envs))
     # barriers, with the fixpoint-precise divergence verdicts
     emitted = set()
@@ -1175,15 +1186,15 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
         facts.barriers += 1
         if divergent:
             facts.divergent_barriers += 1
-            line = stmt.lineno + ctx.line_offset
+            line = stmt.lineno
             if line not in emitted:
                 emitted.add(line)
                 report.add(make_finding(
                     "SAN-BARRIER-DIV",
                     "syncthreads() is control-dependent on a thread-"
-                    f"varying predicate (line {dline + ctx.line_offset})"
-                    ": threads that skip the branch never reach the "
-                    "barrier and the block deadlocks",
+                    f"varying predicate (line {dline}): threads that "
+                    "skip the branch never reach the barrier and the "
+                    "block deadlocks",
                     file=ctx.filename, line=line, context=fn.name))
     # the OOB proof, merged over every launch environment
     oob_lines = set()
@@ -1198,8 +1209,7 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
                 f"grid-derived index into `{base}` {why} on a "
                 "reachable path; the launch grid rounds up, so the "
                 "access runs past the extent",
-                file=ctx.filename, line=line + ctx.line_offset,
-                context=fn.name))
+                file=ctx.filename, line=line, context=fn.name))
     verdicts = set(interp.verdicts.values())
     if "oob" in verdicts:
         facts.oob = "oob"
@@ -1324,7 +1334,6 @@ def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
 __all__ = [
     "AbsintResult",
     "LaunchEnv",
-    "OWNED_RULES",
     "absint_context",
     "absint_source",
     "classify_kernel",

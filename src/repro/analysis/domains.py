@@ -8,8 +8,9 @@ Two cooperating domains, joined pointwise in :class:`AbsVal`:
   to infinity so loop fixpoints terminate.
 * :class:`Affine` — symbolic affine forms ``Σ cᵢ·atomᵢ + c`` over a
   small atom vocabulary (``tid.x``/``bid.x``/``gidx.x`` thread and
-  block indices, ``host:n`` launch-site sizes, ``ext:p:k`` array
-  extents, ``it:<line>`` loop iterators).  Affine equality is what lets
+  block indices, ``host:n`` launch-site sizes, ``param:n`` scalar
+  parameters no launch binds, ``ext:p:k`` array extents, ``it:<line>``
+  loop iterators).  Affine equality is what lets
   a bounds guard ``if i < out.size:`` *prove* the access ``x[i]`` safe
   when ``x`` and ``out`` share an extent: the guard constraint and the
   access requirement differ by a constant.

@@ -7,19 +7,21 @@ and hands the *same* context to every requested pass; each pass reads
 the module's nodes from the context's one walk (``ctx.nodes``) rather
 than walking the tree again:
 
-* ``kernel`` — :func:`repro.sanitize.astlint.lint_context`
+* ``kernel`` — :func:`repro.sanitize.astlint.lint_context` (its
+  SAN-OOB / SAN-BARRIER-DIV verdicts are the abstract interpreter's
+  proofs)
 * ``perf`` / ``cost`` / ``iam`` — :func:`repro.perflint.analyze_context`
 * ``mem`` — :func:`repro.memcheck.analyze_context`
 * ``det`` — :func:`repro.analysis.detpass.det_pass`
 * ``absint`` — :func:`repro.analysis.absint.absint_context` (opt-in:
-  named explicitly, never implied by ``all``; when run next to
-  ``kernel`` its proof-grade SAN-OOB / SAN-BARRIER-DIV verdicts replace
-  the heuristic's for the kernels it analyzed)
+  named explicitly, never implied by ``all``; its full report — the
+  same SAN-OOB / SAN-BARRIER-DIV proofs plus the VEC-* notes)
 
 Driver-level post-processing applies to every family uniformly:
-``# repro: disable=RULE`` suppressions, duplicate-finding removal, and
-a deterministic total order — so the JSON report is byte-stable across
-``--analyzers`` orderings and overlapping path arguments.
+``# repro: disable=RULE`` suppressions, duplicate-finding removal (so
+``kernel,absint`` reports each proof once), and a deterministic total
+order — so the JSON report is byte-stable across ``--analyzers``
+orderings and overlapping path arguments.
 
 Family imports are lazy so importing :mod:`repro.analysis` never drags
 in the whole analyzer suite (and cannot cycle with the family modules,
@@ -33,6 +35,7 @@ from pathlib import Path
 
 from repro.analysis.context import AnalysisContext
 from repro.analysis.pipeline import fingerprint_report
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Finding, Report
 
 #: every family the unified driver can dispatch, in canonical order
@@ -53,7 +56,6 @@ def analyze_context(ctx: AnalysisContext,
     """Run the requested families over one shared context."""
     report = Report()
     if ctx.tree is None:
-        from repro.sanitize.rules import make_finding
         exc = ctx.syntax_error
         report.add(make_finding(
             "SAN-SYNTAX", f"syntax error: {exc.msg}", file=ctx.filename,
@@ -75,23 +77,11 @@ def analyze_context(ctx: AnalysisContext,
         from repro.analysis.detpass import det_pass
         report.extend(det_pass(ctx).findings)
     if "absint" in analyzers:
-        from repro.analysis.absint import OWNED_RULES, absint_context
-        result = absint_context(ctx)
-        if "kernel" in analyzers and result.analyzed:
-            # the interpreter's verdicts own SAN-OOB/SAN-BARRIER-DIV
-            # for the kernels it analyzed; the syntactic heuristic
-            # stays authoritative only where absint is off
-            owned = Report()
-            owned.extend(f for f in report.findings
-                         if not (f.rule in OWNED_RULES
-                                 and f.context in result.analyzed))
-            report = owned
-        report.extend(result.report.findings)
+        from repro.analysis.absint import absint_context
+        report.extend(absint_context(ctx).report.findings)
     kept = Report()
-    for finding in report.findings:
-        if ctx.is_suppressed(finding.rule, finding.line):
-            continue
-        kept.add(finding)
+    kept.extend(f for f in dict.fromkeys(report.findings)
+                if not ctx.is_suppressed(f.rule, f.line))
     return kept
 
 

@@ -35,6 +35,7 @@ import ast
 from dataclasses import replace
 
 from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo
+from repro.analysis.rules import make_finding
 from repro.analysis.summaries import (
     FunctionSummary,
     PlanTemplate,
@@ -97,7 +98,7 @@ class _InterPass:
 
     # -- plumbing -------------------------------------------------------
 
-    def _emit(self, family: str, rule: str, message: str, *,
+    def _emit(self, rule: str, message: str, *,
               fn: FunctionInfo, line: int, context: str,
               chain: tuple, dedup_key: tuple) -> None:
         if dedup_key in self._seen:
@@ -105,8 +106,8 @@ class _InterPass:
         if fn.ctx.is_suppressed(rule, line):
             return
         self._seen.add(dedup_key)
-        finding = _MAKERS[family](rule, message, file=fn.file, line=line,
-                                  context=context)
+        finding = make_finding(rule, message, file=fn.file, line=line,
+                               context=context)
         self.report.add(replace(finding, chain=chain))
 
     # -- PERF: invariant transfer/alloc behind a helper in a loop -------
@@ -122,7 +123,7 @@ class _InterPass:
             rule, what = _PERF_WHAT[effect.kind]
             root = effect.root
             self._emit(
-                "perf", rule,
+                rule,
                 f"`{site.name}(...)` {what} on every iteration: "
                 f"`{callee.qualname}` reaches `{effect.label}(...)` "
                 f"({root[0]}:{root[1]}) and nothing in the call's "
@@ -259,7 +260,7 @@ class _InterPass:
             if self._mem_suppressed(fn, line):
                 continue
             self._emit(
-                "mem", "MEM-LEAK", message, fn=fn, line=line,
+                "MEM-LEAK", message, fn=fn, line=line,
                 context=name,
                 chain=_finding_chain(callee, effect.chain),
                 dedup_key=("MEM-LEAK", fn.file, line, effect.key))
@@ -320,7 +321,7 @@ class _InterPass:
                 continue
             root = effect.root
             self._emit(
-                "det", "DET-UNSEEDED-RNG",
+                "DET-UNSEEDED-RNG",
                 f"`{site.name}(...)` passes the process-global "
                 f"`{family}` namespace to `{callee.qualname}`, which "
                 f"draws via `{effect.param}.{effect.label}()` "
@@ -356,7 +357,7 @@ class _InterPass:
                 if len(effect.chain) == 1:
                     root = effect.root
                     self._emit(
-                        "kernel", "SAN-HOST-CALL-IN-KERNEL",
+                        "SAN-HOST-CALL-IN-KERNEL",
                         f"`{effect.label}(...)` is host-only API inside "
                         f"the `@cuda.jit` kernel `{fn.qualname}`",
                         fn=fn, line=root[1], context=effect.label,
@@ -373,31 +374,13 @@ class _InterPass:
             for effect in summary.by_kind("host"):
                 root = effect.root
                 self._emit(
-                    "kernel", "SAN-HOST-CALL-IN-KERNEL",
+                    "SAN-HOST-CALL-IN-KERNEL",
                     f"`{site.name}(...)` reaches host-only API "
                     f"`{effect.label}(...)` ({root[0]}:{root[1]}) from "
                     f"the `@cuda.jit` kernel `{fn.qualname}`",
                     fn=fn, line=site.line, context=effect.label,
                     chain=_finding_chain(callee, effect.chain),
                     dedup_key=("SAN-HOST", fid, site.line, effect.key))
-
-
-def _maker(module_path: str):
-    def make(*args, **kwargs):
-        import importlib
-
-        mod = importlib.import_module(module_path)
-        return mod.make_finding(*args, **kwargs)
-    return make
-
-
-_MAKERS = {
-    "kernel": _maker("repro.sanitize.rules"),
-    "perf": _maker("repro.perflint.rules"),
-    "cost": _maker("repro.perflint.rules"),
-    "mem": _maker("repro.memcheck.rules"),
-    "det": _maker("repro.analysis.rules"),
-}
 
 
 def interprocedural_pass(graph: CallGraph,

@@ -29,36 +29,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from repro.sanitize.findings import Finding, Severity
-from repro.sanitize.rules import Rule
+from repro.analysis.rules import make_finding
+from repro.sanitize.findings import Finding
 
 #: concrete (vectorizable) classes, in documentation order
 VECTORIZABLE = ("elementwise", "stencil", "reduction", "tiled-matmul")
 
 FALLBACK = "divergent-fallback"
-
-RULES: dict[str, Rule] = {
-    r.id: r
-    for r in [
-        Rule("VEC-VECTORIZABLE", "kernel matches a vectorizable "
-             "archetype", Severity.NOTE,
-             "the access footprint is regular; a JIT dispatcher may "
-             "lower this kernel to the equivalent vectorized host "
-             "expression instead of the per-thread interpreter"),
-        Rule("VEC-DIVERGENT", "kernel falls back to the scalar "
-             "per-thread path", Severity.NOTE,
-             "a data-dependent barrier or an irregular (non-affine) "
-             "subscript blocks vectorization; restructure the kernel "
-             "around an affine index if lowering matters"),
-    ]
-}
-
-
-def make_finding(rule_id: str, message: str, *, file: str = "",
-                 line: int = 0, context: str = "") -> Finding:
-    rule = RULES[rule_id]
-    return Finding(rule=rule_id, severity=rule.severity, message=message,
-                   file=file, line=line, context=context, hint=rule.hint)
 
 
 @dataclass(frozen=True)
@@ -228,7 +205,6 @@ def class_finding(kc: KernelClass) -> Finding:
 
 
 __all__ = [
-    "RULES",
     "VECTORIZABLE",
     "FALLBACK",
     "Access",
@@ -236,6 +212,5 @@ __all__ = [
     "KernelFacts",
     "classify",
     "class_finding",
-    "make_finding",
     "render_classes_json",
 ]

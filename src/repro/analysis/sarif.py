@@ -20,6 +20,7 @@ from __future__ import annotations
 import json
 
 from repro.analysis.pipeline import normalize_path
+from repro.analysis.rules import RULES
 from repro.sanitize.findings import Finding, Report, Severity
 
 SARIF_VERSION = "2.1.0"
@@ -34,12 +35,9 @@ _LEVELS = {
 
 
 def _rule_entries() -> list[dict]:
-    from repro.analysis.rules import all_rules
-
-    catalog = all_rules()
     entries = []
-    for rule_id in sorted(catalog):
-        rule = catalog[rule_id]
+    for rule_id in sorted(RULES):
+        rule = RULES[rule_id]
         entries.append({
             "id": rule.id,
             "shortDescription": {"text": rule.title},
@@ -120,17 +118,14 @@ def from_sarif(log: dict) -> Report:
     """Rebuild a :class:`Report` from a SARIF log (round-trip support:
     severities and locations survive; hints are looked up from the rule
     catalog when the rule is still registered)."""
-    from repro.analysis.rules import all_rules
-
     levels = {v: k for k, v in _LEVELS.items()}
-    catalog = all_rules()
     report = Report()
     for run in log.get("runs", ()):
         for result in run.get("results", ()):
             loc = (result.get("locations") or [{}])[0] \
                 .get("physicalLocation", {})
             rule_id = result.get("ruleId", "")
-            rule = catalog.get(rule_id)
+            rule = RULES.get(rule_id)
             chain = tuple(
                 (rel.get("physicalLocation", {})
                     .get("artifactLocation", {}).get("uri", ""),

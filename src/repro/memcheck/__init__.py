@@ -28,6 +28,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis.rules import make_finding
 from repro.memcheck.estimate import (
     Preflight,
     ddp_training_footprint,
@@ -39,7 +40,6 @@ from repro.memcheck.estimate import (
     usable_gpu_bytes,
 )
 from repro.memcheck.mempass import BufferInfo, MemInterp, mem_pass
-from repro.memcheck.rules import RULES, make_finding
 from repro.sanitize.findings import Report
 
 #: every analyzer family this package implements
@@ -51,8 +51,7 @@ def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
     :class:`repro.analysis.context.AnalysisContext` (no re-parse)."""
     report = Report()
     if ctx.tree is None:
-        from repro.sanitize.rules import make_finding as _san_finding
-        report.add(_san_finding(
+        report.add(make_finding(
             "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
             file=ctx.filename, line=ctx.syntax_error.lineno or 0))
         return report
@@ -92,12 +91,10 @@ def analyze_paths(paths, analyzers=ANALYZERS) -> Report:
 
 __all__ = [
     "ANALYZERS",
-    "RULES",
     "Report",
     "BufferInfo",
     "MemInterp",
     "Preflight",
-    "make_finding",
     "analyze_context",
     "analyze_source",
     "analyze_file",

@@ -195,7 +195,7 @@ def llm_token_budget_preflight(weights_bytes: int, kv_bytes_per_token: int,
     verdict = preflight(peak, instance_type)
     findings = []
     if not verdict.fits:
-        from repro.memcheck.rules import make_finding
+        from repro.analysis.rules import make_finding
         findings.append(make_finding(
             "MEM-PEAK-OOM",
             f"planned KV token budget of {token_budget} tokens needs "

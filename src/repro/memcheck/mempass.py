@@ -39,6 +39,7 @@ import numpy as np
 
 from repro.analysis.cfg import LOOP_PASSES
 from repro.analysis.context import module_nodes
+from repro.analysis.rules import make_finding
 from repro.cloud.pricing import get_instance_type
 from repro.errors import CloudError
 from repro.gpu.specs import get_spec
@@ -48,7 +49,6 @@ from repro.memcheck.estimate import (
     right_size,
     usable_gpu_bytes,
 )
-from repro.memcheck.rules import PINNED_OVERSUB_FRACTION, make_finding
 from repro.gpu.memory import DEFAULT_HOST_RAM_BYTES, DEFAULT_RESERVE_FRACTION, format_bytes
 from repro.perflint.costpass import extract_plans
 from repro.perflint.shapes import (
@@ -65,6 +65,9 @@ _BUFFER_PRODUCERS = {"alloc"}
 
 #: call names that wire down pinned host staging
 _PINNED_PRODUCERS = {"pinned_empty", "pinned_array", "page_locked_empty"}
+
+#: flag when cumulative pinned staging crosses this fraction of host RAM
+PINNED_OVERSUB_FRACTION = 0.5
 
 _NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9,\-\s]+))?",
                       re.IGNORECASE)

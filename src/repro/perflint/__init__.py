@@ -27,6 +27,7 @@ from __future__ import annotations
 
 from pathlib import Path
 
+from repro.analysis.rules import make_finding
 from repro.perflint.costpass import (
     LAB_COST_ENVELOPE_USD,
     PlanSite,
@@ -40,7 +41,6 @@ from repro.perflint.iampass import (
     iam_pass,
 )
 from repro.perflint.perfpass import perf_pass
-from repro.perflint.rules import RULES, make_finding
 from repro.perflint.shapes import (
     AbstractArray,
     AbstractModule,
@@ -60,8 +60,7 @@ def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
     report = Report()
     filename = ctx.filename
     if ctx.tree is None:
-        from repro.sanitize.rules import make_finding as _san_finding
-        report.add(_san_finding(
+        report.add(make_finding(
             "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
             file=filename, line=ctx.syntax_error.lineno or 0))
         return report
@@ -104,13 +103,11 @@ def analyze_paths(paths, analyzers=ANALYZERS) -> Report:
 
 __all__ = [
     "ANALYZERS",
-    "RULES",
     "Report",
     "AbstractArray",
     "AbstractModule",
     "PlanSite",
     "LAB_COST_ENVELOPE_USD",
-    "make_finding",
     "analyze_context",
     "analyze_source",
     "analyze_file",

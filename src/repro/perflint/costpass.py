@@ -31,12 +31,12 @@ import ast
 from dataclasses import dataclass
 
 from repro.analysis.context import module_nodes
+from repro.analysis.rules import make_finding
 from repro.cloud.billing import DEFAULT_BUDGET_CAP_USD
 from repro.cloud.bootstrap import BootstrapScript
 from repro.cloud.pricing import get_instance_type, plan_cost
 from repro.datasets.aws_usage import AWS_USAGE_TARGETS, COST_BAND_USD
 from repro.errors import CloudError
-from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
 
 # Fig 5 envelope: $60/student/semester over the smaller lab count (12)

@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.rules import make_finding
 from repro.cloud.iam import (
     Role,
     Statement,
@@ -36,7 +37,6 @@ from repro.cloud.iam import (
     student_role,
 )
 from repro.perflint.costpass import extract_plans
-from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
 
 _READONLY_VERBS = ("Describe", "Get", "List", "Head")

@@ -28,8 +28,8 @@ from __future__ import annotations
 import ast
 
 from repro.analysis.context import module_nodes
+from repro.analysis.rules import make_finding
 from repro.distributed.collectives import PERFLINT_FUSED, PERFLINT_PER_TENSOR
-from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
 
 # host<->device transfer entry points; bare names or any attribute access

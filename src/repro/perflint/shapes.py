@@ -30,8 +30,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from repro.analysis.context import module_nodes
+from repro.analysis.rules import make_finding
 from repro.nn.layers import PERFLINT_SHAPE_PRESERVING
-from repro.perflint.rules import make_finding
 from repro.sanitize.findings import Report
 
 _UNKNOWN = object()

@@ -10,7 +10,9 @@ Four cooperating passes, all reporting the same :class:`Finding` type:
 
 * :mod:`repro.sanitize.astlint` — static AST linter for ``@cuda.jit``
   kernels (``SAN-OOB``, ``SAN-SHARED-RACE``, ``SAN-BARRIER-DIV``,
-  ``SAN-UNCOALESCED``, ``SAN-BANK-CONFLICT``, ``SAN-STREAM-HAZARD``).
+  ``SAN-UNCOALESCED``, ``SAN-BANK-CONFLICT``, ``SAN-STREAM-HAZARD``);
+  ``SAN-OOB`` and ``SAN-BARRIER-DIV`` are the abstract interpreter's
+  proofs (:mod:`repro.analysis.absint`).
 * :mod:`repro.sanitize.dynamic` — shadow-memory race detector running on
   the simulator's own executor (``SAN-DYN-WW``, ``SAN-DYN-RW``).
 * :mod:`repro.sanitize.streamcheck` — exact cross-stream hazard check on
@@ -21,11 +23,14 @@ Four cooperating passes, all reporting the same :class:`Finding` type:
 CLI: ``python -m repro.sanitize <paths> [--format json]``.  The same
 entry point dispatches the :mod:`repro.perflint` workflow analyzers
 (host-side perf anti-patterns, pre-flight plan cost, IAM least
-privilege) via ``--analyzers kernel,perf,cost,iam``.  Rule-by-rule
-documentation with minimal offending kernels lives in
-``docs/sanitizer.md``; the workflow rules live in ``docs/perflint.md``.
+privilege) via ``--analyzers kernel,perf,cost,iam``.  Every rule id
+lives in one registry, :mod:`repro.analysis.rules`; ``RULES``, ``Rule``
+and ``make_finding`` are re-exported here.  Rule-by-rule documentation
+with minimal offending kernels lives in ``docs/sanitizer.md``; the
+workflow rules live in ``docs/perflint.md``.
 """
 
+from repro.analysis.rules import RULES, Rule, make_finding
 from repro.sanitize.astlint import (
     lint_file,
     lint_kernel,
@@ -40,7 +45,6 @@ from repro.sanitize.collcheck import (
 )
 from repro.sanitize.dynamic import RaceDetector, check_launch
 from repro.sanitize.findings import Finding, Report, Severity
-from repro.sanitize.rules import RULES, Rule, make_finding
 from repro.sanitize.streamcheck import find_stream_hazards
 
 __all__ = [

@@ -3,14 +3,14 @@
 The pass reproduces, on the simulator, the checks students get from
 ``compute-sanitizer`` and code review on real hardware:
 
-* ``SAN-OOB`` — a *grid-derived* index reaches a global (parameter) array
-  with no dominating bounds guard.  Launch grids are rounded up, so the
-  last block always has threads past the end.
+* ``SAN-OOB`` — a grid-derived index can run past a global (parameter)
+  array's extent.  Launch grids are rounded up, so the last block
+  always has threads past the end.
 * ``SAN-SHARED-RACE`` — a shared-memory cell is read at a different index
   than it was written, with no ``syncthreads()`` between the phases.
-* ``SAN-BARRIER-DIV`` — ``syncthreads()`` inside a branch whose condition
-  depends on the thread index: threads that skip the branch never reach
-  the barrier and the block deadlocks.
+* ``SAN-BARRIER-DIV`` — ``syncthreads()`` under a branch whose predicate
+  varies within a block: threads that skip the branch never reach the
+  barrier and the block deadlocks.
 * ``SAN-UNCOALESCED`` — the innermost index of a global access multiplies
   a thread-varying value by a constant stride, so a warp touches
   scattered cache lines instead of one.
@@ -20,18 +20,15 @@ The pass reproduces, on the simulator, the checks students get from
   launches on two different streams with no event dependency or
   synchronization between them.
 
-Everything is heuristic in the way a linter is: taint is propagated
-through straight-line assignments, a name compared inside an ``if`` test
-counts as bounds-checked in the branch body (and, after an early-exit
-``if i >= n: return``, in the straight-line code that survives it), and
-loops are unrolled once for the phase analysis.  That is enough to be
-exact on the kernel shapes the course teaches (elementwise, stencil,
-tiled reduction/matmul).
-
-When the abstract interpreter (:mod:`repro.analysis.absint`) runs next
-to this pass, its proof-grade verdicts *own* SAN-OOB and
-SAN-BARRIER-DIV for the kernels it analyzed — the heuristics here are
-the fallback for everything else (see ``docs/sanitizer.md``).
+SAN-OOB and SAN-BARRIER-DIV are proofs, not patterns: they come from
+the abstract interpreter (:mod:`repro.analysis.absint`), which runs
+each kernel to a fixpoint over intervals, affine index forms and the
+branch constraints on each path (see ``docs/sanitizer.md``).  The
+other kernel rules are heuristic in the way a linter is: taint is
+propagated through straight-line assignments and loops are unrolled
+once for the phase analysis.  That is enough to be exact on the kernel
+shapes the course teaches (elementwise, stencil, tiled
+reduction/matmul).
 """
 
 from __future__ import annotations
@@ -43,8 +40,8 @@ from pathlib import Path
 
 from repro.analysis.cfg import unrolled_schedule
 from repro.analysis.context import AnalysisContext, module_nodes
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 # -- taint lattice ----------------------------------------------------------
 
@@ -166,169 +163,81 @@ class _KernelLinter:
     # -- main walk ------------------------------------------------------
 
     def run(self) -> Report:
-        self._visit_body(self.fn.body, guards=set(), divergence=0)
+        self._visit_body(self.fn.body)
         self._phase_analysis()
         return self.report
 
-    def _guard_names(self, test: ast.AST) -> set[str]:
-        """Names a conditional test bounds-checks (any compared name that
-        carries taint counts — `if i < out.size`, `if 1 <= i < n - 1`)."""
-        names: set[str] = set()
-        for n in ast.walk(test):
-            if isinstance(n, ast.Compare):
-                for sub in ast.walk(n):
-                    if isinstance(sub, ast.Name) \
-                            and self.env.taint.get(sub.id, T_NONE):
-                        names.add(sub.id)
-        return names
-
-    def _visit_body(self, stmts, guards: set[str], divergence: int) -> None:
-        guards = set(guards)
+    def _visit_body(self, stmts) -> None:
         for stmt in stmts:
-            self._visit_stmt(stmt, guards, divergence)
-            # early-exit bound check: after `if i >= n: return`, the
-            # surviving straight-line code is guarded on `i` exactly as
-            # if it were nested under `if i < n:` — without this, the
-            # guard idiom Lab 5 teaches second is a false SAN-OOB
-            if isinstance(stmt, ast.If) and not stmt.orelse \
-                    and stmt.body and isinstance(
-                        stmt.body[-1],
-                        (ast.Return, ast.Break, ast.Continue, ast.Raise)):
-                guards |= self._guard_names(stmt.test)
+            self._visit_stmt(stmt)
 
-    def _visit_stmt(self, stmt: ast.stmt, guards: set[str],
-                    divergence: int) -> None:
+    def _visit_stmt(self, stmt: ast.stmt) -> None:
         if isinstance(stmt, ast.Assign):
-            self._check_expr(stmt.value, guards)
+            self._check_expr(stmt.value)
             for t in stmt.targets:
-                self._check_expr(t, guards)
+                self._check_expr(t)
             for t in stmt.targets:
                 self._record_assign(t, stmt.value)
         elif isinstance(stmt, ast.AugAssign):
-            self._check_expr(stmt.value, guards)
-            self._check_expr(stmt.target, guards)
+            self._check_expr(stmt.value)
+            self._check_expr(stmt.target)
             if isinstance(stmt.target, ast.Name):
                 self.env.taint[stmt.target.id] = max(
                     self.env.taint.get(stmt.target.id, T_NONE),
                     self._expr_taint(stmt.value))
         elif isinstance(stmt, ast.AnnAssign):
             if stmt.value is not None:
-                self._check_expr(stmt.value, guards)
+                self._check_expr(stmt.value)
                 self._record_assign(stmt.target, stmt.value)
-        elif isinstance(stmt, ast.If):
-            self._check_expr(stmt.test, guards)
-            branch_div = divergence + (
-                1 if self._expr_taint(stmt.test) in _THREAD_VARYING else 0)
-            self._visit_body(stmt.body,
-                             guards | self._guard_names(stmt.test),
-                             branch_div)
-            self._visit_body(stmt.orelse, guards, branch_div)
-        elif isinstance(stmt, ast.While):
-            self._check_expr(stmt.test, guards)
-            branch_div = divergence + (
-                1 if self._expr_taint(stmt.test) in _THREAD_VARYING else 0)
-            self._visit_body(stmt.body, guards, branch_div)
-            self._visit_body(stmt.orelse, guards, branch_div)
+        elif isinstance(stmt, (ast.If, ast.While)):
+            self._check_expr(stmt.test)
+            self._visit_body(stmt.body)
+            self._visit_body(stmt.orelse)
         elif isinstance(stmt, ast.For):
-            self._check_expr(stmt.iter, guards)
-            loop_guards, loop_div = self._for_header(stmt, guards, divergence)
-            self._visit_body(stmt.body, loop_guards, loop_div)
-            self._visit_body(stmt.orelse, guards, divergence)
+            self._check_expr(stmt.iter)
+            self._loop_taint(stmt)
+            self._visit_body(stmt.body)
+            self._visit_body(stmt.orelse)
         elif isinstance(stmt, ast.Expr):
-            if self._is_sync_call(stmt.value):
-                if divergence > 0:
-                    self._emit(
-                        "SAN-BARRIER-DIV",
-                        "syncthreads() inside a thread-divergent branch "
-                        "deadlocks the block (threads that skip the branch "
-                        "never reach the barrier)",
-                        stmt.lineno, ("div", stmt.lineno))
-            else:
-                self._check_expr(stmt.value, guards)
+            self._check_expr(stmt.value)
         elif isinstance(stmt, ast.Return):
             if stmt.value is not None:
-                self._check_expr(stmt.value, guards)
+                self._check_expr(stmt.value)
         # other statement kinds carry no kernel semantics we model
 
-    def _for_header(self, stmt: ast.For, guards: set[str],
-                    divergence: int):
-        """Loop-variable taint and guarding for ``for v in range(...)``."""
-        loop_guards = set(guards)
-        loop_div = divergence
+    def _loop_taint(self, stmt: ast.For) -> None:
+        """Loop-variable taint: ``for v in range(...)`` takes the worst
+        argument's taint, any other iterable its own."""
+        if not isinstance(stmt.target, ast.Name):
+            return
         it = stmt.iter
         if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
                 and it.func.id == "range" and it.args:
-            stop = it.args[1] if len(it.args) >= 2 else it.args[0]
-            arg_taint = max((self._expr_taint(a) for a in it.args),
-                            default=T_NONE)
-            if isinstance(stmt.target, ast.Name):
-                self.env.taint[stmt.target.id] = arg_taint
-                # a loop bounded by a uniform extent (arr.size, a constant,
-                # a scalar parameter) cannot run past that extent
-                if self._expr_taint(stop) not in _THREAD_VARYING:
-                    loop_guards.add(stmt.target.id)
-            if arg_taint in _THREAD_VARYING:
-                loop_div += 1
-        elif isinstance(stmt.target, ast.Name):
-            self.env.taint[stmt.target.id] = self._expr_taint(it)
-        return loop_guards, loop_div
+            taint = max(self._expr_taint(a) for a in it.args)
+        else:
+            taint = self._expr_taint(it)
+        self.env.taint[stmt.target.id] = taint
 
     # -- expression-level access checks ---------------------------------
 
-    def _check_expr(self, node: ast.AST, guards: set[str]) -> None:
-        if isinstance(node, ast.IfExp):
-            self._check_expr(node.test, guards)
-            self._check_expr(node.body,
-                             guards | self._guard_names(node.test))
-            self._check_expr(node.orelse, guards)
-            return
+    def _check_expr(self, node: ast.AST) -> None:
         if isinstance(node, ast.Subscript):
-            self._check_subscript(node, guards)
-            self._check_expr(node.value, guards)
-            self._check_expr(node.slice, guards)
-            return
+            self._check_subscript(node)
         for child in ast.iter_child_nodes(node):
-            self._check_expr(child, guards)
+            self._check_expr(child)
 
-    def _index_elements(self, node: ast.Subscript) -> list[ast.AST]:
-        sl = node.slice
-        if isinstance(sl, ast.Tuple):
-            return list(sl.elts)
-        return [sl]
-
-    def _check_subscript(self, node: ast.Subscript, guards: set[str]) -> None:
+    def _check_subscript(self, node: ast.Subscript) -> None:
         if not isinstance(node.value, ast.Name):
             return
         base = node.value.id
-        elements = self._index_elements(node)
+        sl = node.slice
+        elements = list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
         if base in self.env.local:
             return
         if base in self.env.shared:
             self._check_bank_conflict(base, node, elements)
-            return
-        if base in self.env.params:
-            self._check_oob(base, node, elements, guards)
+        elif base in self.env.params:
             self._check_coalescing(base, node, elements)
-
-    def _check_oob(self, base: str, node: ast.Subscript,
-                   elements, guards: set[str]) -> None:
-        for elem in elements:
-            if self._expr_taint(elem) != T_GLOBAL:
-                continue
-            direct_grid = any(
-                isinstance(n, ast.Call) and self._is_cuda_attr(n.func, "grid")
-                for n in ast.walk(elem))
-            tainted_names = {
-                n.id for n in ast.walk(elem) if isinstance(n, ast.Name)
-                and self.env.taint.get(n.id, T_NONE) == T_GLOBAL}
-            if direct_grid or not tainted_names <= guards:
-                self._emit(
-                    "SAN-OOB",
-                    f"grid-derived index into `{base}` has no bounds "
-                    "guard; the rounded-up launch grid will index past "
-                    "the end",
-                    node.lineno, ("oob", base, node.lineno))
-                return
 
     def _const_stride(self, elem: ast.AST) -> int | None:
         """Return c for ``tainted * c`` / ``c * tainted`` index shapes."""
@@ -524,10 +433,21 @@ def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
     return False
 
 
+#: the kernel rules the abstract interpreter proves
+_PROVEN_RULES = ("SAN-OOB", "SAN-BARRIER-DIV")
+
+
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     shared :class:`repro.analysis.context.AnalysisContext` — the parse
-    already happened; this pass reads the shared ``ctx.nodes``."""
+    already happened; this pass reads the shared ``ctx.nodes``.
+
+    SAN-OOB and SAN-BARRIER-DIV are the abstract interpreter's verdicts
+    (:func:`repro.analysis.absint.absint_context`, cached on the
+    context, so the ``absint`` family reuses the same run)."""
+    # absint imports this module, so the import waits for the call
+    from repro.analysis.absint import absint_context
+
     report = Report()
     filename = ctx.filename
     if ctx.tree is None:
@@ -536,6 +456,8 @@ def lint_context(ctx) -> Report:
             "SAN-SYNTAX", f"syntax error: {exc.msg}", file=filename,
             line=(exc.lineno or 0) + ctx.line_offset))
         return report
+    report.extend(f for f in absint_context(ctx).report.findings
+                  if f.rule in _PROVEN_RULES)
     tree = ctx.tree
     cuda_names = ctx.cuda_names
     for node in ctx.nodes:
@@ -564,13 +486,13 @@ def lint_file(path: str | Path) -> Report:
 
 
 def lint_paths(paths) -> Report:
-    """Lint files and/or directories (recursing into ``*.py``)."""
+    """Lint files and/or directories (recursing into ``*.py``); a file
+    named by two overlapping paths is linted once."""
+    from repro.analysis.driver import collect_files
+
     report = Report()
-    for p in paths:
-        p = Path(p)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            report.extend(lint_file(f).findings)
+    for f in collect_files(paths):
+        report.extend(lint_file(f).findings)
     return report
 
 

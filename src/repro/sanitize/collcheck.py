@@ -19,8 +19,8 @@ from typing import Sequence
 
 import numpy as np
 
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 Op = tuple[str, int]          # ("send"|"recv", peer rank)
 Schedule = Sequence[Sequence[Op]]

@@ -40,8 +40,8 @@ from contextlib import contextmanager
 
 import numpy as np
 
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 
 def _normalize_index(idx):

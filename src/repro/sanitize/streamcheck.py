@@ -15,8 +15,8 @@ Buffer identity comes from the ``buffers`` annotation that
 
 from __future__ import annotations
 
+from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-from repro.sanitize.rules import make_finding
 
 
 def _devices_of(target) -> list:

@@ -1,13 +1,14 @@
 """The abstract-interpretation kernel verifier: launch-environment
 extraction, proof-grade OOB verdicts, barrier-divergence precision
-(including the affine-cancellation win over the syntactic heuristic),
-archetype classification, helper inlining, and driver ownership of the
-SAN-OOB / SAN-BARRIER-DIV rules."""
+(including the affine-cancellation win over a syntactic taint walk),
+archetype classification, helper inlining, and the ``kernel`` family
+reporting the interpreter's SAN-OOB / SAN-BARRIER-DIV proofs."""
 
 from pathlib import Path
 
+from hypothesis import given, settings, strategies as st
+
 from repro.analysis.absint import (
-    OWNED_RULES,
     absint_context,
     absint_source,
     classify_kernel,
@@ -102,13 +103,46 @@ def bad(x, out):
 """
 
 
+# modeled on fbpic's ``cuda_tpb_bpg_1d``: ``int(x / TPB + 1)`` blocks
+# over-launch a whole block when TPB divides x
+HELPER_LAUNCH = """\
+import numpy as np
+from repro.jit import cuda
+
+
+def cuda_tpb_bpg_1d(x, TPB=256):
+    BPG = int(x / TPB + 1)
+    return BPG, TPB
+
+
+@cuda.jit
+def scale_guarded(x, out):
+    i = cuda.grid(1)
+    if i < out.size:
+        out[i] = 2.0 * x[i]
+
+
+@cuda.jit
+def scale_unguarded(x, out):
+    i = cuda.grid(1)
+    out[i] = 2.0 * x[i]
+
+
+def main():
+    n = 1024
+    x = cuda.to_device(np.ones(n, dtype=np.float32))
+    out = cuda.device_array(n)
+    bpg, tpb = cuda_tpb_bpg_1d(n)
+    scale_guarded[bpg, tpb](x, out)
+    scale_unguarded[bpg, tpb](x, out)
+"""
+
+
 class TestLaunchEnv:
     def test_launch_site_binds_dims_and_extents(self):
         result = absint_source(SAXPY_GUARDED, "saxpy.py")
-        assert "saxpy" in result.analyzed
-        kc = result.classes[0]
-        assert kc.launches == 1
-        assert kc.kernel == "saxpy"
+        assert [k.kernel for k in result.classes] == ["saxpy"]
+        assert result.classes[0].launches == 1
 
     def test_no_launch_still_analyzes_with_anonymous_env(self):
         src = "\n".join(SAXPY_GUARDED.splitlines()[:8]) + "\n"
@@ -174,11 +208,12 @@ class TestBarrierPrecision:
     def test_block_uniform_predicate_is_not_divergent(self):
         # ``i - tx`` cancels to a block-only affine form; the barrier
         # under it is uniform even though the *names* in the predicate
-        # are thread-tainted.  The syntactic heuristic flags this; the
-        # abstract interpreter must not.
-        heur = analyze_source(UNIFORM_BARRIER, "scale.py",
-                              analyzers=("kernel",))
-        assert any(f.rule == "SAN-BARRIER-DIV" for f in heur.findings)
+        # are thread-tainted.  A syntactic taint walk flags this; the
+        # ``kernel`` family reports the interpreter's verdict instead.
+        kernel = analyze_source(UNIFORM_BARRIER, "scale.py",
+                                analyzers=("kernel",))
+        assert not [f for f in kernel.findings
+                    if f.rule == "SAN-BARRIER-DIV"]
         result = absint_source(UNIFORM_BARRIER, "scale.py")
         assert not [f for f in result.report.findings
                     if f.rule == "SAN-BARRIER-DIV"]
@@ -322,19 +357,35 @@ class TestClassification:
 
 class TestDriverOwnership:
     def test_absint_supersedes_heuristic_for_analyzed_kernels(self):
+        # the ``kernel`` family reports the interpreter's verdicts: no
+        # SAN-BARRIER-DIV on the block-uniform barrier, and SAN-OOB
+        # with the proof's message
+        kernel = analyze_source(UNIFORM_BARRIER, "scale.py",
+                                analyzers=("kernel",))
+        assert not [f for f in kernel.findings
+                    if f.rule == "SAN-BARRIER-DIV"]
+        unguarded = analyze_source(SAXPY_UNGUARDED, "saxpy.py",
+                                   analyzers=("kernel",))
+        proof = absint_source(SAXPY_UNGUARDED, "saxpy.py").report
+        assert [f for f in unguarded.findings if f.rule == "SAN-OOB"] \
+            == [f for f in proof.findings if f.rule == "SAN-OOB"]
         both = analyze_source(UNIFORM_BARRIER, "scale.py",
                               analyzers=("kernel", "absint"))
-        assert not [f for f in both.findings
-                    if f.rule == "SAN-BARRIER-DIV"]
         assert [f for f in both.findings if f.rule == "VEC-VECTORIZABLE"]
 
     def test_owned_rules_reemitted_when_real(self):
-        both = analyze_source(DIVERGENT_BARRIER, "bad.py",
-                              analyzers=("kernel", "absint"))
-        assert [f for f in both.findings if f.rule == "SAN-BARRIER-DIV"]
+        # a real divergent barrier is reported once, whether the
+        # ``kernel`` family runs alone or next to ``absint``
+        for analyzers in (("kernel",), ("kernel", "absint"),
+                          ("absint", "kernel")):
+            report = analyze_source(DIVERGENT_BARRIER, "bad.py",
+                                    analyzers=analyzers)
+            div = [f for f in report.findings
+                   if f.rule == "SAN-BARRIER-DIV"]
+            assert len(div) == 1, analyzers
+            assert len(report.findings) == len(set(report.findings))
 
     def test_non_owned_heuristics_untouched(self):
-        assert set(OWNED_RULES) == {"SAN-BARRIER-DIV", "SAN-OOB"}
         src = (
             "import numpy as np\n"
             "from repro.jit import cuda\n\n"
@@ -345,9 +396,133 @@ class TestDriverOwnership:
             "    tile[tx] = v[tx]\n"
             "    out[tx] = tile[tx + 1]\n"
         )
+        kernel = analyze_source(src, "racy.py", analyzers=("kernel",))
         both = analyze_source(src, "racy.py",
                               analyzers=("kernel", "absint"))
-        assert [f for f in both.findings if f.rule == "SAN-SHARED-RACE"]
+        race = [f for f in kernel.findings if f.rule == "SAN-SHARED-RACE"]
+        assert race
+        assert [f for f in both.findings
+                if f.rule == "SAN-SHARED-RACE"] == race
+
+
+class TestHelperComputedLaunch:
+    def test_only_the_unguarded_kernel_is_flagged(self):
+        report = analyze_source(HELPER_LAUNCH, "tpb.py",
+                                analyzers=("kernel",))
+        flagged = {f.context for f in report.findings
+                   if f.rule == "SAN-OOB"}
+        assert flagged == {"scale_unguarded"}
+
+
+#: kernel bodies under ``def k(x, out, lo, n): i = cuda.grid(1)``
+_BODIES = {
+    "lt_n": "    if i < n:\n        out[i] = x[i]\n",
+    "lt_size": "    if i < out.size:\n        out[i] = x[i]\n",
+    "early_exit": "    if i >= n:\n        return\n    out[i] = x[i]\n",
+    "range": "    if lo <= i < n:\n        out[i] = x[i]\n",
+    "unguarded": "    out[i] = x[i]\n",
+    "strided": "    if i < out.size:\n        out[i] = x[i * 4]\n",
+    "strided_own": "    if i < x.size:\n        x[i * 4] = 0.0\n",
+}
+
+_LAUNCHES = ("none", "literal", "opaque", "kernel-valued")
+
+
+def _kernel_file(body: str, launch: str, n: int, grid: int, block: int,
+                 x_size: int) -> str:
+    src = ("import numpy as np\nfrom repro.jit import cuda\n\n\n"
+           "@cuda.jit\ndef k(x, out, lo, n):\n    i = cuda.grid(1)\n"
+           + body)
+    if launch == "literal":
+        src += ("\n\ndef main():\n"
+                f"    x = cuda.to_device(np.ones({x_size}, "
+                "dtype=np.float32))\n"
+                f"    out = cuda.device_array({n})\n"
+                f"    k[{grid}, {block}](x, out, 0, {n})\n")
+    elif launch == "opaque":
+        src += ("\n\ndef main(x, out, n, blocks, threads):\n"
+                "    k[blocks, threads](x, out, 0, n)\n")
+    elif launch == "kernel-valued":
+        src += ("\n\ndef run(kernel, grid, block, *args):\n"
+                "    kernel[grid, block](*args)\n\n\n"
+                "def main(x, out):\n"
+                f"    run(k, {grid}, {block}, x, out, 0, {n})\n")
+    return src
+
+
+class TestKernelFamilyTruth:
+    """The ``kernel`` family against ground truth over generated
+    kernels: guard shape, launch form, ``n`` and block size drawn."""
+
+    @settings(max_examples=150, deadline=None, derandomize=True)
+    @given(shape=st.sampled_from(sorted(_BODIES)),
+           launch=st.sampled_from(_LAUNCHES),
+           n=st.integers(1, 5000),
+           block=st.sampled_from((32, 64, 128, 256, 512)),
+           extra_blocks=st.integers(-2, 2),
+           wide_x=st.booleans())
+    def test_san_oob_exactly_when_the_launch_overruns(
+            self, shape, launch, n, block, extra_blocks, wide_x):
+        grid = max(1, -(-n // block) + extra_blocks)
+        # only the strided kernel reads past ``n``: ``wide_x`` sizes
+        # its input at four times the output
+        x_size = 4 * n if shape == "strided" and wide_x else n
+        src = _kernel_file(_BODIES[shape], launch, n, grid, block,
+                           x_size)
+        threads = grid * block
+        if shape == "unguarded":
+            # with no literal launch the grid is unbounded
+            expected = launch != "literal" or threads > n
+        elif shape == "strided":
+            # x may be any multiple of out unless a launch sizes it
+            last = min(n, threads) - 1
+            expected = launch == "literal" and 4 * last > x_size - 1
+        elif shape == "strided_own":
+            # the guard bounds i by x's own extent, which 4 * i passes
+            last = min(n, threads) - 1
+            expected = launch != "literal" or 4 * last > n - 1
+        else:
+            expected = False
+        report = analyze_source(src, "k.py", analyzers=("kernel",))
+        flagged = any(f.rule == "SAN-OOB" for f in report.findings)
+        assert flagged == expected, src
+        if shape == "strided":
+            kc = absint_source(src, "k.py").classes[0]
+            want = ("unknown" if launch != "literal"
+                    else "oob" if expected else "proven_safe")
+            assert kc.oob == want, src
+
+
+class TestLineOffset:
+    """The context shifts the tree by ``line_offset`` once; the
+    interpreter must not shift its lines again."""
+
+    def test_source_offset_applies_once(self):
+        result = absint_source(SAXPY_UNGUARDED, "saxpy.py",
+                               line_offset=100)
+        oob = [f for f in result.report.findings if f.rule == "SAN-OOB"]
+        assert oob and {f.line for f in oob} == {107}
+        assert result.classes[0].line == 105
+        div = absint_source(DIVERGENT_BARRIER, "bad.py",
+                            line_offset=100).report.findings
+        barrier = [f for f in div if f.rule == "SAN-BARRIER-DIV"]
+        assert [f.line for f in barrier] == [107]
+        assert "(line 106)" in barrier[0].message
+
+    def test_live_kernel_reports_its_def_line(self, tmp_path):
+        mod = tmp_path / "kern.py"
+        mod.write_text(
+            "from repro.jit import cuda\n" + "\n" * 16
+            + "@cuda.jit\n"
+            "def double(x, out):\n"
+            "    i = cuda.grid(1)\n"
+            "    out[i] = 2.0 * x[i]\n"
+        )
+        ns: dict = {}
+        exec(compile(mod.read_text(), str(mod), "exec"), ns)
+        kc = classify_kernel(ns["double"])
+        assert kc.line == 19
+        assert {a.line for a in kc.accesses} == {21}
 
 
 class TestClassifyKernelAPI:

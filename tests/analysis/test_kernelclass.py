@@ -6,7 +6,6 @@ import json
 
 from repro.analysis.kernelclass import (
     FALLBACK,
-    RULES,
     VECTORIZABLE,
     Access,
     KernelClass,
@@ -15,6 +14,7 @@ from repro.analysis.kernelclass import (
     classify,
     render_classes_json,
 )
+from repro.analysis.rules import RULES
 from repro.sanitize.findings import Severity
 
 
@@ -95,8 +95,9 @@ class TestClassifyTree:
 
 class TestFindings:
     def test_rules_are_notes(self):
-        assert set(RULES) == {"VEC-VECTORIZABLE", "VEC-DIVERGENT"}
-        assert all(r.severity is Severity.NOTE for r in RULES.values())
+        vec = {i: r for i, r in RULES.items() if i.startswith("VEC-")}
+        assert set(vec) == {"VEC-VECTORIZABLE", "VEC-DIVERGENT"}
+        assert all(r.severity is Severity.NOTE for r in vec.values())
 
     def test_vectorizable_note_names_class_and_arrays(self):
         kc = classify(_facts(

@@ -6,7 +6,7 @@ import textwrap
 
 import pytest
 
-from repro.sanitize import lint_file, lint_kernel, lint_source
+from repro.sanitize import lint_file, lint_kernel, lint_paths, lint_source
 
 # One dedicated fixture kernel per rule id.  `line` is the 1-based line
 # (within the written fixture file) the finding must anchor to.
@@ -305,6 +305,17 @@ class TestCleanKernels:
                     out[i] = tile[63 - tx]
         '''))
         assert report.ok, report.render_text()
+
+
+class TestLintPaths:
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        kernel = pkg / "k.py"
+        kernel.write_text(FIXTURES["SAN-OOB"]["source"])
+        once = lint_paths([pkg])
+        assert [f.rule for f in once.findings] == ["SAN-OOB", "SAN-OOB"]
+        assert lint_paths([pkg, kernel]).findings == once.findings
 
 
 class TestLintKernelObject:
