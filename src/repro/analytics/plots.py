@@ -9,7 +9,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.errors import ReproError
 
@@ -35,6 +34,8 @@ def qq_plot_data(x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     n = len(x)
     if n < 3:
         raise ReproError("Q-Q plot needs at least 3 observations")
+    from scipy import special
+
     p = (np.arange(1, n + 1) - 0.375) / (n + 0.25)
     theoretical = np.sqrt(2.0) * special.erfinv(2.0 * p - 1.0)
     return theoretical, x

@@ -3,7 +3,9 @@
 Implementations are from scratch; only distribution CDFs come from
 ``scipy.special`` (erf / betainc), keeping the math auditable while the
 p-values stay exact.  Each test is cross-checked against scipy.stats in
-``tests/analytics``.
+``tests/analytics``.  ``scipy.special`` is imported by the functions that
+call it, so importing this module (as every ``repro.datasets`` import
+does) does not load scipy.
 """
 
 from __future__ import annotations
@@ -12,7 +14,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from repro.errors import ReproError
 
@@ -39,12 +40,16 @@ def _norm_cdf(z: float) -> float:
 
 def _norm_ppf(p: np.ndarray | float) -> np.ndarray | float:
     """Standard normal quantile via the inverse error function."""
+    from scipy import special
+
     return math.sqrt(2.0) * special.erfinv(2.0 * np.asarray(p) - 1.0)
 
 
 def _f_sf(f: float, dfn: int, dfd: int) -> float:
     """Survival function of the F distribution via the regularized
     incomplete beta function."""
+    from scipy import special
+
     if f <= 0:
         return 1.0
     x = dfd / (dfd + dfn * f)
@@ -294,6 +299,8 @@ def chi_square_independence(table: np.ndarray) -> TestResult:
     P-value via the regularized upper incomplete gamma function; expected
     counts below 1 raise (the standard validity guard).
     """
+    from scipy import special
+
     table = np.asarray(table, dtype=np.float64)
     if table.ndim != 2 or table.shape[0] < 2 or table.shape[1] < 2:
         raise ReproError("need an r x c table with r, c >= 2")

@@ -91,13 +91,13 @@ def analyze_file(path, analyzers=ANALYZERS) -> Report:
 
 
 def analyze_paths(paths, analyzers=ANALYZERS) -> Report:
-    """Analyze files and/or directories (recursing into ``*.py``)."""
+    """Analyze files and/or directories (recursing into ``*.py``); a file
+    named by two overlapping paths is analyzed once."""
+    from repro.analysis.driver import collect_files
+
     report = Report()
-    for p in paths:
-        p = Path(p)
-        files = sorted(p.rglob("*.py")) if p.is_dir() else [p]
-        for f in files:
-            report.extend(analyze_file(f, analyzers=analyzers).findings)
+    for f in collect_files(paths):
+        report.extend(analyze_file(f, analyzers=analyzers).findings)
     return report
 
 

@@ -5,7 +5,8 @@ GPU-accelerate retriever and generator (Lab 12-13), and deploy a
 real-time batched inference service (Lab 14 / Assignment 4).  Offline and
 GPU-less, we rebuild the full stack:
 
-* :mod:`~repro.rag.text` / :mod:`~repro.rag.embed` — tokenization,
+* :mod:`~repro.rag.text` / :mod:`~repro.rag.embed` — tokenization
+  (a corpus is tokenized once, into :class:`~repro.rag.text.TokenIds`),
   feature-hashing and TF-IDF embedders (deterministic, dependency-free);
 * :mod:`~repro.rag.index` — FAISS-like vector indexes: exact ``FlatIndex``
   and clustered ``IVFFlatIndex`` (k-means coarse quantizer + probed
@@ -20,7 +21,7 @@ GPU-less, we rebuild the full stack:
   latency/throughput harness behind the Week 13-14 benchmark.
 """
 
-from repro.rag.text import tokenize, Vocabulary
+from repro.rag.text import TokenIds, tokenize, Vocabulary
 from repro.rag.embed import HashingEmbedder, TfidfEmbedder
 from repro.rag.index import (
     FlatIndex,
@@ -37,6 +38,7 @@ from repro.rag.rerank import CrossEncoderReranker, RerankResult, answer_support
 
 __all__ = [
     "tokenize",
+    "TokenIds",
     "Vocabulary",
     "HashingEmbedder",
     "TfidfEmbedder",

@@ -17,7 +17,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.nn.device import ComputeDevice, resolve_device
-from repro.rag.text import tokenize
+from repro.rag.text import TokenIds, as_token_ids, tokenize
 
 
 @dataclass(frozen=True)
@@ -43,6 +43,32 @@ class GeneratorConfig:
         return 2.0 * self.n_params
 
 
+def _bigram_counts(enc: TokenIds) -> tuple[list[int], list[int], list[int]]:
+    """Every pair of adjacent tokens inside one text, as ``(first ids,
+    second ids, counts)`` in order of the pair's first occurrence."""
+    n = len(enc.tokens)
+    # the narrowest key type sorts fastest (uint16 keys take a radix sort)
+    key = np.zeros(0, dtype=np.min_scalar_type(max(n * n - 1, 0)))
+    first = count = np.zeros(0, dtype=np.int64)
+    for texts, ids, row in enc.blocks():
+        inside = np.flatnonzero(row[1:] == row[:-1])
+        pair = (ids[inside].astype(np.int64) * n
+                + ids[inside + 1]).astype(key.dtype)
+        k, f, c = np.unique(pair, return_index=True, return_counts=True)
+        # merge into the earlier blocks' pairs; np.unique keeps the first
+        # of equal keys, so a pair seen before keeps its first position
+        key, at, inverse = np.unique(np.concatenate([key, k]),
+                                     return_index=True, return_inverse=True)
+        first = np.concatenate(
+            [first, inside[f] + enc.offsets[texts.start]])[at]
+        total = np.zeros(len(key), dtype=np.int64)
+        np.add.at(total, inverse, np.concatenate([count, c]))
+        count = total
+    order = np.argsort(first, kind="stable")
+    key, count = key[order], count[order]
+    return (key // n).tolist(), (key % n).tolist(), count.tolist()
+
+
 class NgramGenerator:
     """Bigram LM with context conditioning and decoder-cost accounting."""
 
@@ -55,17 +81,19 @@ class NgramGenerator:
         self._unigrams: dict[str, int] = {}
         self.fitted = False
 
-    def fit(self, corpus: list[str]) -> "NgramGenerator":
-        """Count bigrams over the corpus (one pass, host-side)."""
-        if not corpus:
+    def fit(self, corpus: list[str] | TokenIds) -> "NgramGenerator":
+        """Count unigrams and bigrams over the corpus's token ids (host
+        side).  Both tables grow in first-occurrence order, the order
+        ``_next_token`` samples over; fitting again adds to them."""
+        enc = as_token_ids(corpus)
+        if not len(enc):
             raise ReproError("cannot fit a generator on an empty corpus")
-        for text in corpus:
-            toks = tokenize(text)
-            for tok in toks:
-                self._unigrams[tok] = self._unigrams.get(tok, 0) + 1
-            for a, b in zip(toks, toks[1:]):
-                self._bigrams.setdefault(a, {})[b] = (
-                    self._bigrams.get(a, {}).get(b, 0) + 1)
+        tokens = enc.tokens
+        for tok, count in zip(tokens, enc.token_counts().tolist()):
+            self._unigrams[tok] = self._unigrams.get(tok, 0) + count
+        for a, b, count in zip(*_bigram_counts(enc)):
+            follow = self._bigrams.setdefault(tokens[a], {})
+            follow[tokens[b]] = follow.get(tokens[b], 0) + count
         self.fitted = True
         return self
 
@@ -85,10 +113,17 @@ class NgramGenerator:
 
     def generate(self, prompt: str, context: list[str] | None = None,
                  max_new_tokens: int | None = None) -> str:
-        """Generate a continuation; charges one decode step per token."""
+        """Generate a continuation; charges one decode step per token.
+
+        ``max_new_tokens=None`` means the config's default; ``0`` gives
+        an empty answer and charges nothing.
+        """
         if not self.fitted:
             raise ReproError("call fit() before generate()")
-        limit = max_new_tokens or self.config.max_new_tokens
+        limit = (self.config.max_new_tokens if max_new_tokens is None
+                 else max_new_tokens)
+        if limit < 0:
+            raise ReproError(f"max_new_tokens must be >= 0, got {limit}")
         context_vocab: set[str] = set()
         for c in context or []:
             context_vocab.update(tokenize(c))

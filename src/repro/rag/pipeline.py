@@ -17,6 +17,7 @@ from repro.rag.corpus import SyntheticCorpus
 from repro.rag.embed import HashingEmbedder, TfidfEmbedder
 from repro.rag.generator import NgramGenerator
 from repro.rag.index import FlatIndex, IVFFlatIndex, SearchResult
+from repro.rag.text import TokenIds
 from repro.telemetry import api as telemetry
 
 
@@ -26,6 +27,12 @@ def recall_at_k(result_ids: np.ndarray, relevant: np.ndarray) -> float:
     hits = np.isin(result_ids[result_ids >= 0], relevant).sum()
     denom = min(len(result_ids), len(relevant)) or 1
     return float(hits) / denom
+
+
+def _check_k(k: int) -> int:
+    if k < 1:
+        raise ReproError(f"k must be >= 1, got {k}")
+    return k
 
 
 @dataclass
@@ -44,7 +51,11 @@ class RagResponse:
 
 
 class RagPipeline:
-    """Embedder + index + generator, wired over one corpus."""
+    """Embedder + index + generator, wired over one corpus.
+
+    The corpus is tokenized once; the embedder's fit and embed and the
+    generator's fit all read those token ids.
+    """
 
     def __init__(self, corpus: SyntheticCorpus,
                  embedder: HashingEmbedder | TfidfEmbedder | None = None,
@@ -52,11 +63,12 @@ class RagPipeline:
                  generator: NgramGenerator | None = None,
                  device: str = "cpu", k: int = 5, seed: int = 0) -> None:
         self.corpus = corpus
-        self.k = k
+        self.k = _check_k(k)
+        docs = TokenIds.from_texts(corpus.documents)
         self.embedder = embedder or TfidfEmbedder(max_features=512)
         if isinstance(self.embedder, TfidfEmbedder) and self.embedder.vocab is None:
-            self.embedder.fit(corpus.documents)
-        doc_vecs = self.embedder.embed(corpus.documents)
+            self.embedder.fit(docs)
+        doc_vecs = self.embedder.embed(docs)
         dim = doc_vecs.shape[1]
         self.index = index or FlatIndex(dim, device=device)
         if isinstance(self.index, IVFFlatIndex) and not self.index.is_trained:
@@ -65,9 +77,13 @@ class RagPipeline:
             self.index.add(doc_vecs)
         self.generator = generator or NgramGenerator(device=device, seed=seed)
         if not self.generator.fitted:
-            self.generator.fit(corpus.documents)
+            self.generator.fit(docs)
         self._reranker = None  # built lazily by answer(rerank=True)
         self._clock = default_system().clock
+
+    def _k(self, k: int | None) -> int:
+        """``k`` for one call: ``None`` means the pipeline's own."""
+        return self.k if k is None else _check_k(k)
 
     def _now_ms(self) -> float:
         default_system().synchronize()
@@ -83,7 +99,7 @@ class RagPipeline:
 
     def retrieve(self, query: str, k: int | None = None) -> SearchResult:
         vec = self.embed_queries([query])
-        return self.index.search(vec, k or self.k)
+        return self.index.search(vec, self._k(k))
 
     def answer(self, query: str, k: int | None = None,
                max_new_tokens: int | None = None,
@@ -99,7 +115,7 @@ class RagPipeline:
         """
         if not query.strip():
             raise ReproError("empty query")
-        k = k or self.k
+        k = self._k(k)
 
         def ns(t_ms: float) -> int:
             return int(round(t_ms * 1e6))
@@ -147,7 +163,7 @@ class RagPipeline:
 
     def evaluate_recall(self, k: int | None = None) -> float:
         """Mean recall@k over the corpus's ground-truth queries."""
-        k = k or self.k
+        k = self._k(k)
         vecs = self.embed_queries(list(self.corpus.queries))
         result = self.index.search(vecs, k)
         recalls = [recall_at_k(result.ids[i], self.corpus.relevant[i])

@@ -20,7 +20,7 @@ import numpy as np
 
 from repro.errors import ReproError
 from repro.nn.device import ComputeDevice, resolve_device
-from repro.rag.text import tokenize
+from repro.rag.text import TokenIds, tokenize
 
 
 @dataclass(frozen=True)
@@ -43,12 +43,11 @@ class CrossEncoderReranker:
         self.d_model = d_model
         self.n_layers = n_layers
         # document-frequency table for idf weighting
-        df: Counter[str] = Counter()
-        for text in corpus_texts:
-            df.update(set(tokenize(text)))
-        n = len(corpus_texts)
+        docs = TokenIds.from_texts(corpus_texts)
+        n = len(docs)
         self._idf = {t: math.log((1 + n) / (1 + c)) + 1.0
-                     for t, c in df.items()}
+                     for t, c in zip(docs.tokens,
+                                     docs.document_frequency().tolist())}
 
     @property
     def flops_per_pair(self) -> float:

@@ -1,5 +1,10 @@
 """Tests for the from-scratch statistics, cross-checked against scipy."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +17,8 @@ from repro.analytics.stats import (
     shapiro_wilk,
 )
 from repro.errors import ReproError
+
+REPO = Path(__file__).resolve().parents[2]
 
 
 class TestShapiroWilk:
@@ -165,3 +172,19 @@ class TestDescribe:
     def test_needs_two(self):
         with pytest.raises(ReproError):
             describe(np.array([1.0]))
+
+
+def test_serving_and_analyzer_imports_leave_scipy_unloaded():
+    """scipy.special loads inside the functions that call it, so the
+    packages the host-cost benchmark imports (the analyzers reach
+    ``repro.datasets`` and so ``repro.analytics``) never load scipy."""
+    code = ("import sys\n"
+            "import repro.analysis, repro.perflint, repro.memcheck\n"
+            "import repro.rag, repro.serve, repro.llm, repro.jit\n"
+            "import repro.datasets\n"
+            "print(sorted(m for m in sys.modules if m.startswith('scipy')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.perflint import analyze_paths
 from repro.sanitize.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
@@ -113,3 +114,13 @@ class TestAcceptance:
                  "PATH": "/usr/bin:/bin"})
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "no issues found" in proc.stdout
+
+
+class TestAnalyzePaths:
+    def test_overlapping_paths_analyze_each_file_once(self):
+        once = analyze_paths([FIXTURE.parent])
+        assert once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE]).findings \
+            == once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE.parent]).findings \
+            == once.findings
