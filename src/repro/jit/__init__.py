@@ -8,9 +8,10 @@ the Numba stand-in:
   are plain Python functions with real ``threadIdx``/``blockIdx``
   semantics, block-shared memory, barriers, and atomics, interpreted once
   per CUDA thread — except where :mod:`repro.jit.lowering` proves a
-  faster path gives the same bytes: a verified elementwise or stencil
-  launch runs once as whole-array NumPy, and a kernel with barriers runs
-  each block's threads as generators on one OS thread.  Each launch is
+  faster path gives the same bytes: a verified elementwise, stencil,
+  block-reduction or tiled-matmul launch runs as whole-block NumPy, one
+  phase between barriers at a time, and any other kernel with barriers
+  runs each block's threads as generators on one OS thread.  Each launch is
   also *costed* on the virtual GPU, identically on every path, so
   profiler timelines and speedups come out of the same hardware model as
   :mod:`repro.xp`.  (Numba itself ships the per-thread idea as

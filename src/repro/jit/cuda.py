@@ -10,22 +10,26 @@ simulated CUDA thread sees the standard intrinsics (:data:`threadIdx`,
 Four execution paths, chosen per launch from the kernel and the launch
 alone (no option selects one), all giving the same output bytes:
 
-* **Lowered**: a kernel whose body, after one thread guard, is
-  straight-line code over parameter arrays indexed by ``cuda.grid(n)``
-  runs once as whole-array NumPy, when the abstract interpreter
-  classifies it ``elementwise`` or ``stencil`` and ``verified`` under
-  this launch's grid, block and argument shapes
-  (:mod:`repro.jit.lowering`).  The verdict is cached per launch
-  signature; a signature first seen on a small launch is classified
-  when it recurs, so one-off small launches never pay for the proof.
+* **Lowered**: a kernel whose statements are assignments, tests and
+  ``range``/``while`` loops over its array arguments, shared arrays and
+  the thread indices runs a chunk of whole blocks at a time as NumPy,
+  each statement for all of the chunk's threads before the next, split
+  into phases at each ``syncthreads()`` (:mod:`repro.jit.lowering`).  It
+  does so when the abstract interpreter classifies it ``elementwise``,
+  ``stencil``, ``reduction`` or ``tiled-matmul`` and ``verified`` under
+  this launch's grid, block and argument shapes, and a trace of the
+  launch's subscripts finds no thread touching a cell another thread
+  writes in the same phase.  The verdict is cached per launch signature;
+  a signature first seen on a small launch is classified when it recurs,
+  so one-off small launches never pay for the proof.
 * **Sequential**: any other kernel that never calls ``syncthreads``.
   The threads of a block run one after another; this per-thread
   interpreter is the reference the other paths are tested against.
-* **Generator blocks**: a kernel that calls ``syncthreads`` in its own
-  body is recompiled with each barrier statement turned into ``yield``,
-  and a block's threads are resumed round-robin in thread order on the
-  launching thread, so producer/consumer shared-memory patterns (tiled
-  matmul, block reductions) execute correctly without OS threads.
+* **Generator blocks**: any other kernel that calls ``syncthreads`` in
+  its own body is recompiled with each barrier statement turned into
+  ``yield``, and a block's threads are resumed round-robin in thread
+  order on the launching thread, so producer/consumer shared-memory
+  patterns execute correctly without OS threads.
 * **OS-thread blocks**: only for a barrier kernel whose source cannot be
   retrieved (``exec``'d or REPL kernels) or that reaches a barrier
   through a helper function.  Each simulated thread gets an OS thread —
@@ -191,7 +195,9 @@ def gridsize(ndim: int):
     sy = c.grid_dim.y * c.block_dim.y
     if ndim == 2:
         return sx, sy
-    return sx, sy, c.grid_dim.z * c.block_dim.z
+    if ndim == 3:
+        return sx, sy, c.grid_dim.z * c.block_dim.z
+    raise DeviceError(f"cuda.gridsize ndim must be 1, 2, or 3; got {ndim}")
 
 
 def syncthreads() -> None:
@@ -597,10 +603,10 @@ class _Launcher:
 
     def _execute(self, run_args) -> None:
         kernel = self.kernel
+        if _instrumentation is None and self._run_lowered(run_args):
+            kernel.last_path = "lowered"
+            return
         if not kernel.uses_syncthreads:
-            if _instrumentation is None and self._run_lowered(run_args):
-                kernel.last_path = "lowered"
-                return
             kernel.last_path, run_block = "sequential", self._run_sequential
         elif kernel._variant("generator") is not None:
             kernel.last_path, run_block = "generator", self._run_generators
@@ -616,8 +622,8 @@ class _Launcher:
                     run_block(Dim3(x, y, z), tids, run_args)
 
     def _run_lowered(self, run_args) -> bool:
-        """Run the launch as whole-array NumPy when the kernel's class
-        under this launch admits it."""
+        """Run the launch as whole-block NumPy when the kernel's class
+        and a trace of the launch admit it."""
         lowered = self.kernel._variant("lowered")
         if lowered is None:
             return False

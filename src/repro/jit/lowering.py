@@ -9,14 +9,18 @@ globals and closure cells, so every name resolves as in the original:
   :func:`repro.analysis.absint.is_sync`) becomes ``yield``, so the
   threads of a block can be resumed round-robin on the launching thread
   instead of each needing an OS thread.
-* :func:`lower` — a kernel whose body, after one thread guard, is
-  straight-line code over its parameter arrays indexed by
-  ``cuda.grid(n)`` becomes two whole-array functions: the guard, which
-  yields a mask, and the body, which runs over the masked ``np.arange``
-  index arrays.  :meth:`Lowered.admitted` decides per launch signature,
+* :func:`lower` — a kernel whose statements are assignments, tests and
+  ``range``/``while`` loops over its parameter arrays, shared arrays and
+  the thread indices, with ``cuda.syncthreads()`` between phases,
+  becomes one function over a chunk of whole blocks (:class:`Lowered`):
+  each statement runs for every thread of the chunk before the next, as
+  NumPy on per-thread index arrays and ``(blocks, *shape)`` shared
+  arrays, with uniform loops on the host and thread-varying tests as
+  masks.  An elementwise or stencil kernel is the one-phase case with no
+  shared array.  :meth:`Lowered.admitted` decides per launch signature,
   from the kernel's :class:`~repro.analysis.kernelclass.KernelClass`
-  under that launch's grid, block and argument shapes, whether the
-  result is the interpreter's, byte for byte.
+  under that launch and a trace of the launch's tests and subscripts,
+  whether the result is the interpreter's, byte for byte.
 
 Both return ``None`` when the kernel's source cannot be retrieved, does
 not compile to the kernel's live code, or does not have the required
@@ -29,6 +33,7 @@ import ast
 import copy
 import dis
 import inspect
+import itertools
 import math
 import textwrap
 import types
@@ -49,8 +54,12 @@ EAGER_THREADS = 1024
 #: admission decisions kept per kernel; the oldest is dropped first
 _DECISIONS = 256
 _SEEN = object()        # a small launch's signature, not yet classified
+#: threads one chunk of a lowered launch holds (at least one block): a
+#: launch runs a chunk of whole blocks at a time, so no temporary grows
+#: with the grid
+CHUNK_THREADS = 1 << 16
 
-_LOWERABLE = ("elementwise", "stencil")
+_LOWERABLE = ("elementwise", "stencil", "reduction", "tiled-matmul")
 _NUMBERS = (int, float, complex, np.number, np.bool_)
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
@@ -225,30 +234,57 @@ def generator_variant(fn, names: set):
 
 
 # ---------------------------------------------------------------------------
-# Whole-array lowering
+# Whole-block lowering
 # ---------------------------------------------------------------------------
 
 
-class Lowered:
-    """A kernel as a mask function and a whole-array body.
+class _Reject(Exception):
+    """The kernel, or one launch signature of it, is outside what the
+    lowering takes; the launcher keeps the per-thread paths."""
 
-    Both take the ``cuda.grid`` index arrays first, then the kernel's own
-    arguments.  ``guard`` is ``None`` for a kernel with no thread guard;
-    ``free`` names the values the statements read by bare name, which
-    must be numbers at launch, and ``bound`` those of them the guard and
-    the subscripts depend on.
+
+_UNIFORM, _INDEX, _VALUE = "uniform", "index", "value"
+_AXES = ("x", "y", "z")
+#: ``cuda.<name>.<axis>`` -> the :class:`_Blocks` member that serves it
+_INTRINSICS = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "bdim",
+               "gridDim": "gdim"}
+
+
+def _join(a: str, b: str) -> str:
+    """The kind of a value computed from values of kinds ``a`` and ``b``.
+    Uniform values mix with either; an index never mixes into data, since
+    the interpreter holds it as a Python int and the lowered body as an
+    ``int64`` array, which NumPy promotes differently."""
+    if a == b or b == _UNIFORM:
+        return a
+    if a == _UNIFORM:
+        return b
+    raise _Reject
+
+
+class Lowered:
+    """A kernel as one function over a chunk of whole blocks.
+
+    ``body`` takes a :class:`_Blocks` first, then the kernel's own
+    arguments, and runs each statement for every thread of the chunk
+    before the next: a shared array is one ``(blocks, *shape)`` array,
+    thread and block indices are per-thread ``int64`` arrays, loops and
+    tests on launch-uniform values run on the host, and a test on the
+    indices narrows the threads its branch runs for.  ``free`` names the
+    values the statements read by bare name, which must be numbers at
+    launch.
     """
 
-    def __init__(self, fn, ndim: int, guard, body, free: set,
-                 bound: set) -> None:
+    def __init__(self, fn, body, form: "_Form") -> None:
         self.fn = fn
-        self.ndim = ndim
-        self.params = fn.__code__.co_varnames[:fn.__code__.co_argcount]
-        self.guard = guard
         self.body = body
-        self.free = frozenset(free)
-        self._bound = tuple(k for k, p in enumerate(self.params)
-                            if p in bound)
+        self.params = tuple(form.params)
+        self.free = frozenset(form.free)
+        self._arrays = frozenset(form.arrays)
+        self._written = tuple(k for k, p in enumerate(self.params)
+                              if p in form.written)
+        #: the free names a test, a subscript or a bound reads
+        self._bound = frozenset(form.bound)
         self._globals = tuple(sorted(self.free - set(self.params)))
         self._decisions: dict = {}
 
@@ -274,100 +310,315 @@ class Lowered:
 
     def _key(self, grid3: tuple, block3: tuple, args) -> tuple:
         """What :meth:`_admit` decides from: the launch shape, each
-        array's dtype and shape, the value of each integer the guard or
-        a subscript reads (it binds into the bounds), and the type of
-        every other argument and of each global the statements read.
-        An integer read only into values cannot move the verdict."""
+        array's dtype and shape, the value of each number a test, a
+        subscript or a loop bound reads (directly or through temporaries),
+        and the type of every other argument and of each global the
+        statements read.  A number read only into values cannot move the
+        verdict."""
+        def part(name, value):
+            if isinstance(value, np.ndarray):
+                return value.dtype.str, value.shape
+            if name in self._bound and isinstance(value, _NUMBERS):
+                return type(value), value
+            return type(value)
+
         return grid3, block3, tuple(
-            (a.dtype.str, a.shape) if isinstance(a, np.ndarray)
-            else (type(a), int(a)) if k in self._bound
-            and isinstance(a, (int, np.integer))
-            else type(a) for k, a in enumerate(args)), tuple(
-            type(_resolve(self.fn, n)) for n in self._globals)
+            part(p, a) for p, a in itertools.zip_longest(self.params, args)
+        ), tuple(part(n, _resolve(self.fn, n)) for n in self._globals)
 
     def _admit(self, grid3: tuple, block3: tuple, args) -> tuple | None:
         """Positions of the arguments the launch writes when it may run
         lowered, else ``None``.
 
-        It may when the launch spans only the ``cuda.grid`` axes, every
-        value read by bare name is a number, and the kernel classifies
-        ``elementwise`` or ``stencil`` and ``verified`` under this
-        launch, with every subscript spanning its array's dimensions and
-        every access to a written array at the thread's own cell.  Then
-        no two threads touch one written cell, so running all threads at
-        once computes what running them one after another does.
+        It may when every value read by bare name is a number, every
+        parameter used as an array is one, the kernel classifies as a
+        lowerable archetype and ``verified`` under this launch, and a
+        trace of the launch (:class:`_Rules`) finds every subscript an
+        in-bounds integer per dimension, no shared cell that one thread
+        writes touched by another thread of its block between two
+        barriers, and no cell of a written argument touched by two
+        threads.  Then running each statement for all threads before the
+        next computes what running the threads one after another does,
+        and no block depends on another.  The verdict rests on tests and
+        subscripts alone, which read no array data in the forms
+        :class:`_Form` takes, so one trace decides every launch of the
+        signature.
         """
-        if len(args) != len(self.params) or any(
-                grid3[k] != 1 or block3[k] != 1 for k in range(self.ndim, 3)):
+        if len(args) != len(self.params):
             return None
         scope = dict(zip(self.params, args))
         if not all(isinstance(scope[n] if n in scope
                               else _resolve(self.fn, n), _NUMBERS)
-                   for n in self.free):
+                   for n in self.free) or not all(
+                isinstance(scope[p], np.ndarray) for p in self._arrays):
             return None
-        arrays = {p: a for p, a in scope.items()
-                  if isinstance(a, np.ndarray)}
         from repro.analysis.absint import LaunchEnv, classify_kernel
         from repro.analysis.domains import Affine
 
         env = LaunchEnv(
             block=block3, grid=grid3,
-            scalars={self.params[k]: Affine.constant(int(args[k]))
-                     for k in self._bound
-                     if isinstance(args[k], (int, np.integer))
-                     and not isinstance(args[k], bool)},
+            scalars={p: Affine.constant(int(a)) for p, a in scope.items()
+                     if p in self._bound and isinstance(a, (int, np.integer))
+                     and not isinstance(a, bool)},
             extents={p: tuple(Affine.constant(d) for d in a.shape)
-                     for p, a in arrays.items()})
+                     for p, a in scope.items() if isinstance(a, np.ndarray)})
         try:
             kc = classify_kernel(self.fn, env)
         except ValueError:
             return None
         if kc.klass not in _LOWERABLE or not kc.verified:
             return None
-        own_cell = tuple((env.grid_form(k).render(), 0)
-                         for k in range(self.ndim))
-        written = {a.array for a in kc.accesses if a.write}
-        for access in kc.accesses:
-            arr = arrays.get(access.array)
-            if arr is None or len(access.axes) != arr.ndim \
-                    or access.array in written and access.axes != own_cell:
-                return None
-        return tuple(k for k, p in enumerate(self.params) if p in written)
+        try:
+            with np.errstate(all="ignore"):
+                self._chunks(grid3, block3, args, _Rules(args, self._written))
+        except (_Reject, ArithmeticError, LookupError, NameError, TypeError,
+                ValueError):
+            return None     # a rule fails, or the launch raises
+        return self._written
 
     def run(self, grid3: tuple, block3: tuple, args, written: tuple) -> bool:
-        """Execute the launch as whole-array NumPy.  Returns ``False``,
+        """Execute the launch as whole-block NumPy.  Returns ``False``,
         having run nothing, when a written array overlaps another
-        argument (the proof took them to be distinct)."""
+        argument (the trace took them to be distinct)."""
         for w in written:
             if any(k != w and isinstance(a, np.ndarray)
                    and np.may_share_memory(args[w], a)
                    for k, a in enumerate(args)):
                 return False
-        index = [axis.ravel() for axis in np.indices(
-            [grid3[k] * block3[k] for k in range(self.ndim)])]
-        if self.guard is not None:
-            mask = np.broadcast_to(self.guard(*index, *args), index[0].shape)
-            index = [axis[mask] for axis in index]
-        self.body(*index, *args)
+        self._chunks(grid3, block3, args, None)
         return True
+
+    def _chunks(self, grid3: tuple, block3: tuple, args, rules) -> None:
+        """Run the body over the launch one box of whole blocks at a
+        time, each of at most :data:`CHUNK_THREADS` threads (or one
+        block): as many z, then y, then x block planes as fit."""
+        room, extent = CHUNK_THREADS // math.prod(block3), []
+        for g in reversed(grid3):
+            extent.insert(0, max(1, min(g, room)))
+            room = room // g if extent[0] == g else 0
+        for lo in itertools.product(*(range(0, g, e)
+                                      for g, e in zip(grid3, extent))):
+            hi = tuple(min(a + e, g) for a, e, g in zip(lo, extent, grid3))
+            chunk = _Blocks(grid3, block3, lo, hi, rules)
+            self.body(chunk, *args)
+            chunk.sync()
+
+
+class _Blocks:
+    """The threads of a chunk of whole blocks, as a lowered body sees
+    them: index arrays built on first use, shared arrays with one row per
+    block, and the branch the body is in (:meth:`enter`, :meth:`leave`).
+    Under a trace (``rules``) each access is checked and stores are
+    skipped."""
+
+    def __init__(self, grid3: tuple, block3: tuple, lo: tuple, hi: tuple,
+                 rules: "_Rules | None") -> None:
+        self.gdim, self.bdim = grid3, block3
+        self._lo, self._hi = lo, hi
+        #: the global thread coordinates the box spans, per axis
+        self._coords = [np.arange(a * b, z * b)
+                        for a, z, b in zip(lo, hi, block3)]
+        self._shape = tuple(len(c) for c in self._coords)
+        self._rules = rules
+        # per branch depth: (mask over the enclosing threads, or None when
+        # it takes them all; index arrays built so far; thread count)
+        self._levels = [(None, {}, math.prod(self._shape))]
+
+    def _index(self, key: tuple, depth: int = -1) -> np.ndarray:
+        mask, built, _ = self._levels[depth]
+        arr = built.get(key)
+        if arr is None:
+            if depth == -len(self._levels):
+                arr = self._full(*key)
+            else:
+                arr = self._index(key, depth - 1)
+                if mask is not None:
+                    arr = arr[mask]
+            built[key] = arr
+        return arr
+
+    def _full(self, what: str, axis: int) -> np.ndarray:
+        """Index array ``what`` over all threads of the box, in global
+        coordinate order, x slowest (as ``np.indices`` would give it)."""
+        if what in ("row", "linear"):
+            if what == "row":       # the thread's block among the box's
+                parts = [c // b - a for c, b, a in
+                         zip(self._coords, self.bdim, self._lo)]
+                dims = [z - a for a, z in zip(self._lo, self._hi)]
+            else:                   # the thread among the launch's
+                parts = self._coords
+                dims = [g * b for g, b in zip(self.gdim, self.bdim)]
+            flat = (parts[0].reshape(-1, 1, 1) * dims[1]
+                    + parts[1].reshape(1, -1, 1)) * dims[2] \
+                + parts[2].reshape(1, 1, -1)
+            return flat.ravel()
+        values = self._coords[axis]
+        if what == "thread":
+            values = values % self.bdim[axis]
+        elif what == "block":
+            values = values // self.bdim[axis]
+        view = [1, 1, 1]
+        view[axis] = -1
+        return np.broadcast_to(values.reshape(view), self._shape).ravel()
+
+    # -- what the lowered body calls --------------------------------------
+
+    def tid(self, axis: int) -> np.ndarray:
+        return self._index(("thread", axis))
+
+    def bid(self, axis: int) -> np.ndarray:
+        return self._index(("block", axis))
+
+    def grid(self, ndim: int):
+        axes = tuple(self._index(("grid", k)) for k in range(ndim))
+        return axes[0] if ndim == 1 else axes
+
+    def shared(self, shape, dtype=np.float32) -> np.ndarray:
+        """``cuda.shared.array``: one zeroed array per block of the
+        chunk, as the interpreter allocates one per block."""
+        shape = tuple(shape) if isinstance(shape, (tuple, list)) else (shape,)
+        blocks = math.prod(z - a for a, z in zip(self._lo, self._hi))
+        return np.zeros((blocks,) + shape, dtype=dtype)
+
+    def ld(self, array: np.ndarray, pos: int, index: tuple):
+        if self._rules is not None:
+            self._rules.touch(self, array, pos, index)
+        return array[index]
+
+    def st(self, array: np.ndarray, pos: int, index: tuple, value) -> None:
+        if self._rules is not None:
+            self._rules.touch(self, array, pos, index)
+        else:
+            if isinstance(value, np.ndarray) and not any(
+                    isinstance(i, np.ndarray) for i in index):
+                value = value[0]    # the trace admits one thread here
+            array[index] = value
+
+    def sld(self, tile: np.ndarray, index: tuple):
+        index = (self._index(("row", 0)),) + index
+        if self._rules is not None:
+            self._rules.touch_shared(self, tile, index, write=False)
+        return tile[index]
+
+    def sst(self, tile: np.ndarray, index: tuple, value) -> None:
+        index = (self._index(("row", 0)),) + index
+        if self._rules is not None:
+            self._rules.touch_shared(self, tile, index, write=True)
+        else:
+            tile[index] = value
+
+    def enter(self, mask, invert: bool) -> bool:
+        """Narrow the threads to those ``mask`` (or, with ``invert``, its
+        complement) holds for; ``False``, narrowing nothing, when it holds
+        for none: the interpreter would not run the branch at all."""
+        count = self._levels[-1][2]
+        mask = np.broadcast_to(mask, (count,))
+        if invert:
+            mask = ~mask
+        taken = int(np.count_nonzero(mask))
+        if not taken:
+            return False
+        self._levels.append((None if taken == count else mask, {}, taken))
+        return True
+
+    def narrow(self, *values) -> tuple:
+        """``values``, per-thread arrays among them cut to the threads of
+        the branch just entered."""
+        mask = self._levels[-1][0]
+        if mask is None:
+            return values
+        return tuple(v[mask] if isinstance(v, np.ndarray) else v
+                     for v in values)
+
+    def leave(self) -> None:
+        self._levels.pop()
+
+    def sync(self) -> None:
+        """``cuda.syncthreads()``: every thread has run every statement
+        before it, so only a trace has work here, closing the phase."""
+        if self._rules is not None:
+            self._rules.close_phase()
+
+    def linear(self) -> np.ndarray:
+        """The launch-wide linear id of each current thread."""
+        return self._index(("linear", 0))
+
+
+class _Rules:
+    """A trace's checks: each subscript names one element per thread, in
+    bounds and by integers; within a phase no shared cell that one thread
+    writes is touched by another; and no cell of a written argument is
+    touched by two threads of the launch."""
+
+    def __init__(self, args, written: tuple) -> None:
+        #: per written argument, the thread that touched each cell (-1:
+        #: none yet), kept across chunks
+        self._owners = {k: np.full(args[k].size, -1, np.int64)
+                        for k in written}
+        #: per shared array, this phase's (cells, threads, writes) parts
+        self._phase: dict = {}
+
+    def touch(self, chunk: _Blocks, array, pos: int, index: tuple) -> None:
+        owner = self._owners.get(pos)
+        if owner is None:           # read only: the load itself checks bounds
+            _integers(array.shape, index)
+            return
+        threads = chunk.linear()
+        cells = _cells(array.shape, index, threads.size)
+        seen = owner[cells]
+        if np.any((seen >= 0) & (seen != threads)):
+            raise _Reject
+        owner[cells] = threads
+        if np.any(owner[cells] != threads):     # two threads in this one
+            raise _Reject
+
+    def touch_shared(self, chunk: _Blocks, tile, index: tuple,
+                     write: bool) -> None:
+        threads = chunk.linear()
+        cells = _cells(tile.shape, index, threads.size)
+        parts = self._phase.setdefault(id(tile), (tile.size, [], [], []))
+        parts[1].append(cells)
+        parts[2].append(threads)
+        parts[3].append(np.full(cells.size, write))
+
+    def close_phase(self) -> None:
+        for size, *parts in self._phase.values():
+            cells, threads, writes = map(np.concatenate, parts)
+            writer = np.full(size, -1, np.int64)
+            writer[cells[writes]] = threads[writes]
+            seen = writer[cells]
+            if np.any((seen >= 0) & (seen != threads)):
+                raise _Reject
+        self._phase.clear()
+
+
+def _integers(shape: tuple, index: tuple) -> None:
+    """Raise :class:`_Reject` unless ``index`` has one integer subscript
+    per dimension of ``shape``, so it names one element per thread."""
+    if len(index) != len(shape) or not all(
+            i.dtype.kind in "iu" if isinstance(i, np.ndarray)
+            else isinstance(i, (int, np.integer)) and not isinstance(i, bool)
+            for i in index):
+        raise _Reject
+
+
+def _cells(shape: tuple, index: tuple, count: int) -> np.ndarray:
+    """The flat cell each of ``count`` threads names with ``index`` in an
+    array of ``shape``; raises :class:`_Reject` unless each subscript is
+    an in-bounds integer (negative ones count from the end, as they do
+    in the interpreter)."""
+    _integers(shape, index)
+    axes = [np.broadcast_to(np.where(np.less(i, 0), i + n, i), (count,))
+            for i, n in zip(index, shape)]
+    try:
+        return np.ravel_multi_index(axes, shape)
+    except ValueError:
+        raise _Reject from None
 
 
 def lower(fn, names: set) -> Lowered | None:
-    """The whole-array form of ``fn``, or ``None`` when the kernel is not
-    ``i = cuda.grid(n)`` (a name, or a tuple of ``n`` names) followed by
-    straight-line assignments and at most one trailing ``if`` guard with
-    no ``else`` over more of them.
-
-    The statements call nothing — no CUDA intrinsic besides that
-    ``cuda.grid``, no function — and do not branch or loop.  The index
-    names appear only in the guard and in subscripts of parameter arrays,
-    and before the guard not at all: a value mixing an index into its
-    arithmetic would be a Python int in the interpreter but an ``int64``
-    array here, which NumPy promotes differently.  For the same reason
-    ``t op= v`` becomes ``t = t op v``: the interpreter rebinds a scalar
-    to the promoted result, where an in-place ufunc on an array would
-    cast into the target's dtype.
-    """
+    """The whole-block form of ``fn``, or ``None`` when its source is
+    unavailable or its statements leave the forms :class:`_Form` takes."""
     if not _NEP50:
         return None
     found = _kernel_def(fn)
@@ -375,34 +626,24 @@ def lower(fn, names: set) -> Lowered | None:
         return None
     node, filename = found
     args = node.args
-    params = [a.arg for a in args.args]
-    if args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs:
+    if args.vararg or args.kwarg or args.kwonlyargs or args.posonlyargs \
+            or any(isinstance(n, ast.Name) and n.id.startswith("_lw")
+                   or isinstance(n, ast.arg) and n.arg.startswith("_lw")
+                   for n in ast.walk(node)):
         return None
-    stmts = list(node.body)
-    if stmts and isinstance(stmts[0], ast.Expr) \
-            and isinstance(stmts[0].value, ast.Constant):
-        stmts.pop(0)                                # docstring
-    grid = _grid_def(stmts.pop(0), names) if stmts else None
-    if grid is None or set(grid[1]) & set(params):
+    body = node.body
+    if body and isinstance(body[0], ast.Expr) \
+            and isinstance(body[0].value, ast.Constant):
+        body = body[1:]                                 # docstring
+    try:
+        form = _Form(fn, [a.arg for a in args.args], body, names)
+    except _Reject:
         return None
-    ndim, index = grid
-    guard = stmts.pop() if stmts and isinstance(stmts[-1], ast.If) else None
-    prefix, body = (stmts, guard.body) if guard else ([], stmts)
-    prefix, body = [_rebind(s) for s in prefix], [_rebind(s) for s in body]
-    check = _Checker(params, index, names)
-    if guard is not None and guard.orelse \
-            or not all(check.stmt(s, indexed=False) for s in prefix):
-        return None
-    mask = check.mask(guard.test) if guard is not None else None
-    if guard is not None and mask is None \
-            or not all(check.stmt(s, indexed=True) for s in body):
-        return None
-    mask_fn = None
-    if mask is not None:
-        mask_fn = _recompile(fn, _def_like(node, index, prefix + [
-            ast.copy_location(ast.Return(value=mask), guard)]), filename)
-    body_fn = _recompile(fn, _def_like(node, index, prefix + body), filename)
-    return Lowered(fn, ndim, mask_fn, body_fn, check.free, check.bound)
+    out = copy.copy(node)
+    out.args = copy.copy(args)
+    out.args.args = [ast.arg(arg="_lw")] + list(args.args)
+    out.body = form.lowered
+    return Lowered(fn, _recompile(fn, out, filename), form)
 
 
 def _rebind(stmt):
@@ -416,160 +657,465 @@ def _rebind(stmt):
         value=ast.BinOp(left=load, op=stmt.op, right=stmt.value)), stmt)
 
 
-def _def_like(node: ast.FunctionDef, index: tuple, body: list):
-    """``node`` with the index names prepended to its parameters and
-    ``body`` as its statements."""
-    out = copy.copy(node)
-    out.args = copy.copy(node.args)
-    out.args.args = [ast.arg(arg=n) for n in index] + list(node.args.args)
-    out.body = copy.deepcopy(body)
+def _desugar(stmts: list) -> list:
+    """``stmts`` with ``t op= v`` as ``t = t op v`` (the interpreter
+    rebinds a scalar to the promoted result, where an in-place ufunc
+    would cast into the target), an annotated assignment as a plain one,
+    and a store of ``a if c else b`` as an ``if`` storing either."""
+    out = []
+    for s in stmts:
+        s = _rebind(s)
+        if isinstance(s, ast.AnnAssign) and s.value is not None:
+            s = ast.copy_location(
+                ast.Assign(targets=[s.target], value=s.value), s)
+        if isinstance(s, ast.Assign) and len(s.targets) == 1 \
+                and isinstance(s.targets[0], ast.Subscript) \
+                and isinstance(s.value, ast.IfExp):
+            target, e = s.targets[0], s.value
+            s = ast.copy_location(ast.If(test=e.test, body=[
+                ast.copy_location(ast.Assign(targets=[target], value=e.body),
+                                  s)], orelse=[
+                ast.copy_location(ast.Assign(targets=[copy.deepcopy(target)],
+                                             value=e.orelse), s)]), s)
+        if isinstance(s, (ast.If, ast.For, ast.While)):
+            s.body, s.orelse = _desugar(s.body), _desugar(s.orelse)
+        out.append(s)
     return out
 
 
-def _grid_def(stmt, names: set):
-    """``(n, index names)`` when ``stmt`` is ``i = cuda.grid(n)``."""
-    if not (isinstance(stmt, ast.Assign) and len(stmt.targets) == 1):
-        return None
-    call, target = stmt.value, stmt.targets[0]
-    if not (isinstance(call, ast.Call) and not call.keywords
-            and len(call.args) == 1
-            and isinstance(call.func, ast.Attribute)
-            and call.func.attr == "grid"
-            and isinstance(call.func.value, ast.Name)
-            and call.func.value.id in names
-            and isinstance(call.args[0], ast.Constant)
-            and call.args[0].value in (1, 2, 3)):
-        return None
-    ndim = call.args[0].value
-    targets = [target] if ndim == 1 else (
-        target.elts if isinstance(target, ast.Tuple) else [])
-    index = tuple(t.id for t in targets if isinstance(t, ast.Name))
-    if len(index) != ndim or len(set(index)) != ndim:
-        return None
-    return ndim, index
+def _statements(stmts: list):
+    """Every statement of ``stmts`` and of the blocks nested in them."""
+    for s in stmts:
+        yield s
+        for field in ("body", "orelse"):
+            yield from _statements(getattr(s, field, []))
 
 
-class _Checker:
-    """The statement and expression forms a lowered kernel may use.
+def _subscripts(node: ast.Subscript) -> list:
+    return (node.slice.elts if isinstance(node.slice, ast.Tuple)
+            else [node.slice])
 
-    Checking also collects :attr:`free`, every name read by bare name that
-    is neither an index name nor a temporary assigned by an earlier
-    checked statement, and :attr:`bound`, the free names that the guard
-    and the subscripts read, directly or through temporaries: only these
-    can move the bounds a launch's proof rests on.
+
+def _lw_attr(name: str) -> ast.Attribute:
+    """``_lw.name``: a member of the chunk (:class:`_Blocks`)."""
+    return ast.Attribute(value=ast.Name(id="_lw", ctx=ast.Load()), attr=name,
+                         ctx=ast.Load())
+
+
+def _lw(method: str, *args) -> ast.Call:
+    """``_lw.method(*args)``."""
+    return ast.Call(func=_lw_attr(method), args=list(args), keywords=[])
+
+
+def _names(names, ctx) -> ast.Tuple:
+    return ast.Tuple(elts=[ast.Name(id=n, ctx=ctx()) for n in names],
+                     ctx=ctx())
+
+
+class _Form:
+    """A kernel's statements checked against the forms the lowering
+    takes, and rewritten (:attr:`lowered`) into the body of a
+    :class:`Lowered`.
+
+    Each temporary (a name the kernel assigns) has one kind, joined over
+    all its assignments: ``uniform``, the same for every thread (numbers,
+    dimensions, loop counters and arithmetic on them); ``index``, built
+    from ``cuda.grid``, ``threadIdx`` and ``blockIdx`` with ``+``, ``-``
+    and ``*``; or ``value``, computed from array elements.  Tests,
+    subscripts and loop bounds read no values, so a trace decides a
+    launch from them alone, and values read no index.
+
+    The statements are assignments, ``cuda.syncthreads()`` outside any
+    thread-varying branch, ``if`` (an ``else`` too), ``for`` over
+    ``range`` and ``while``.  A loop and a test on uniform values run on
+    the host; a test on indices is a mask, its branch run for the threads
+    it selects with the per-thread values it reads narrowed to them.  A
+    temporary assigned in such a branch may occur only in it.  Nothing
+    else is called: no helper, no atomic; there is no ``return``,
+    ``break`` or ``continue``.  :attr:`free` collects the names read by
+    bare name that are not temporaries, :attr:`bound` those of them a
+    test, a subscript, a bound or a shared shape reads (directly or
+    through temporaries), :attr:`arrays` the parameters used as arrays
+    and :attr:`written` those stored into.
     """
 
-    def __init__(self, params: list, index: tuple, names: set) -> None:
-        self.params = set(params)
-        self.index = set(index)
-        self.cuda = names
-        self.temps: dict = {}   # temporary -> the free names its value read
+    def __init__(self, fn, params: list, body: list, cuda: set) -> None:
+        self.fn = fn
+        self.params = params
+        self._params = set(params)
+        self.cuda = cuda
+        body = _desugar(body)
+        stored = {n.id for s in body for n in ast.walk(s)
+                  if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)}
+        if stored & (self._params | cuda):
+            raise _Reject
+        self.shared = {s.targets[0].id for s in body
+                       if isinstance(s, ast.Assign)
+                       and isinstance(s.targets[0], ast.Name)
+                       and self._shared_call(s.value)}
+        self.temps = stored - self.shared
+        self.kinds: dict = {}
+        self.deps: dict = {}
         self.free: set = set()
         self.bound: set = set()
-        self._reads: set = set()
+        self.arrays: set = set()
+        self.written: set = set()
+        self._infer(body)
+        self._uses: dict = {}
+        self._scan(body, ())
+        self._narrowed = self._scopes()
+        self._masks = 0
+        self.lowered = self._block(body, masked=False, top=True)
 
-    def stmt(self, stmt, indexed: bool) -> bool:
-        """Is ``stmt`` a plain assignment?  ``indexed``: the index names
-        are bound here (inside the guard, or with no guard at all)."""
-        if isinstance(stmt, ast.Assign):
-            targets = stmt.targets
-        elif isinstance(stmt, ast.AnnAssign) and stmt.value is not None:
-            targets = [stmt.target]
-        else:
-            return isinstance(stmt, ast.Pass)
-        self._reads = set()
-        ok = self.value(stmt.value, indexed) and all(
-            self.target(t, indexed) for t in targets)
-        self.temps.update((t.id, self._reads) for t in targets
-                          if isinstance(t, ast.Name))
-        return ok
+    # -- kinds ----------------------------------------------------------------
 
-    def target(self, node, indexed: bool) -> bool:
+    def _infer(self, body: list) -> None:
+        """Each temporary's kind and the free names its value reads, to a
+        fixpoint over every assignment."""
+        defs = [s for s in _statements(body)
+                if isinstance(s, (ast.Assign, ast.For))]
+        changed = True
+        while changed:
+            changed = False
+            for s in defs:
+                for name, kind, deps in self._defines(s):
+                    old = self.kinds.get(name), self.deps.get(name)
+                    new = (kind if old[0] is None else _join(old[0], kind),
+                           deps | (old[1] or frozenset()))
+                    if new != old:
+                        self.kinds[name], self.deps[name] = new
+                        changed = True
+
+    def _defines(self, s):
+        if isinstance(s, ast.For):
+            if isinstance(s.target, ast.Name):
+                yield s.target.id, _UNIFORM, self._range(s.iter)
+            return
+        if len(s.targets) != 1:
+            raise _Reject
+        target, value = s.targets[0], s.value
+        ndim = self._grid_call(value)
+        if ndim and ndim > 1 and isinstance(target, ast.Tuple):
+            for t in target.elts:
+                if isinstance(t, ast.Name):
+                    yield t.id, _INDEX, frozenset()
+        elif isinstance(target, ast.Name) and target.id in self.temps:
+            yield (target.id, *self.expr(value))
+
+    def expr(self, node) -> tuple:
+        """``(kind, free names read)`` of an expression outside a test."""
+        if isinstance(node, ast.Constant) \
+                and isinstance(node.value, (int, float, complex)):
+            return _UNIFORM, frozenset()
         if isinstance(node, ast.Name):
-            return node.id not in self.index | self.params | self.cuda
-        return indexed and self.element(node)
+            if node.id in self.temps:
+                return (self.kinds.get(node.id, _UNIFORM),
+                        self.deps.get(node.id, frozenset()))
+            if node.id in self.cuda or node.id in self.shared:
+                raise _Reject
+            self.free.add(node.id)
+            return _UNIFORM, frozenset([node.id])
+        if isinstance(node, ast.BinOp):
+            (left, lread), (right, rread) = (self.expr(node.left),
+                                             self.expr(node.right))
+            kind = _join(left, right)
+            if not isinstance(node.op, _INDEX_OPS if kind == _INDEX
+                              else _VALUE_OPS):
+                raise _Reject
+            return kind, lread | rread
+        if isinstance(node, ast.UnaryOp) \
+                and isinstance(node.op, (ast.USub, ast.UAdd)):
+            return self.expr(node.operand)
+        if self._grid_call(node) == 1:
+            return _INDEX, frozenset()
+        intrinsic = self._intrinsic(node)
+        if intrinsic is not None:
+            return (_INDEX if intrinsic[0] in ("tid", "bid") else _UNIFORM,
+                    frozenset())
+        if self._element(node):
+            return _VALUE, frozenset()
+        if self._array_attr(node):
+            return _UNIFORM, frozenset()
+        raise _Reject
 
-    def element(self, node) -> bool:
-        """``array[index, ...]`` on a parameter array."""
+    def _reads_no_value(self, node) -> str:
+        """The kind of an index or bound expression, whose free names
+        join :attr:`bound`."""
+        kind, reads = self.expr(node)
+        if kind == _VALUE:
+            raise _Reject
+        self.bound |= reads
+        return kind
+
+    def cond(self, node) -> str:
+        """The kind of an ``if`` or ``while`` test: ``uniform`` runs on
+        the host, ``index`` is a mask."""
+        if isinstance(node, ast.BoolOp):
+            kinds = [self.cond(v) for v in node.values]
+            return _INDEX if _INDEX in kinds else _UNIFORM
+        if isinstance(node, ast.Compare):
+            if not all(isinstance(op, _COMPARE_OPS) for op in node.ops):
+                raise _Reject
+            kind = _UNIFORM
+            for term in [node.left, *node.comparators]:
+                kind = _join(kind, self._reads_no_value(term))
+            return kind
+        if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
+                and self.cond(node.operand) == _UNIFORM:
+            return _UNIFORM
+        if self._reads_no_value(node) != _UNIFORM:
+            raise _Reject
+        return _UNIFORM
+
+    def _range(self, node) -> frozenset:
+        """The free names read by ``range(...)`` over uniform values."""
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "range" and not node.keywords
+                and 1 <= len(node.args) <= 3
+                and _resolve(self.fn, "range") is None):
+            raise _Reject
+        reads = frozenset()
+        for arg in node.args:
+            kind, more = self.expr(arg)
+            if kind != _UNIFORM:
+                raise _Reject
+            reads |= more
+        self.bound |= reads
+        return reads
+
+    # -- recognised forms -----------------------------------------------------
+
+    def _cuda_attr(self, node, attr: str) -> bool:
+        return isinstance(node, ast.Attribute) and node.attr == attr \
+            and isinstance(node.value, ast.Name) and node.value.id in self.cuda
+
+    def _grid_call(self, node) -> int | None:
+        """``n`` when ``node`` is ``cuda.grid(n)``."""
+        if isinstance(node, ast.Call) and self._cuda_attr(node.func, "grid") \
+                and not node.keywords and len(node.args) == 1 \
+                and isinstance(node.args[0], ast.Constant) \
+                and node.args[0].value in (1, 2, 3):
+            return node.args[0].value
+        return None
+
+    def _shared_call(self, node) -> bool:
+        return isinstance(node, ast.Call) \
+            and isinstance(node.func, ast.Attribute) \
+            and node.func.attr == "array" \
+            and self._cuda_attr(node.func.value, "shared")
+
+    def _intrinsic(self, node) -> tuple | None:
+        """``(member, axis)`` for ``cuda.threadIdx.x`` and its kin."""
+        if isinstance(node, ast.Attribute) and node.attr in _AXES \
+                and isinstance(node.value, ast.Attribute) \
+                and node.value.attr in _INTRINSICS \
+                and isinstance(node.value.value, ast.Name) \
+                and node.value.value.id in self.cuda:
+            return _INTRINSICS[node.value.attr], _AXES.index(node.attr)
+        return None
+
+    def _element(self, node) -> bool:
+        """``a[i, ...]`` on a parameter or shared array."""
         if not (isinstance(node, ast.Subscript)
                 and isinstance(node.value, ast.Name)
-                and node.value.id in self.params):
+                and (node.value.id in self._params
+                     or node.value.id in self.shared)):
             return False
-        elts = (node.slice.elts if isinstance(node.slice, ast.Tuple)
-                else [node.slice])
-        return all(self.index_expr(e) for e in elts)
+        if node.value.id in self._params:
+            self.arrays.add(node.value.id)
+        for e in _subscripts(node):
+            self._reads_no_value(e)
+        return True
 
-    def name(self, node: ast.Name, bounds: bool) -> bool:
-        """``bounds``: read by the guard or a subscript, where the index
-        names may appear."""
-        if node.id in self.index:
-            return bounds
-        reads = self.temps.get(node.id)
-        if reads is None:
-            reads = {node.id}
-            self.free.add(node.id)
-        (self.bound if bounds else self._reads).update(reads)
-        return node.id not in self.cuda
-
-    def index_expr(self, node) -> bool:
-        if isinstance(node, ast.BinOp):
-            return isinstance(node.op, _INDEX_OPS) \
-                and self.index_expr(node.left) and self.index_expr(node.right)
-        if isinstance(node, ast.UnaryOp):
-            return isinstance(node.op, ast.USub) \
-                and self.index_expr(node.operand)
-        if isinstance(node, ast.Name):
-            return self.name(node, bounds=True)
-        return self.leaf(node)
-
-    def value(self, node, indexed: bool) -> bool:
-        if isinstance(node, ast.BinOp):
-            return isinstance(node.op, _VALUE_OPS) \
-                and self.value(node.left, indexed) \
-                and self.value(node.right, indexed)
-        if isinstance(node, ast.UnaryOp):
-            return isinstance(node.op, (ast.USub, ast.UAdd)) \
-                and self.value(node.operand, indexed)
-        if isinstance(node, ast.Name):
-            return self.name(node, bounds=False)
-        if indexed and self.element(node):
-            return True
-        return self.leaf(node)
-
-    def leaf(self, node) -> bool:
-        """A number, or a parameter's ``size``, ``ndim`` or
-        ``shape[k]``."""
-        if isinstance(node, ast.Constant):
-            return isinstance(node.value, (int, float, complex))
+    def _array_attr(self, node) -> bool:
+        """A parameter's ``size``, ``ndim`` or ``shape[k]``."""
         if isinstance(node, ast.Subscript) \
                 and isinstance(node.slice, ast.Constant) \
                 and isinstance(node.slice.value, int):
             node, attrs = node.value, ("shape",)
         else:
             attrs = ("size", "ndim")
-        return (isinstance(node, ast.Attribute) and node.attr in attrs
-                and isinstance(node.value, ast.Name)
-                and node.value.id in self.params)
+        if isinstance(node, ast.Attribute) and node.attr in attrs \
+                and isinstance(node.value, ast.Name) \
+                and node.value.id in self._params:
+            self.arrays.add(node.value.id)
+            return True
+        return False
+
+    # -- thread-varying branches ----------------------------------------------
+
+    def _scan(self, stmts: list, branches: tuple) -> None:
+        """Record each occurrence of a temporary with the thread-varying
+        branches it sits in (an ``if`` node's id and 0 or 1 for ``else``)."""
+        for s in stmts:
+            if isinstance(s, ast.If) and self.cond(s.test) == _INDEX:
+                self._occur(s.test, branches)
+                for k, block in enumerate((s.body, s.orelse)):
+                    self._scan(block, branches + ((id(s), k),))
+                continue
+            for field, value in ast.iter_fields(s):
+                if field not in ("body", "orelse"):
+                    self._occur(value, branches)
+            for field in ("body", "orelse"):
+                self._scan(getattr(s, field, []), branches)
+
+    def _occur(self, value, branches: tuple) -> None:
+        for item in value if isinstance(value, list) else [value]:
+            if isinstance(item, ast.AST):
+                for n in ast.walk(item):
+                    if isinstance(n, ast.Name) and n.id in self.temps:
+                        self._uses.setdefault(n.id, []).append(
+                            (isinstance(n.ctx, ast.Store), branches))
+
+    def _scopes(self) -> dict:
+        """Per branch, the per-thread temporaries it reads from outside,
+        sorted; rejects a temporary assigned in a branch that occurs outside it."""
+        reads: dict = {}
+        stores: dict = {}
+        for name, uses in self._uses.items():
+            for store, branches in uses:
+                if store and branches and any(
+                        branches[-1] not in other for _, other in uses):
+                    raise _Reject
+                for b in branches:
+                    (stores if store else reads).setdefault(b, set()).add(name)
+        return {b: sorted(n for n in names - stores.get(b, set())
+                          if self.kinds.get(n) != _UNIFORM)
+                for b, names in reads.items()}
+
+    # -- the rewrite ----------------------------------------------------------
+
+    def _block(self, stmts: list, masked: bool, top: bool = False) -> list:
+        out = [new for s in stmts for new in self._stmt(s, masked, top)]
+        return out or [ast.Pass()]
+
+    def _stmt(self, s, masked: bool, top: bool) -> list:
+        if isinstance(s, ast.Pass):
+            return []
+        if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call) \
+                and self._cuda_attr(s.value.func, "syncthreads") \
+                and not s.value.args and not s.value.keywords and not masked:
+            new = ast.Expr(_lw("sync"))
+        elif isinstance(s, ast.Assign):
+            new = self._assign(s, top)
+        elif isinstance(s, ast.If) and self.cond(s.test) == _INDEX:
+            return self._masked(s)
+        elif isinstance(s, ast.If):
+            new = ast.If(test=self.rewrite(s.test),
+                         body=self._block(s.body, masked),
+                         orelse=self._block(s.orelse, masked)
+                         if s.orelse else [])
+        elif isinstance(s, ast.While) and not s.orelse \
+                and self.cond(s.test) == _UNIFORM:
+            new = ast.While(test=self.rewrite(s.test),
+                            body=self._block(s.body, masked), orelse=[])
+        elif isinstance(s, ast.For) and not s.orelse \
+                and isinstance(s.target, ast.Name):
+            self._range(s.iter)
+            new = ast.For(target=s.target, iter=self.rewrite(s.iter),
+                          body=self._block(s.body, masked), orelse=[])
+        else:
+            raise _Reject
+        return [ast.copy_location(new, s)]
+
+    def _assign(self, s: ast.Assign, top: bool):
+        if len(s.targets) != 1:
+            raise _Reject
+        target, value = s.targets[0], s.value
+        ndim = self._grid_call(value)
+        if ndim is not None:
+            names = [target] if ndim == 1 else getattr(target, "elts", [])
+            if len(names) != ndim \
+                    or not all(isinstance(n, ast.Name) for n in names):
+                raise _Reject
+            return ast.Assign(targets=[target],
+                              value=_lw("grid", ast.Constant(ndim)))
+        if self._shared_call(value):
+            if not top or not isinstance(target, ast.Name):
+                raise _Reject
+            self._shared_args(value)
+            return ast.Assign(targets=[target], value=ast.Call(
+                func=_lw_attr("shared"), args=value.args,
+                keywords=value.keywords))
+        if isinstance(target, ast.Name) and target.id in self.temps:
+            self.expr(value)
+            return ast.Assign(targets=[target], value=self.rewrite(value))
+        if not self._element(target) or self.expr(value)[0] == _INDEX:
+            raise _Reject
+        base = target.value.id
+        index = ast.Tuple(elts=[self.rewrite(e) for e in _subscripts(target)],
+                          ctx=ast.Load())
+        array = ast.Name(id=base, ctx=ast.Load())
+        if base in self.shared:
+            return ast.Expr(_lw("sst", array, index, self.rewrite(value)))
+        self.written.add(base)
+        return ast.Expr(_lw("st", array, ast.Constant(self.params.index(base)),
+                            index, self.rewrite(value)))
+
+    def _shared_args(self, call: ast.Call) -> None:
+        """``cuda.shared.array(shape, dtype)``: a shape of uniform values
+        and a dtype named by a dotted global."""
+        named = {k.arg: k.value for k in call.keywords}
+        given = list(call.args) + [named.pop(k) for k in ("shape", "dtype")
+                                   if k in named]
+        if named or not 1 <= len(given) <= 2:
+            raise _Reject
+        shape = given[0]
+        for dim in shape.elts if isinstance(shape, ast.Tuple) else [shape]:
+            if self._reads_no_value(dim) != _UNIFORM:
+                raise _Reject
+        if len(given) == 2:
+            dtype = given[1]
+            while isinstance(dtype, ast.Attribute):
+                dtype = dtype.value
+            if not isinstance(dtype, ast.Name) or dtype.id in self.temps \
+                    or dtype.id in self._params:
+                raise _Reject
+
+    def _masked(self, s: ast.If) -> list:
+        """An ``if`` on the indices: the mask, then each branch under
+        ``_lw.enter`` with the temporaries it reads narrowed, and restored
+        after it."""
+        self._masks += 1
+        mask = f"_lw_m{self._masks}"
+        saved = f"_lw_o{self._masks}"
+        out = [ast.Assign(targets=[ast.Name(id=mask, ctx=ast.Store())],
+                          value=self.mask(s.test))]
+        for k, stmts in enumerate((s.body, s.orelse)):
+            if not stmts:
+                continue
+            names = self._narrowed.get((id(s), k), [])
+            body = self._block(stmts, masked=True)
+            if names:
+                body = [ast.Assign(targets=[ast.Name(id=saved,
+                                                     ctx=ast.Store())],
+                                   value=_names(names, ast.Load)),
+                        ast.Assign(targets=[_names(names, ast.Store)],
+                                   value=_lw("narrow", *_names(
+                                       names, ast.Load).elts)),
+                        *body,
+                        ast.Assign(targets=[_names(names, ast.Store)],
+                                   value=ast.Name(id=saved, ctx=ast.Load()))]
+            out.append(ast.If(
+                test=_lw("enter", ast.Name(id=mask, ctx=ast.Load()),
+                         ast.Constant(bool(k))),
+                body=body + [ast.Expr(_lw("leave"))], orelse=[]))
+        return [ast.copy_location(new, s) for new in out]
 
     def mask(self, test):
-        """The guard as one boolean expression over the index arrays:
+        """The test as one boolean expression over the index arrays:
         ``and``/``or`` become ``&``/``|`` and a chained comparison the
-        ``&`` of its links, or ``None`` for any other form."""
+        ``&`` of its links."""
         if isinstance(test, ast.BoolOp):
             parts = [self.mask(v) for v in test.values]
-            if any(p is None for p in parts):
-                return None
             out = parts[0]
             for part in parts[1:]:
                 out = ast.BinOp(left=out, op=_MASK_OPS[type(test.op)](),
                                 right=part)
             return out
-        if not isinstance(test, ast.Compare) \
-                or not all(isinstance(op, _COMPARE_OPS) for op in test.ops):
-            return None
-        terms = [test.left] + list(test.comparators)
-        if not all(self.index_expr(t) for t in terms):
-            return None
+        if not isinstance(test, ast.Compare):
+            raise _Reject
+        terms = [self.rewrite(t) for t in [test.left, *test.comparators]]
         out = None
         for a, op, b in zip(terms, test.ops, terms[1:]):
             link = ast.Compare(left=a, ops=[op], comparators=[b])
@@ -577,6 +1123,39 @@ class _Checker:
                 left=out, op=ast.BitAnd(), right=link)
         return out
 
+    def rewrite(self, node):
+        """``node`` with each CUDA intrinsic and array element as a call
+        on the chunk."""
+        if self._grid_call(node) == 1:
+            return _lw("grid", ast.Constant(1))
+        intrinsic = self._intrinsic(node)
+        if intrinsic is not None:
+            member, axis = intrinsic
+            if member in ("tid", "bid"):
+                return _lw(member, ast.Constant(axis))
+            return ast.Subscript(value=_lw_attr(member),
+                                 slice=ast.Constant(axis), ctx=ast.Load())
+        if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
+                and (node.value.id in self._params
+                     or node.value.id in self.shared):
+            base = node.value.id
+            index = ast.Tuple(elts=[self.rewrite(e) for e in _subscripts(node)],
+                              ctx=ast.Load())
+            array = ast.Name(id=base, ctx=ast.Load())
+            if base in self.shared:
+                return _lw("sld", array, index)
+            return _lw("ld", array, ast.Constant(self.params.index(base)),
+                       index)
+        node = copy.copy(node)
+        for field, value in ast.iter_fields(node):
+            if isinstance(value, ast.expr):
+                setattr(node, field, self.rewrite(value))
+            elif isinstance(value, list):
+                setattr(node, field, [self.rewrite(v)
+                                      if isinstance(v, ast.expr) else v
+                                      for v in value])
+        return node
 
-__all__ = ["EAGER_THREADS", "Lowered", "cuda_names", "generator_variant",
-           "helper_syncs", "lower"]
+
+__all__ = ["CHUNK_THREADS", "EAGER_THREADS", "Lowered", "cuda_names",
+           "generator_variant", "helper_syncs", "lower"]

@@ -145,6 +145,15 @@ class TestLaunchMechanics:
         with pytest.raises(DeviceError, match="outside a kernel"):
             cuda.grid(1)
 
+    def test_gridsize_rejects_what_grid_rejects(self, system1):
+        for ndim in (0, 4):
+            @cuda.jit
+            def ask_gridsize(out):
+                out[0] = cuda.gridsize(ndim)[0]
+
+            with pytest.raises(DeviceError, match="gridsize ndim"):
+                ask_gridsize[1, 1](cuda.device_array(1))
+
     def test_launch_charges_device_time(self, system1):
         @cuda.jit
         def k(out):

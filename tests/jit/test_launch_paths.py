@@ -113,8 +113,8 @@ class TestByteIdentity:
                     make_system(1, "T4")), f"{cls}.{name}"))
         assert paths["saxpy"] == "lowered"
         assert paths["inc"] == "lowered"            # host-array round trip
-        assert paths["tiled_matmul"] == "generator"
-        assert paths["block_sum"] == "generator"
+        assert paths["tiled_matmul"] == "lowered"
+        assert paths["block_sum"] == "generator"     # atomic add
         assert paths["fill2d"] == "sequential"      # index in the value
         assert paths["strided_inc"] == "sequential"
 
@@ -122,7 +122,7 @@ class TestByteIdentity:
         example = runpy.run_path(str(REPO / "examples" / "custom_kernels.py"))
         paths = paths_match_interpreter(example["main"])
         assert paths == {"saxpy": "lowered", "blur": "lowered",
-                         "block_sum": "generator"}
+                         "block_sum": "lowered"}
 
     def test_lab5(self):
         assert paths_match_interpreter(lab5_custom_kernel) == {
@@ -230,6 +230,193 @@ class TestAugmentedAssignment:
     def test_integer_targets_take_float_results(self, system1):
         assert run_both(halve_and_tally, 3, 100, np.arange(300),
                         np.zeros(300), np.arange(300)) == "lowered"
+
+
+# -- barrier kernels: whole-block lowering ------------------------------------
+
+DTYPES = (np.float32, np.float64, np.int64)
+
+
+def tree_sum_kernel(dtype):
+    @cuda.jit
+    def tree_sum(v, partials):
+        tile = cuda.shared.array(128, dtype)
+        tx = cuda.threadIdx.x
+        i = cuda.grid(1)
+        tile[tx] = v[i] if i < v.size else 0
+        cuda.syncthreads()
+        stride = cuda.blockDim.x // 2
+        while stride > 0:
+            if tx < stride:
+                tile[tx] += tile[tx + stride]
+            cuda.syncthreads()
+            stride //= 2
+        if tx == 0:
+            partials[cuda.blockIdx.x] = tile[0]
+    return tree_sum
+
+
+def reverse_kernel(dtype):
+    @cuda.jit
+    def block_reverse(v, out, heads):
+        tile = cuda.shared.array(128, dtype)
+        tx = cuda.threadIdx.x
+        i = cuda.grid(1)
+        if i < v.size:
+            tile[tx] = v[i]
+        cuda.syncthreads()
+        if i < out.size:
+            out[i] = tile[cuda.blockDim.x - 1 - tx]
+        if tx == 0:
+            heads[cuda.blockIdx.x] = tile[cuda.blockDim.x - 1]
+    return block_reverse
+
+
+def matmul_kernel(dtype):
+    @cuda.jit
+    def tiled_matmul(a, b, c):
+        sa = cuda.shared.array((4, 4), dtype)
+        sb = cuda.shared.array((4, 4), dtype)
+        tx = cuda.threadIdx.x
+        ty = cuda.threadIdx.y
+        col, row = cuda.grid(2)
+        acc = 0
+        for t in range((a.shape[1] + 3) // 4):
+            k = t * 4 + tx
+            if row < a.shape[0] and k < a.shape[1]:
+                sa[ty, tx] = a[row, k]
+            else:
+                sa[ty, tx] = 0
+            k = t * 4 + ty
+            if col < b.shape[1] and k < b.shape[0]:
+                sb[ty, tx] = b[k, col]
+            else:
+                sb[ty, tx] = 0
+            cuda.syncthreads()
+            for m in range(4):
+                acc += sa[ty, m] * sb[m, tx]
+            cuda.syncthreads()
+        if row < c.shape[0] and col < c.shape[1]:
+            c[row, col] = acc
+    return tiled_matmul
+
+
+TREE_SUM = {dt: tree_sum_kernel(dt) for dt in DTYPES}
+REVERSE = {dt: reverse_kernel(dt) for dt in DTYPES}
+MATMUL = {dt: matmul_kernel(dt) for dt in DTYPES}
+
+
+def sample(dtype, shape, seed):
+    rng = np.random.default_rng(seed)
+    if dtype == np.int64:
+        return rng.integers(-1000, 1000, size=shape)
+    return rng.standard_normal(shape).astype(dtype)
+
+
+@contextlib.contextmanager
+def chunks_of(threads: int):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(lowering, "CHUNK_THREADS", threads)
+        yield
+
+
+# the reference runs each block's threads on OS threads, so the launches
+# stay a few blocks of at most 128 threads
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), block=st.sampled_from([32, 64, 128]),
+       dtype=st.sampled_from(DTYPES), chunk=st.sampled_from([1 << 16, 100]))
+def test_block_reductions_lower_byte_identically(n, block, dtype, chunk):
+    make_system(1, "T4")
+    v = sample(dtype, n, n)
+    blocks = -(-n // block)
+    with chunks_of(chunk):
+        assert run_both(TREE_SUM[dtype], blocks, block, v,
+                        np.zeros(blocks, dtype)) == "lowered"
+        assert run_both(REVERSE[dtype], blocks, block, v, np.zeros(n, dtype),
+                        np.zeros(blocks, dtype)) == "lowered"
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(rows=st.integers(1, 10), inner=st.integers(1, 10),
+       cols=st.integers(1, 10), dtype=st.sampled_from(DTYPES),
+       chunk=st.sampled_from([1 << 16, 20]))
+def test_tiled_matmuls_lower_byte_identically(rows, inner, cols, dtype,
+                                              chunk):
+    make_system(1, "T4")
+    a = sample(dtype, (rows, inner), rows)
+    b = sample(dtype, (inner, cols), cols)
+    with chunks_of(chunk):
+        assert run_both(MATMUL[dtype], (-(-cols // 4), -(-rows // 4)),
+                        (4, 4), a, b, np.zeros((rows, cols), dtype)) \
+            == "lowered"
+
+
+@cuda.jit
+def shift_sum(v, out):
+    tile = cuda.shared.array(64, np.float32)
+    tx = cuda.threadIdx.x
+    tile[tx] = v[cuda.grid(1)]
+    cuda.syncthreads()
+    if tx > 0:
+        tile[tx] = tile[tx - 1] + tile[tx]
+    cuda.syncthreads()
+    if tx == 0:
+        out[cuda.blockIdx.x] = tile[63]
+
+
+@cuda.jit
+def chain(v, partials):
+    tile = cuda.shared.array(64, np.float32)
+    tx = cuda.threadIdx.x
+    b = cuda.blockIdx.x
+    tile[tx] = v[cuda.grid(1)]
+    cuda.syncthreads()
+    if tx == 0 and b > 0:
+        partials[b] = tile[0] + partials[b - 1]
+
+
+@cuda.jit
+def masked_temp(v, out):
+    tile = cuda.shared.array(64, np.float32)
+    tx = cuda.threadIdx.x
+    t = 0.0
+    if tx < 32:
+        t = v[cuda.grid(1)]
+    tile[tx] = t
+    cuda.syncthreads()
+    if tx == 0:
+        out[cuda.blockIdx.x] = tile[0] + tile[63]
+
+
+class TestBarrierKernelsKept:
+    """Barrier kernels the abstract interpreter calls a verified
+    ``reduction`` that stay on the generator path.  In the first two
+    (SAN-SHARED-RACE misses both) threads depend on one another inside a
+    phase or across blocks, so lockstep would change their bytes and the
+    trace refuses them."""
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    def test_neighbour_read_before_its_write(self, system1, chunk):
+        v = cuda.to_device(np.ones(128, np.float32))
+        out = cuda.device_array(2)
+        with chunks_of(chunk):
+            assert run_both(shift_sum, 2, 64, np.ones(128, np.float32),
+                            np.zeros(2, np.float32)) == "generator"
+            shift_sum[2, 64](v, out)
+        np.testing.assert_array_equal(out.get(), [64, 64])
+
+    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    def test_block_reads_another_blocks_write(self, system1, chunk):
+        partials = cuda.device_array(4)
+        with chunks_of(chunk):
+            assert run_both(chain, 4, 64, np.ones(256, np.float32),
+                            np.zeros(4, np.float32)) == "generator"
+            chain[4, 64](cuda.to_device(np.ones(256, np.float32)), partials)
+        np.testing.assert_array_equal(partials.get(), [0, 1, 2, 3])
+
+    def test_temporary_assigned_under_a_mask_read_outside(self, system1):
+        assert run_both(masked_temp, 2, 64, np.arange(128, dtype=np.float32),
+                        np.zeros(2, np.float32)) == "generator"
 
 
 # -- what stays on the interpreter --------------------------------------------
