@@ -324,7 +324,8 @@ def chunks_of(threads: int):
 # stay a few blocks of at most 128 threads
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(n=st.integers(1, 300), block=st.sampled_from([32, 64, 128]),
-       dtype=st.sampled_from(DTYPES), chunk=st.sampled_from([1 << 16, 100]))
+       dtype=st.sampled_from(DTYPES),
+       chunk=st.sampled_from([lowering.CHUNK_THREADS, 100]))
 def test_block_reductions_lower_byte_identically(n, block, dtype, chunk):
     make_system(1, "T4")
     v = sample(dtype, n, n)
@@ -339,7 +340,7 @@ def test_block_reductions_lower_byte_identically(n, block, dtype, chunk):
 @settings(max_examples=15, deadline=None, derandomize=True)
 @given(rows=st.integers(1, 10), inner=st.integers(1, 10),
        cols=st.integers(1, 10), dtype=st.sampled_from(DTYPES),
-       chunk=st.sampled_from([1 << 16, 20]))
+       chunk=st.sampled_from([lowering.CHUNK_THREADS, 20]))
 def test_tiled_matmuls_lower_byte_identically(rows, inner, cols, dtype,
                                               chunk):
     make_system(1, "T4")
@@ -395,7 +396,7 @@ class TestBarrierKernelsKept:
     phase or across blocks, so lockstep would change their bytes and the
     trace refuses them."""
 
-    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
     def test_neighbour_read_before_its_write(self, system1, chunk):
         v = cuda.to_device(np.ones(128, np.float32))
         out = cuda.device_array(2)
@@ -405,7 +406,7 @@ class TestBarrierKernelsKept:
             shift_sum[2, 64](v, out)
         np.testing.assert_array_equal(out.get(), [64, 64])
 
-    @pytest.mark.parametrize("chunk", [1 << 16, 64])
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
     def test_block_reads_another_blocks_write(self, system1, chunk):
         partials = cuda.device_array(4)
         with chunks_of(chunk):
