@@ -257,6 +257,8 @@ def tree_sum_kernel(dtype):
 
 
 def reverse_kernel(dtype):
+    # ``heads`` makes it a reduction to the analyzer, which has no
+    # archetype for a reverse alone
     @cuda.jit
     def block_reverse(v, out, heads):
         tile = cuda.shared.array(128, dtype)
