@@ -143,6 +143,20 @@ def case_spot_deadlines():
         provision_delay_ms=10.0)
 
 
+def case_exact_ties():
+    # integer-ms arrivals, service times, backoffs and ticks: first
+    # arrivals, 429 retries, ticks, batch ends and a reclaim fall on the
+    # same float instants, and equal-outstanding replicas tie on routing
+    return _oneshot(
+        constant_trace(1000.0, 60.0, QUERIES),
+        interruptions=[(20.0, 1)],
+        sim_kwargs={"retry_policy": RetryPolicy(max_retries=3,
+                                                backoff_ms=1.0),
+                    "tick_ms": 1.0},
+        initial_replicas=3, max_replicas=3, max_queue_depth=2,
+        batch_timeout_ms=1.0, provision_delay_ms=10.0)
+
+
 def case_continuous_kv_pressure():
     backend = LlmBackend(part="T4", seed=7)
     budget = backend.spec.kv_bytes_per_token * 16 * 40     # 40 pages
