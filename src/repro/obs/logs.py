@@ -39,7 +39,7 @@ _LEVEL_INDEX = {name: i for i, name in enumerate(LEVELS)}
 DEFAULT_STREAM_CAP = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LogRecord:
     """One structured log event on the simulated clock."""
 
@@ -207,6 +207,18 @@ class LogPlane:
         """
         if not self.enabled(level):
             return None
+        # the **attributes kwargs dict is already a fresh per-call copy
+        return self.emit(group, stream, message, level, timestamp_ns,
+                         attributes, trace_id, span_id)
+
+    def emit(self, group: str, stream: str, message: str, level: str,
+             timestamp_ns: int | None = None,
+             attributes: dict[str, Any] | None = None,
+             trace_id: str | None = None,
+             span_id: str | None = None) -> LogRecord:
+        """:meth:`log` past the level gate, for a caller that checked
+        :meth:`enabled` itself.  The record keeps ``attributes`` as its
+        own dict, so pass a fresh one."""
         tracer = telemetry.current_tracer()
         if timestamp_ns is None:
             timestamp_ns = tracer.system.clock.now_ns if tracer else 0
@@ -216,7 +228,8 @@ class LogPlane:
                 trace_id = current.trace_id
                 if span_id is None:
                     span_id = current.span_id
-        # the **attributes kwargs dict is already a fresh per-call copy
+        if attributes is None:
+            attributes = {}
         record = LogRecord(timestamp_ns=int(timestamp_ns), level=level,
                            group=group, stream=stream, message=message,
                            attributes=attributes, trace_id=trace_id,

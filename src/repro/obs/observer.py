@@ -62,24 +62,27 @@ class EndpointObserver:
                                group_prefix=self._group,
                                where=(("outcome", "expired"),))):
             self.log_plane.add_filter(f)
+        # the level gate, once per run: a suppressed resolution builds
+        # no record, and a kept one is not gated again
+        self._log_completed = self.log_plane.enabled("INFO")
+        self._log_unserved = self.log_plane.enabled("WARNING")
 
     def on_resolve(self, req: Request, batch_id: int | None = None) -> None:
         """Every request resolution (completed, shed, or expired)."""
         completed = req.outcome == OUTCOME_COMPLETED
         latency = req.finish_ms - req.arrival_ms
-        level = "INFO" if completed else "WARNING"
-        if self.log_plane.enabled(level):
+        if self._log_completed if completed else self._log_unserved:
             stream = (f"replica-{req.replica_id}"
                       if req.replica_id >= 0 else "router")
-            self.log_plane.log(
+            self.log_plane.emit(
                 self._group, stream,
                 (f"request {req.request_id} {req.outcome} "
                  f"in {latency:.3f}ms"),
-                level=level, timestamp_ns=_ns(req.finish_ms),
-                request_id=req.request_id, outcome=req.outcome,
-                latency_ms=round(latency, 6), attempts=req.attempts,
-                batch_size=req.batch_size)
-        self.sampler.offer(req, batch_id=batch_id)
+                "INFO" if completed else "WARNING", _ns(req.finish_ms),
+                {"request_id": req.request_id, "outcome": req.outcome,
+                 "latency_ms": round(latency, 6), "attempts": req.attempts,
+                 "batch_size": req.batch_size})
+        self.sampler.offer(req, batch_id)
         if self.monitor is not None:
             self.monitor.record(completed, latency)
 
@@ -89,10 +92,11 @@ class EndpointObserver:
                  tokens: int = 0, calibration_key=None) -> None:
         """Every completed batch or decode/prefill iteration (after its
         requests' resolutions)."""
-        self.sampler.offer_batch(BatchRecord(
-            batch_id=batch_id, replica_id=replica_id, size=size,
-            start_ms=start_ms, end_ms=end_ms, label=label, phase=phase,
-            tokens=tokens, calibration_key=calibration_key))
+        if self.sampler.references(batch_id):
+            self.sampler.offer_batch(BatchRecord(
+                batch_id=batch_id, replica_id=replica_id, size=size,
+                start_ms=start_ms, end_ms=end_ms, label=label, phase=phase,
+                tokens=tokens, calibration_key=calibration_key))
 
     def on_tick(self, now_ms: float, timestamp_h: float) -> None:
         """Every metrics tick: evaluate the SLO rules, log transitions."""

@@ -86,6 +86,9 @@ class HeadTailSampler:
         # *fastest* of the retained slowest — the next to evict
         self._slow_heap: list[tuple[float, int, RequestRecord]] = []
         self._seen = 0
+        # (latency_ms, request_id) of the slow heap's root once the head
+        # and the heap are both full: what a completed request must beat
+        self._floor: tuple[float, int] | None = None
         # batch_id -> number of retained requests pointing at it
         self._batch_refs: dict[int, int] = {}
         self._batches: dict[int, BatchRecord] = {}
@@ -95,22 +98,20 @@ class HeadTailSampler:
     def offer(self, req: Request, batch_id: int | None = None) -> None:
         """Consider one resolved request for retention."""
         self._seen += 1
-        if not req.outcome:
-            raise ReproError("sampler offered an unresolved request")
-        if (req.outcome == OUTCOME_COMPLETED
-                and len(self.head) >= self.head_n):
+        floor = self._floor
+        if floor is not None and req.outcome == OUTCOME_COMPLETED:
             # the steady-state fast path: a completed request past the
             # head can only enter via the slow heap — reject without
             # allocating a record when it cannot beat the heap root
-            if self.slowest_k == 0:
+            latency = req.finish_ms - req.arrival_ms
+            if latency < floor[0] or (latency == floor[0]
+                                      and req.request_id <= floor[1]):
                 return
-            heap = self._slow_heap
-            if len(heap) >= self.slowest_k:
-                root = heap[0]
-                latency = req.finish_ms - req.arrival_ms
-                if latency < root[0] or (latency == root[0]
-                                         and req.request_id <= root[1]):
-                    return
+        if not req.outcome:
+            raise ReproError("sampler offered an unresolved request")
+        if (req.outcome == OUTCOME_COMPLETED and self.slowest_k == 0
+                and len(self.head) >= self.head_n):
+            return
         base = dict(request_id=req.request_id, arrival_ms=req.arrival_ms,
                     resolved_ms=req.finish_ms, outcome=req.outcome,
                     attempts=req.attempts, replica_id=req.replica_id,
@@ -120,6 +121,7 @@ class HeadTailSampler:
         if len(self.head) < self.head_n:
             self.head.append(RequestRecord(reason="head", **base))
             self._retain_batch(batch_id)
+            self._raise_floor()
         if req.outcome != OUTCOME_COMPLETED:
             if len(self.errors) < self.max_errors:
                 self.errors.append(RequestRecord(reason="error", **base))
@@ -139,10 +141,22 @@ class HeadTailSampler:
         else:
             return
         self._retain_batch(batch_id)
+        self._raise_floor()
+
+    def _raise_floor(self) -> None:
+        heap = self._slow_heap
+        if (self.slowest_k and len(heap) >= self.slowest_k
+                and len(self.head) >= self.head_n):
+            self._floor = heap[0][:2]
+
+    def references(self, batch_id: int) -> bool:
+        """Whether a retained request points at batch ``batch_id``, so
+        :meth:`offer_batch` would keep its record."""
+        return batch_id in self._batch_refs     # held only while >= 1
 
     def offer_batch(self, batch: BatchRecord) -> None:
         """Record a completed batch; kept only while referenced."""
-        if self._batch_refs.get(batch.batch_id, 0) > 0:
+        if self.references(batch.batch_id):
             self._batches[batch.batch_id] = batch
 
     # -- batch refcounting ------------------------------------------------

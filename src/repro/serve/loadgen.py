@@ -48,9 +48,12 @@ class ArrivalTrace:
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if self.duration_ms <= 0:
-            raise ReproError("trace duration must be positive")
+        if not 0 < self.duration_ms < math.inf:
+            raise ReproError("trace duration must be positive and finite")
         times = [a.time_ms for a in self.arrivals]
+        # False for NaN too, which no ordering comparison catches
+        if not all(0 <= t < math.inf for t in times):
+            raise ReproError("arrival times must be finite and non-negative")
         if any(t2 < t1 for t1, t2 in zip(times, times[1:])):
             raise ReproError("arrivals must be time-ordered")
 

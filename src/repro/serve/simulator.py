@@ -31,15 +31,19 @@ runs here, on one millisecond event heap:
   double-counted; :meth:`EndpointSimulation.check_invariants` asserts
   conservation when the report is built.
 
-The loop is fully deterministic: the heap breaks ties by insertion
+The loop is fully deterministic: events run in time order, ties in push
 order, every random choice upstream (trace, reservoir) is seeded, and
-cloud/billing timestamps derive from the event clock.
+cloud/billing timestamps derive from the event clock.  A trace's first
+arrivals are read straight from the (time-ordered) trace beside the
+heap; each runs before any heap event at the same instant, which is the
+order pushing them all first would give.
 """
 
 from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -68,6 +72,7 @@ LATENCY_RESERVOIR = 8192
 LATENCY_EXEMPLARS = 5
 #: one simulated millisecond of the event clock in cloud-session hours
 HOURS_PER_MS = 1.0 / MS_PER_HOUR
+_IN_SERVICE = ReplicaState.IN_SERVICE
 
 
 def _ns(ms: float) -> int:
@@ -200,8 +205,12 @@ class EndpointSimulation:
                  tick_ms: float = 25.0,
                  settle_ms: float = 0.0,
                  observer=None) -> None:
-        if tick_ms <= 0:
-            raise ReproError("tick_ms must be positive")
+        if not 0 < tick_ms < math.inf:
+            raise ReproError(f"tick_ms must be positive and finite, "
+                             f"got {tick_ms}")
+        if not 0 <= settle_ms < math.inf:
+            raise ReproError(f"settle_ms must be non-negative and finite, "
+                             f"got {settle_ms}")
         self.endpoint = endpoint
         self.backend = backend
         self.autoscaler = autoscaler
@@ -241,9 +250,23 @@ class EndpointSimulation:
         ep = self.endpoint
         if not ep.in_service():
             raise ReproError(f"endpoint {ep.name} has no serving replicas")
+        reclaims = [(float(time_ms), int(replica_id))
+                    for time_ms, replica_id in interruptions]
+        for time_ms, replica_id in reclaims:
+            if not 0 <= time_ms < math.inf:
+                raise ReproError(
+                    f"interruption of replica {replica_id} at {time_ms} ms: "
+                    "times must be finite and non-negative")
         self.policy.reset()
         self._events: list = []
         self._seq = itertools.count()
+        #: index of the next trace arrival the loop has not read
+        self._next_arrival = 0
+        self._max_queue_depth = ep.config.max_queue_depth
+        #: backoff before retry number ``a`` is ``_retry_delays[a]``
+        policy = self.retry_policy
+        self._retry_delays = (None, *(policy.delay_ms(a) for a in
+                                      range(1, policy.max_retries + 1)))
         self.now_ms = 0.0
         self._epoch_h = ep.session.now_h
         self._billing_start = len(ep.session.billing.records)
@@ -274,12 +297,11 @@ class EndpointSimulation:
                             attributes={"endpoint": ep.name,
                                         "trace": trace.name,
                                         "requests": len(requests)}):
+            self._tracer = telemetry.current_tracer()
             if self.observer is not None:
                 self.observer.attach(self)
-            for req in requests:
-                self._push(req.arrival_ms, "arrival", req)
-            for time_ms, replica_id in interruptions:
-                self._push(float(time_ms), "interrupt", int(replica_id))
+            for time_ms, replica_id in reclaims:
+                self._push(time_ms, "interrupt", replica_id)
             self._push(self.tick_ms, "tick", None)
             handlers = {"arrival": self._on_arrival, "done": self._on_done,
                         "timeout": self.policy.on_timeout,
@@ -287,8 +309,21 @@ class EndpointSimulation:
                         "provisioned": self._on_provisioned,
                         "interrupt": self._on_interrupt}
             events = self._events
+            heappop = heapq.heappop
+            on_arrival = self._on_arrival
+            # a trace arrival runs before every heap event at its instant:
+            # all of those were pushed after the run began
+            for read, req in enumerate(requests, 1):
+                arrival_ms = req.arrival_ms
+                while events and events[0][0] < arrival_ms:
+                    time_ms, _, kind, data = heappop(events)
+                    self.now_ms = time_ms
+                    handlers[kind](data)
+                self._next_arrival = read
+                self.now_ms = arrival_ms
+                on_arrival(req)
             while events:
-                time_ms, _, kind, data = heapq.heappop(events)
+                time_ms, _, kind, data = heappop(events)
                 self.now_ms = time_ms
                 handlers[kind](data)
             self._advance_cloud()
@@ -303,25 +338,38 @@ class EndpointSimulation:
         if req.expired(self.now_ms):
             self._resolve_unserved(req, OUTCOME_EXPIRED)
             return
-        cfg = self.endpoint.config
-        candidates = [r for r in self.endpoint.replicas
-                      if r.accepts_work and len(r.queue) < cfg.max_queue_depth]
-        if not candidates:
+        # the least outstanding (``Replica.outstanding``) in-service
+        # replica whose queue has room; replicas are listed in launch
+        # order, so the first of equals has the lowest replica_id
+        best = None
+        best_load = 0
+        depth = self._max_queue_depth
+        for replica in self.endpoint.replicas:
+            if replica.state is not _IN_SERVICE:
+                continue
+            load = len(replica.queue)
+            if load >= depth:
+                continue
+            if replica.in_flight:
+                load += len(replica.in_flight)
+            if best is None or load < best_load:
+                best = replica
+                best_load = load
+        if best is None:
             self._reject(req)
             return
-        replica = min(candidates,
-                      key=lambda r: (r.outstanding, r.replica_id))
-        replica.queue.append(req)
-        self.policy.pump(replica)
+        best.queue.append(req)
+        self.policy.pump(best)
 
     def _reject(self, req: Request) -> None:
         """Admission control said 429: back off and retry, or shed."""
         req.attempts += 1
-        telemetry.count("serve.throttled")
-        if req.attempts <= self.retry_policy.max_retries:
+        if self._tracer is not None:
+            self._tracer.metrics.counter("serve.throttled").inc()
+        if req.attempts < len(self._retry_delays):
             self.retries += 1
-            delay = self.retry_policy.delay_ms(req.attempts)
-            self._push(self.now_ms + delay, "arrival", req)
+            self._push(self.now_ms + self._retry_delays[req.attempts],
+                       "arrival", req)
         else:
             self._resolve_unserved(req, OUTCOME_SHED)
 
@@ -332,7 +380,8 @@ class EndpointSimulation:
             self.shed += 1
         else:
             self.expired += 1
-        telemetry.count(f"serve.{outcome}")
+        if self._tracer is not None:
+            self._tracer.metrics.counter(f"serve.{outcome}").inc()
         if self.observer is not None:
             self.observer.on_resolve(req)
 
@@ -368,47 +417,56 @@ class EndpointSimulation:
 
     def _end_work(self, replica: Replica, unit: WorkUnit) -> None:
         rid = replica.replica_id
+        size = unit.size
+        batch_id = unit.batch_id
         observer = self.observer
+        tracer = self._tracer
+        hist = self.latency_hist
+        last_finish_ms = self.last_finish_ms
+        completed = 0
         for req, finish_ms in self.policy.finish(replica, unit):
             req.replica_id = rid
-            req.batch_size = unit.size
+            req.batch_size = size
             req.resolve(OUTCOME_COMPLETED, finish_ms)
             latency = finish_ms - req.arrival_ms
-            self.completed += 1
-            self._completions_since_tick += 1
-            self.last_finish_ms = max(self.last_finish_ms, finish_ms)
-            self.latency_hist.observe(latency,
-                                      exemplar=f"{req.request_id:012d}")
-            replica.queries_served += 1
-            telemetry.observe("serve.latency_ms", latency)
-            telemetry.count("serve.completed")
+            completed += 1
+            if finish_ms > last_finish_ms:
+                last_finish_ms = finish_ms
+            hist.observe(latency, exemplar=f"{req.request_id:012d}")
+            if tracer is not None:
+                tracer.metrics.histogram("serve.latency_ms").observe(latency)
+                tracer.metrics.counter("serve.completed").inc()
             if observer is not None:
-                observer.on_resolve(req, batch_id=unit.batch_id)
-                continue
-            attributes = {"request_id": req.request_id, "replica": rid,
-                          "batch_size": unit.size,
-                          "attempts": req.attempts}
-            if req.tokens_generated:
-                attributes["tokens"] = req.tokens_generated
-            telemetry.record("serve.request", "request",
-                             _ns(req.arrival_ms), _ns(finish_ms),
-                             attributes=attributes)
+                observer.on_resolve(req, batch_id)
+            elif tracer is not None:
+                attributes = {"request_id": req.request_id, "replica": rid,
+                              "batch_size": size,
+                              "attempts": req.attempts}
+                if req.tokens_generated:
+                    attributes["tokens"] = req.tokens_generated
+                tracer.record("serve.request", "request",
+                              _ns(req.arrival_ms), _ns(finish_ms),
+                              attributes=attributes)
+        self.completed += completed
+        self._completions_since_tick += completed
+        replica.queries_served += completed
+        self.last_finish_ms = last_finish_ms
         # the unit's span follows its requests' resolutions, so the
         # sampler's batch refcounts already see them
         if observer is not None:
             observer.on_batch(
-                unit.batch_id, rid, unit.size,
+                batch_id, rid, size,
                 replica.busy_from_ms, replica.busy_until_ms,
                 label=unit.label, phase=unit.phase, tokens=unit.tokens,
                 calibration_key=unit.calibration_key)
-        else:
-            attributes = {"replica": rid, "batch_size": unit.size}
+        elif tracer is not None:
+            attributes = {"replica": rid, "batch_size": size}
             if unit.phase:
-                attributes.update(batch_id=unit.batch_id,
+                attributes.update(batch_id=batch_id,
                                   phase=unit.phase, tokens=unit.tokens)
-            telemetry.record(unit.label, "stage", _ns(replica.busy_from_ms),
-                             _ns(replica.busy_until_ms),
-                             attributes=attributes)
+            tracer.record(unit.label, "stage", _ns(replica.busy_from_ms),
+                          _ns(replica.busy_until_ms),
+                          attributes=attributes)
         replica.recent_busy.append((replica.busy_from_ms,
                                     replica.busy_until_ms))
         replica.in_flight = None
@@ -541,6 +599,8 @@ class EndpointSimulation:
                     self._finish_drain(victim)
 
     def _more_work_pending(self) -> bool:
+        if self._next_arrival < len(self._requests):
+            return True
         if any(kind != "tick" for _, _, kind, _ in self._events):
             return True
         if any(r.outstanding or r.in_flight is not None

@@ -5,15 +5,39 @@ import pytest
 from repro.errors import ReproError
 from repro.serve.backend import NnForwardBackend
 from repro.serve.endpoint import ReplicaState
-from repro.serve.loadgen import constant_trace, poisson_trace
-from repro.serve.request import RetryPolicy
+from repro.serve.loadgen import ArrivalTrace, constant_trace, poisson_trace
+from repro.serve.request import OUTCOME_SHED, Request, RetryPolicy
 from repro.serve.simulator import EndpointSimulation
 
 QUERIES = [f"query-{i}" for i in range(8)]
+NAN = float("nan")
+INF = float("inf")
 
 
 def run_sim(endpoint, backend, trace, **kwargs):
     return EndpointSimulation(endpoint, backend, **kwargs).run(trace)
+
+
+class TestValidation:
+    @pytest.mark.parametrize("tick_ms", [NAN, INF, 0.0, -5.0])
+    def test_tick_must_be_positive_and_finite(self, make_endpoint, backend,
+                                              tick_ms):
+        with pytest.raises(ReproError, match="tick_ms"):
+            EndpointSimulation(make_endpoint(), backend, tick_ms=tick_ms)
+
+    @pytest.mark.parametrize("settle_ms", [NAN, INF, -1.0])
+    def test_settle_must_be_non_negative_and_finite(
+            self, make_endpoint, backend, settle_ms):
+        with pytest.raises(ReproError, match="settle_ms"):
+            EndpointSimulation(make_endpoint(), backend, settle_ms=settle_ms)
+
+    @pytest.mark.parametrize("time_ms", [NAN, INF, -1.0])
+    def test_interruption_times_must_be_finite_and_non_negative(
+            self, make_endpoint, backend, time_ms):
+        sim = EndpointSimulation(make_endpoint(), backend)
+        with pytest.raises(ReproError, match="interruption"):
+            sim.run(constant_trace(100.0, 50.0, QUERIES),
+                    interruptions=[(time_ms, 0)])
 
 
 class TestConservation:
@@ -178,6 +202,90 @@ class TestRouting:
             ep.terminate_replica(r)
         with pytest.raises(ReproError):
             run_sim(ep, backend, constant_trace(10.0, 50.0, QUERIES))
+
+    # -- the admission rule, one arrival at a time ------------------------
+    #
+    # An empty replay sets up the run state; the tests then place queued
+    # and in-flight load on the replicas by hand and route one request.
+
+    RETRY = RetryPolicy(max_retries=2, backoff_ms=3.0, multiplier=2.0)
+
+    def _primed(self, make_endpoint, backend, **config):
+        ep = make_endpoint(initial_replicas=3, max_replicas=3, **config)
+        sim = EndpointSimulation(ep, backend, retry_policy=self.RETRY)
+        sim.run(ArrivalTrace(name="empty", arrivals=(), duration_ms=1.0))
+        return ep.replicas, sim
+
+    @staticmethod
+    def _load(replica, queued=0, in_flight=0):
+        replica.queue.extend(Request(-1, "held", 0.0) for _ in range(queued))
+        if in_flight:
+            replica.in_flight = [(Request(-1, "held", 0.0), 0.0)] * in_flight
+
+    @staticmethod
+    def _route(sim, request_id=0):
+        """Offer one request; the id of the replica that queued it."""
+        req = Request(request_id, "q", sim.now_ms)
+        sim._on_arrival(req)
+        return next((r.replica_id for r in sim.endpoint.replicas
+                     if any(q is req for q in r.queue)), None)
+
+    def test_least_outstanding_wins_and_ties_go_to_the_lowest_id(
+            self, make_endpoint, backend):
+        (r0, r1, r2), sim = self._primed(make_endpoint, backend)
+        self._load(r0, queued=2)
+        self._load(r1, in_flight=1)
+        self._load(r2, queued=1)
+        # outstanding counts queued and in-flight alike: 2, 1, 1
+        assert self._route(sim, 0) == 1
+        assert self._route(sim, 1) == 2       # now 2, 2, 1
+        assert self._route(sim, 2) == 0       # 2, 2, 2: the lowest id
+
+    def test_a_full_queue_is_skipped_even_with_the_fewest_outstanding(
+            self, make_endpoint, backend):
+        (r0, r1, r2), sim = self._primed(make_endpoint, backend,
+                                         max_queue_depth=2)
+        self._load(r0, queued=2)                  # full, 2 outstanding
+        self._load(r1, queued=1, in_flight=3)     # room, 4 outstanding
+        self._load(r2, queued=2)                  # full
+        assert self._route(sim) == 1
+
+    def test_only_in_service_replicas_receive_requests(self, make_endpoint,
+                                                       backend):
+        (r0, r1, r2), sim = self._primed(make_endpoint, backend,
+                                         max_queue_depth=2)
+        r0.state = ReplicaState.PROVISIONING
+        r1.state = ReplicaState.DRAINING
+        self._load(r2, queued=1, in_flight=3)
+        assert self._route(sim, 0) == 2
+        # r2 is full now; the idle provisioning and draining replicas
+        # still take nothing, so the fleet answers 429
+        assert self._route(sim, 1) is None
+        assert sim.retries == 1
+        assert not r0.queue and not r1.queue
+
+    def test_a_full_fleet_answers_429_and_retries_after_the_backoff(
+            self, make_endpoint, backend):
+        replicas, sim = self._primed(make_endpoint, backend,
+                                     max_queue_depth=1)
+        for r in replicas:
+            self._load(r, queued=1)
+        req = Request(0, "q", sim.now_ms)
+        for attempt in (1, 2):
+            sim._events.clear()
+            sim._on_arrival(req)
+            retries = [(t, data) for t, _, kind, data in sim._events
+                       if kind == "arrival"]
+            assert req.attempts == attempt
+            assert retries == [(sim.now_ms + self.RETRY.delay_ms(attempt),
+                                req)]
+            sim.now_ms = retries[0][0]
+        assert sim.retries == 2
+        # the budget is spent: the third 429 sheds it
+        sim._events.clear()
+        sim._on_arrival(req)
+        assert req.outcome == OUTCOME_SHED and sim.shed == 1
+        assert not [e for e in sim._events if e[2] == "arrival"]
 
 
 class TestBilling:

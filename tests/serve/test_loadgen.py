@@ -94,6 +94,27 @@ class TestTraceValidation:
                          arrivals=(Arrival(5.0, "q"), Arrival(1.0, "q")),
                          duration_ms=10.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf"), -1.0])
+    def test_arrival_times_must_be_finite_and_non_negative(self, bad):
+        with pytest.raises(ReproError, match="finite"):
+            ArrivalTrace(name="bad", arrivals=(Arrival(bad, "q"),),
+                         duration_ms=10.0)
+
+    def test_a_nan_cannot_hide_a_misordering(self):
+        # every comparison with NaN is False, so an order check alone
+        # passes 5, NaN, 1
+        with pytest.raises(ReproError):
+            ArrivalTrace(name="bad",
+                         arrivals=(Arrival(5.0, "q"),
+                                   Arrival(float("nan"), "q"),
+                                   Arrival(1.0, "q")),
+                         duration_ms=10.0)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_duration_must_be_finite(self, bad):
+        with pytest.raises(ReproError, match="duration"):
+            ArrivalTrace(name="bad", arrivals=(), duration_ms=bad)
+
     def test_empty_pool_rejected(self):
         with pytest.raises(ReproError):
             constant_trace(10.0, 100.0, [])
