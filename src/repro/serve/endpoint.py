@@ -130,10 +130,6 @@ class Replica:
         """Queued + in-flight requests — the load-balancer's sort key."""
         return len(self.queue) + (len(self.in_flight) if self.in_flight else 0)
 
-    @property
-    def accepts_work(self) -> bool:
-        return self.state is ReplicaState.IN_SERVICE
-
     def busy_ms_in(self, start_ms: float, end_ms: float) -> float:
         """Busy time overlapping ``[start_ms, end_ms)``, including the
         batch still running."""
