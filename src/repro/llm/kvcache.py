@@ -11,8 +11,11 @@ tokens.
 The cache keeps running page and token totals, updated by
 :meth:`~PagedKvCache.allocate`, :meth:`~PagedKvCache.grow` and
 :meth:`~PagedKvCache.release`, so occupancy reads and the high-water
-bookkeeping cost O(1) per decode step rather than a sum over every
-page table; :meth:`~PagedKvCache.check_invariants` recounts them.
+bookkeeping cost O(1) per call rather than a sum over every page
+table; :meth:`~PagedKvCache.check_invariants` recounts them.
+:meth:`~PagedKvCache.grow` and :meth:`~PagedKvCache.pages_to_grow`
+take a list of sequence ids, so a decode iteration counts and grows
+its whole running set in two calls.
 
 Every page is one tracked allocation in the replica's
 :class:`~repro.gpu.memory.MemoryPool`, so the pool's conservation
@@ -25,8 +28,17 @@ scheduler's answer to KV pressure is preemption, not a crash.
 
 from __future__ import annotations
 
+from collections.abc import Sequence
+
 from repro.errors import ReproError
 from repro.gpu.memory import Allocation, MemoryPool
+
+
+def _token_count(tokens: int) -> int:
+    tokens = int(tokens)
+    if tokens < 0:
+        raise ReproError(f"token count must be >= 0, got {tokens}")
+    return tokens
 
 
 class PagedKvCache:
@@ -92,7 +104,7 @@ class PagedKvCache:
         and the call returns ``False`` (caller preempts or queues)."""
         if seq_id in self._tables:
             raise ReproError(f"sequence {seq_id} already has a page table")
-        tokens = int(tokens)
+        tokens = _token_count(tokens)
         need = self._pages_for(tokens)
         if need > self.free_pages:
             self.failed_grows += 1
@@ -106,25 +118,35 @@ class PagedKvCache:
         self._note_peak()
         return True
 
-    def grow(self, seq_id: int, tokens: int = 1) -> bool:
-        """Extend a sequence by ``tokens`` (one per decode step).  Only
-        allocates when the append crosses a page boundary; returns
-        ``False`` on exhaustion with the sequence unchanged."""
-        table = self._tables.get(seq_id)
-        if table is None:
-            raise ReproError(f"sequence {seq_id} has no page table")
-        tokens = int(tokens)
-        held = self._tokens[seq_id] + tokens
-        extra = self._pages_for(held) - len(table)
-        if extra > 0:
-            if extra > self.free_pages:
-                self.failed_grows += 1
-                return False
-            table.extend(self.pool.allocate(self.page_bytes, tag=self.tag)
-                         for _ in range(extra))
-            self._live_pages += extra
-        self._tokens[seq_id] = held
-        self._live_tokens += tokens
+    def grow(self, seq_ids: Sequence[int], tokens: int = 1) -> bool:
+        """Extend every sequence in ``seq_ids`` by ``tokens`` (one per
+        decode step; a decode iteration grows its whole running set in
+        one call).  Pages are only allocated where an append crosses a
+        page boundary, sequence by sequence in ``seq_ids`` order, so
+        they land where one call per sequence would put them.
+        All-or-nothing: when the pool cannot grant every extra page, it
+        returns ``False`` with every sequence unchanged."""
+        tokens = _token_count(tokens)
+        extra = self._extra_pages(seq_ids, tokens)
+        if extra and extra > self.free_pages:
+            self.failed_grows += 1
+            return False
+        tables = self._tables
+        held = self._tokens
+        page_tokens = self.page_tokens
+        allocate = self.pool.allocate
+        for seq_id in seq_ids:
+            table = tables[seq_id]
+            now = held[seq_id] + tokens
+            held[seq_id] = now
+            missing = -(-now // page_tokens) - len(table)
+            if missing:
+                table.extend(allocate(self.page_bytes, tag=self.tag)
+                             for _ in range(missing))
+        self._live_pages += extra
+        self._live_tokens += tokens * len(seq_ids)
+        # pages and tokens only rose, so one note after the whole call
+        # leaves the peak a note after each sequence would
         self._note_peak()
         return True
 
@@ -138,15 +160,28 @@ class PagedKvCache:
             self.peak_page_utilization = (
                 self._live_tokens / (pages * self.page_tokens))
 
-    def pages_to_grow(self, seq_id: int, tokens: int = 1) -> int:
-        """Pages a :meth:`grow` of ``tokens`` would need (0 when the
-        current last page still has room) — what the scheduler sums to
-        decide whether an iteration needs preemption first."""
-        held = self._tokens.get(seq_id)
-        if held is None:
-            raise ReproError(f"sequence {seq_id} has no page table")
-        return max(0, self._pages_for(held + tokens)
-                   - len(self._tables[seq_id]))
+    def pages_to_grow(self, seq_ids: Sequence[int], tokens: int = 1) -> int:
+        """Pages a :meth:`grow` of ``seq_ids`` by ``tokens`` would need
+        (0 when every last page still has room) — what the scheduler
+        reads once per decode iteration to decide whether it must
+        preempt first, and once per victim to take its share off."""
+        return self._extra_pages(seq_ids, _token_count(tokens))
+
+    def _extra_pages(self, seq_ids: Sequence[int], tokens: int) -> int:
+        # a repeated id would be counted twice against the same last
+        # page, and a grow would then place more pages than it checked
+        if len(set(seq_ids)) != len(seq_ids):
+            raise ReproError(f"sequence ids repeat in {list(seq_ids)}")
+        tables = self._tables
+        held = self._tokens
+        page_tokens = self.page_tokens
+        extra = 0
+        for seq_id in seq_ids:
+            table = tables.get(seq_id)
+            if table is None:
+                raise ReproError(f"sequence {seq_id} has no page table")
+            extra += -(-(held[seq_id] + tokens) // page_tokens) - len(table)
+        return extra
 
     def release(self, seq_id: int) -> int:
         """Free a sequence's pages (completion, preemption, eviction);

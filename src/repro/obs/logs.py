@@ -151,15 +151,28 @@ class LogPlane:
                  min_level: str = "DEBUG") -> None:
         if max_records_per_stream <= 0:
             raise ReproError("max_records_per_stream must be positive")
-        if min_level not in LEVELS:
-            raise ReproError(f"unknown log level {min_level!r}")
         self.max_records_per_stream = max_records_per_stream
         self.min_level = min_level
-        self._min_index = _LEVEL_INDEX[min_level]
         self.groups: dict[str, LogGroup] = {}
         self.filters: list[MetricFilter] = []
         self.metrics = MetricsRegistry()
         self._seq = itertools.count()
+
+    @property
+    def min_level(self) -> str:
+        """The ingestion threshold; assigning it takes effect at the
+        next :meth:`enabled` or :meth:`log` call.  An attached
+        :class:`~repro.obs.observer.EndpointObserver` reads the gate
+        once per run, at :meth:`~repro.obs.observer.EndpointObserver.attach`,
+        so a level assigned mid-run reaches its hooks at the next run."""
+        return LEVELS[self._min_index]
+
+    @min_level.setter
+    def min_level(self, level: str) -> None:
+        index = _LEVEL_INDEX.get(level)
+        if index is None:
+            raise ReproError(f"unknown log level {level!r}")
+        self._min_index = index
 
     def enabled(self, level: str) -> bool:
         """Whether ``level`` passes the ingestion threshold.

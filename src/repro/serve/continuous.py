@@ -32,8 +32,8 @@ batches as members finish.
 
 Routing, admission control, retries, autoscaling ticks, spot
 interruptions, billing, request resolution and span recording all stay
-in the loop; the report gains tokens/sec, TTFT and inter-token-latency
-percentiles (exemplar-linked), preemption and KV-occupancy stats.
+in the loop; the report gains tokens/sec, TTFT (exemplar-linked) and
+inter-token-latency percentiles, preemption and KV-occupancy stats.
 :class:`ContinuousBatchingSimulation` is the loop with this policy
 selected.
 """
@@ -88,9 +88,9 @@ class _ReplicaDecoder:
     scheduled: bool = False
 
 
-def _histogram(name: str) -> Histogram:
+def _histogram(name: str, max_exemplars: int = 0) -> Histogram:
     return Histogram(name, max_samples=LATENCY_RESERVOIR,
-                     max_exemplars=LATENCY_EXEMPLARS)
+                     max_exemplars=max_exemplars)
 
 
 class ContinuousBatching(BatchPolicy):
@@ -130,7 +130,9 @@ class ContinuousBatching(BatchPolicy):
         self.preemptions = 0
         self.total_generated = 0
         self.total_prefill = 0
-        self.ttft_hist = _histogram("serve.ttft_ms")
+        # only TTFT keeps exemplars: the report links its tail to
+        # requests, and reads no ITL or tokens/sec exemplar
+        self.ttft_hist = _histogram("serve.ttft_ms", LATENCY_EXEMPLARS)
         self.itl_hist = _histogram("serve.itl_ms")
         self.tps_hist = _histogram("serve.tokens_per_sec")
 
@@ -225,10 +227,10 @@ class ContinuousBatching(BatchPolicy):
         prompts = [s.prompt_tokens for s in new]
         end = self.sim.now_ms + backend.prefill_ms(prompts)
         backend.prefill_tokens += sum(prompts)
+        backend.generated_tokens += len(new)
         self.total_prefill += sum(prompts)
         for s in new:
             s.produced = 1
-            backend.generated_tokens += 1
             req = s.req
             if req.first_token_ms is None:
                 req.first_token_ms = end
@@ -242,29 +244,33 @@ class ContinuousBatching(BatchPolicy):
         youngest first when the KV pool cannot grow everyone.  A lone
         sequence always fits: admission checked its lifetime pages."""
         kv = st.kv
-        # pages this step needs: summed once per iteration, and each
+        running = st.running
+        ids = [s.req.request_id for s in running]
+        # pages this step needs: counted once per iteration, and each
         # victim takes its own share with it
-        need = sum(kv.pages_to_grow(s.req.request_id) for s in st.running)
-        while len(st.running) > 1 and kv.free_pages < need:
+        need = kv.pages_to_grow(ids)
+        while len(running) > 1 and kv.free_pages < need:
             # recompute-style preemption: pages freed, request requeued
             # at the head; prefill re-runs on re-admission
-            victim = st.running.pop()      # youngest boards last
-            need -= kv.pages_to_grow(victim.req.request_id)
-            kv.release(victim.req.request_id)
+            victim = running.pop()         # youngest boards last
+            vid = ids.pop()
+            need -= kv.pages_to_grow((vid,))
+            kv.release(vid)
             replica.queue.appendleft(victim.req)
             self.preemptions += 1
             telemetry.count("serve.preempted")
-        ctxs = [s.prompt_tokens + s.produced for s in st.running]
+        ctxs = [s.prompt_tokens + s.produced for s in running]
         dt = self.backend.decode_ms(ctxs)
-        for s in st.running:
-            if not kv.grow(s.req.request_id):
-                raise ReproError(
-                    "KV grow failed after capacity check — "
-                    "page accounting is inconsistent")
+        if not kv.grow(ids):
+            raise ReproError(
+                "KV grow failed after capacity check — "
+                "page accounting is inconsistent")
+        observe = self.itl_hist.observe
+        for s in running:
             s.produced += 1
-            self.backend.generated_tokens += 1
-            self.itl_hist.observe(dt, exemplar=f"{s.req.request_id:012d}")
-        size = len(st.running)
+            observe(dt)
+        size = len(running)
+        self.backend.generated_tokens += size
         return self._unit(st, self.sim.now_ms + dt, size, "decode", size,
                           self.backend.decode_key(ctxs))
 
@@ -285,10 +291,13 @@ class ContinuousBatching(BatchPolicy):
         """Sequences whose last token landed in ``unit`` leave *now* —
         the continuous-batching win — not when the whole batch drains."""
         st = self.decoders[replica.replica_id]
-        done = [s for s in st.running if s.produced >= s.gen_tokens]
+        done = []
+        kept = []
+        for s in st.running:
+            (kept if s.produced < s.gen_tokens else done).append(s)
         if not done:
             return []
-        st.running = [s for s in st.running if s.produced < s.gen_tokens]
+        st.running = kept
         now = self.sim.now_ms
         for s in done:
             req = s.req
@@ -297,8 +306,7 @@ class ContinuousBatching(BatchPolicy):
             self.total_generated += s.gen_tokens
             window_s = (now - req.first_token_ms) / 1e3
             if s.produced >= 2 and window_s > 0:
-                self.tps_hist.observe((s.produced - 1) / window_s,
-                                      exemplar=f"{req.request_id:012d}")
+                self.tps_hist.observe((s.produced - 1) / window_s)
         return [(s.req, now) for s in done]
 
     # -- teardown and the audit -------------------------------------------

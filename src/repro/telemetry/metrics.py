@@ -109,8 +109,15 @@ class Histogram:
             self.samples.append(value)
             return
         # Vitter's algorithm R: keep each of the n observations with
-        # probability max_samples/n.
-        j = self._rng.randrange(self._observed)
+        # probability max_samples/n.  The index is drawn as
+        # ``random.Random.randrange(n)`` draws it (k random bits,
+        # rejected until below n), without its two Python frames.
+        n = self._observed
+        k = n.bit_length()
+        getrandbits = self._rng.getrandbits
+        j = getrandbits(k)
+        while j >= n:
+            j = getrandbits(k)
         if j < self.max_samples:
             self.samples[j] = value
 

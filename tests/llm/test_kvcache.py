@@ -47,24 +47,86 @@ class TestAllocation:
 class TestGrow:
     def test_grow_only_allocates_across_page_boundary(self, cache):
         cache.allocate(1, 5)                  # page 2 holds tokens 5..8
-        assert cache.grow(1, 3)               # fills page 2: no new page
+        assert cache.grow((1,), 3)            # fills page 2: no new page
         assert cache.live_pages == 2
-        assert cache.pages_to_grow(1) == 1    # next token needs a page
-        assert cache.grow(1)                  # crosses into page 3
+        assert cache.pages_to_grow((1,)) == 1  # next token needs a page
+        assert cache.grow((1,))               # crosses into page 3
         assert cache.live_pages == 3
 
     def test_grow_soft_fails_with_sequence_unchanged(self, cache):
         cache.allocate(1, POOL_PAGES * PAGE_TOKENS)   # pool is full
-        assert cache.pages_to_grow(1) == 1
-        assert not cache.grow(1)
+        assert cache.pages_to_grow((1,)) == 1
+        assert not cache.grow((1,))
         assert cache.tokens_of(1) == POOL_PAGES * PAGE_TOKENS
         assert cache.failed_grows == 1
 
     def test_grow_unknown_sequence_raises(self, cache):
         with pytest.raises(ReproError):
-            cache.grow(99)
+            cache.grow((99,))
         with pytest.raises(ReproError):
-            cache.pages_to_grow(99)
+            cache.pages_to_grow((99,))
+
+    def test_set_grow_is_all_or_nothing(self, cache):
+        cache.allocate(1, 4 * PAGE_TOKENS)    # both at a page boundary
+        cache.allocate(2, 5 * PAGE_TOKENS)    # 9 of 10 pages
+        tables = cache.page_table(1), cache.page_table(2)
+        assert cache.pages_to_grow([1, 2]) == 2
+        assert not cache.grow([1, 2])         # one page left, two needed
+        assert (cache.page_table(1), cache.page_table(2)) == tables
+        assert (cache.tokens_of(1), cache.tokens_of(2)) == (16, 20)
+        assert cache.pool.free_bytes == PAGE_BYTES
+        assert cache.failed_grows == 1
+        assert cache.grow([1])                # one fits on its own
+        cache.check_invariants()
+
+    def test_set_grow_places_pages_as_one_call_per_sequence(self, cache):
+        def grown(calls):
+            pool = MemoryPool(POOL_PAGES * PAGE_BYTES, reserve_fraction=0.0,
+                              stats_page_bytes=PAGE_BYTES)
+            c = PagedKvCache(pool, BYTES_PER_TOKEN, page_tokens=PAGE_TOKENS)
+            for seq, tokens in ((1, 4), (2, 1), (3, 8), (4, 3)):
+                c.allocate(seq, tokens)
+            for ids in calls:
+                assert c.grow(ids, 2)
+            c.check_invariants()
+            first = c._tables[1][0].alloc_id   # allocation ids are global
+            tables = {seq: [(a.alloc_id - first, a.pages)
+                            for a in c._tables[seq]]
+                      for seq in (1, 2, 3, 4)}
+            return tables, c.peak_pages, c.peak_page_utilization
+
+        one_by_one = grown([(3,), (1,), (4,), (2,)])
+        assert grown([(3, 1, 4, 2)]) == one_by_one
+        assert grown([[3, 1], [4, 2]]) == one_by_one
+
+    def test_repeated_ids_are_rejected(self, cache):
+        cache.allocate(1, PAGE_TOKENS)
+        with pytest.raises(ReproError, match="repeat"):
+            cache.grow((1, 1))
+        with pytest.raises(ReproError, match="repeat"):
+            cache.pages_to_grow([1, 1])
+        assert cache.tokens_of(1) == PAGE_TOKENS
+        assert cache.live_pages == 1
+
+
+class TestNegativeTokens:
+    def test_allocate_rejects_negative_tokens(self, cache):
+        with pytest.raises(ReproError, match="token count"):
+            cache.allocate(1, -40)
+        assert cache.live_seqs == cache.live_pages == 0
+        assert cache.utilization() == 1.0
+        assert cache.pool.used_bytes == 0
+        cache.check_invariants()
+
+    def test_grow_rejects_negative_tokens(self, cache):
+        cache.allocate(7, 20)
+        with pytest.raises(ReproError, match="token count"):
+            cache.grow((7,), -20)
+        with pytest.raises(ReproError, match="token count"):
+            cache.pages_to_grow((7,), -1)
+        assert cache.tokens_of(7) == 20
+        assert cache.live_pages == 5
+        cache.check_invariants()
 
 
 def _move_page(cache):

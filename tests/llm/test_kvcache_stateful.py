@@ -1,12 +1,15 @@
 """Stateful property test: PagedKvCache over a small shared pool.
 
 A hypothesis state machine admits sequences, grows them a few tokens at
-a time and preempts (releases) them, over a pool that also holds a
-weights allocation.  After every step both ledgers pass their own
-``check_invariants()``; each page lands on the lowest free slot; the
+a time (one sequence, or a random subset in one call, as a decode
+iteration does) and preempts (releases) them, over a pool that also
+holds a weights allocation.  After every step both ledgers pass their
+own ``check_invariants()``; each page lands on the lowest free slot; the
 cache never holds more pages than the pool can grant; and
 ``peak_pages`` / ``peak_page_utilization`` equal a recount of the test's
-own tables.  Releasing everything drains the cache and the pool to zero.
+own tables.  A grow over a subset must equal the same grows made one
+sequence at a time, or, when their pages do not fit together, change
+nothing.  Releasing everything drains the cache and the pool to zero.
 """
 
 from hypothesis import settings, strategies as st
@@ -85,16 +88,43 @@ class KvCacheMachine(RuleBasedStateMachine):
         seq = data.draw(st.sampled_from(sorted(self.tokens)))
         held = self.tokens[seq]
         extra = pages_for(held + tokens) - pages_for(held)
-        assert self.kv.pages_to_grow(seq, tokens) == extra
+        assert self.kv.pages_to_grow((seq,), tokens) == extra
         fits = self._pages() + extra <= KV_PAGES
         before = self.kv.page_table(seq)
-        assert self.kv.grow(seq, tokens) == fits
+        assert self.kv.grow((seq,), tokens) == fits
         if fits:
             self.tokens[seq] = held + tokens
             self._expect_placed(seq, before)
             self._note_peak()
         else:
             assert self.kv.page_table(seq) == before
+
+    @precondition(lambda self: self.tokens)
+    @rule(data=st.data(), tokens=st.integers(0, 2 * PAGE_TOKENS))
+    def grow_set(self, data, tokens):
+        seqs = data.draw(st.lists(st.sampled_from(sorted(self.tokens)),
+                                  min_size=1, unique=True))
+        extra = sum(pages_for(self.tokens[seq] + tokens)
+                    - pages_for(self.tokens[seq]) for seq in seqs)
+        assert self.kv.pages_to_grow(seqs, tokens) == extra
+        fits = self._pages() + extra <= KV_PAGES
+        before = {seq: self.kv.page_table(seq) for seq in self.tokens}
+        free_before = self.pool.free_bytes
+        failed_before = self.kv.failed_grows
+        assert self.kv.grow(seqs, tokens) == fits
+        if fits:
+            # the model makes the same grows one sequence at a time
+            for seq in seqs:
+                self.tokens[seq] += tokens
+                self._expect_placed(seq, before[seq])
+                self._note_peak()
+        else:
+            assert {seq: self.kv.page_table(seq)
+                    for seq in self.tokens} == before
+            assert all(self.kv.tokens_of(seq) == held
+                       for seq, held in self.tokens.items())
+            assert self.pool.free_bytes == free_before
+            assert self.kv.failed_grows == failed_before + 1
 
     @precondition(lambda self: self.tokens)
     @rule(data=st.data())

@@ -43,6 +43,34 @@ class TestEmission:
         assert plane.groups["/svc"].stream("s").dropped == 2
 
 
+class TestLevelGate:
+    def test_min_level_drops_lower_levels(self):
+        plane = LogPlane(min_level="WARNING")
+        assert not plane.enabled("INFO") and plane.enabled("WARNING")
+        assert plane.log("/svc", "s", "m", level="INFO") is None
+        assert plane.log("/svc", "s", "m", level="ERROR") is not None
+
+    def test_assigned_min_level_takes_effect(self):
+        plane = LogPlane(min_level="WARNING")
+        plane.min_level = "DEBUG"
+        assert plane.min_level == "DEBUG"
+        assert plane.enabled("INFO")
+        assert plane.log("/svc", "s", "m", level="INFO") is not None
+        plane.min_level = "ERROR"
+        assert not plane.enabled("WARNING")
+        assert plane.log("/svc", "s", "m", level="WARNING") is None
+        assert len(plane.records()) == 1
+
+    def test_unknown_min_level_is_rejected(self):
+        with pytest.raises(ReproError):
+            LogPlane(min_level="NOPE")
+        plane = LogPlane(min_level="INFO")
+        with pytest.raises(ReproError):
+            plane.min_level = "NOPE"
+        assert plane.min_level == "INFO"
+        assert not plane.enabled("DEBUG") and plane.enabled("INFO")
+
+
 class TestQueries:
     def test_records_merge_streams_in_emission_order(self):
         plane = LogPlane()

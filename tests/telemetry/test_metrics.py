@@ -1,5 +1,8 @@
 """Metrics instruments, the registry, and the CloudWatch bridge."""
 
+import random
+import zlib
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -79,6 +82,24 @@ class TestReservoirHistogram:
             return h.samples
 
         assert fill() == fill()
+
+    @pytest.mark.parametrize("max_samples", [1, 7, 64])
+    def test_draws_are_randrange_on_the_name_seed(self, max_samples):
+        # the golden reports were made with random.Random.randrange's
+        # replacement draws, so the reservoir must keep drawing them
+        h = Histogram("serve.latency_ms", max_samples=max_samples)
+        rng = random.Random(
+            zlib.crc32(f"serve.latency_ms:{max_samples}".encode()))
+        expected = []
+        for n in range(1, 5_000):
+            h.observe(float(n))
+            if n <= max_samples:
+                expected.append(float(n))
+                continue
+            j = rng.randrange(n)
+            if j < max_samples:
+                expected[j] = float(n)
+        assert h.samples == expected
 
     def test_below_capacity_is_exact(self):
         h = Histogram("lat", max_samples=1000)
