@@ -14,6 +14,7 @@ is simulated, the profiler tables the labs produce are deterministic.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from repro.errors import DeviceError
@@ -48,13 +49,18 @@ class LaunchConfig:
 def normalize_launch(grid, block) -> LaunchConfig:
     """Validate and normalize a ``<<<grid, block>>>`` pair.
 
-    Accepts ints or tuples (as Numba does), enforces CUDA's hard limits:
-    at most 1024 threads per block, positive dimensions, 3 axes max.
+    Accepts integers (Python or NumPy) or tuples or lists of them, as
+    Numba does, and enforces CUDA's hard limits: at most 1024 threads per
+    block, positive dimensions, 3 axes max.  A dimension that is not an
+    integer (``n / 32``, say) raises rather than being truncated.
     """
     def norm(v, what: str) -> tuple[int, ...]:
-        if isinstance(v, int):
-            v = (v,)
-        v = tuple(int(x) for x in v)
+        dims = tuple(v) if isinstance(v, (tuple, list)) else (v,)
+        try:
+            v = tuple(operator.index(x) for x in dims)
+        except TypeError:
+            raise DeviceError(
+                f"{what} dimensions must be integers, got {v!r}") from None
         if not 1 <= len(v) <= 3:
             raise DeviceError(f"{what} must have 1-3 dimensions, got {len(v)}")
         if any(x <= 0 for x in v):

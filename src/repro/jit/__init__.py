@@ -10,8 +10,11 @@ the Numba stand-in:
   per CUDA thread — except where :mod:`repro.jit.lowering` proves a
   faster path gives the same bytes: a verified elementwise, stencil,
   block-reduction or tiled-matmul launch runs as whole-block NumPy, one
-  phase between barriers at a time, and any other kernel with barriers
-  runs each block's threads as generators on one OS thread.  Each launch is
+  phase between barriers at a time (a loop whose test varies by thread,
+  like Collatz's ``while n != 1``, runs pass by pass over the threads
+  still in it, governing only temporaries), and any other kernel with
+  barriers runs each block's threads as generators on one OS thread.
+  Each launch is
   also *costed* on the virtual GPU, identically on every path, so
   profiler timelines and speedups come out of the same hardware model as
   :mod:`repro.xp`.  (Numba itself ships the per-thread idea as

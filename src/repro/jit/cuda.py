@@ -14,7 +14,12 @@ alone (no option selects one), all giving the same output bytes:
   ``range``/``while`` loops over its array arguments, shared arrays and
   the thread indices runs a chunk of whole blocks at a time as NumPy,
   each statement for all of the chunk's threads before the next, split
-  into phases at each ``syncthreads()`` (:mod:`repro.jit.lowering`).  It
+  into phases at each ``syncthreads()`` (:mod:`repro.jit.lowering`).  A
+  loop whose test or bound varies by thread (a data-dependent ``while``
+  like Collatz's, or ``range(lens[i])``) runs pass by pass for the
+  threads still in it, and an ``if`` on data runs each branch for its
+  own threads; under such a test sit only assignments to temporaries,
+  never a subscript, barrier or call.  It
   does so when the abstract interpreter classifies it ``elementwise``,
   ``stencil``, ``reduction`` or ``tiled-matmul`` and ``verified`` under
   this launch's grid, block and argument shapes, and a trace of the

@@ -16,11 +16,16 @@ globals and closure cells, so every name resolves as in the original:
   each statement runs for every thread of the chunk before the next, as
   NumPy on per-thread index arrays and ``(blocks, *shape)`` shared
   arrays, with uniform loops on the host and thread-varying tests as
-  masks.  An elementwise or stencil kernel is the one-phase case with no
-  shared array.  :meth:`Lowered.admitted` decides per launch signature,
-  from the kernel's :class:`~repro.analysis.kernelclass.KernelClass`
-  under that launch and a trace of the launch's tests and subscripts,
-  whether the result is the interpreter's, byte for byte.
+  masks.  A loop whose test or bound varies by thread (``collatz``'s
+  ``while n != 1``) runs pass by pass over the threads still in it,
+  dropping each thread once its test fails, and an ``if`` on data runs
+  each branch for its own threads; both govern only assignments to
+  temporaries.  An elementwise or stencil kernel is the one-phase case
+  with no shared array.  :meth:`Lowered.admitted` decides per launch
+  signature, from the kernel's
+  :class:`~repro.analysis.kernelclass.KernelClass` under that launch and
+  a trace of the launch's tests and subscripts, whether the result is
+  the interpreter's, byte for byte.
 
 Both return ``None`` when the kernel's source cannot be retrieved, does
 not compile to the kernel's live code, or does not have the required
@@ -35,6 +40,7 @@ import dis
 import inspect
 import itertools
 import math
+import operator
 import textwrap
 import types
 
@@ -245,23 +251,53 @@ class _Reject(Exception):
     lowering takes; the launcher keeps the per-thread paths."""
 
 
-_UNIFORM, _INDEX, _VALUE = "uniform", "index", "value"
+_UNIFORM, _INDEX, _VALUE, _COUNTER = "uniform", "index", "value", "counter"
+#: the kinds that can differ with the data, not only with the thread
+_DATA = (_VALUE, _COUNTER)
+#: what an ``if``, ``while`` or ``for`` becomes: run on the host, a mask
+#: on the indices, an ``if`` on data (or any thread-varying ``if`` inside
+#: one) run branch by branch, or a loop run pass by pass per thread
+_HOST, _MASK, _SPLIT, _LOOP = "host", "mask", "split", "loop"
 _AXES = ("x", "y", "z")
 #: ``cuda.<name>.<axis>`` -> the :class:`_Blocks` member that serves it
 _INTRINSICS = {"threadIdx": "tid", "blockIdx": "bid", "blockDim": "bdim",
                "gridDim": "gdim"}
+_NO_THREADS = np.empty(0, np.intp)
 
 
 def _join(a: str, b: str) -> str:
     """The kind of a value computed from values of kinds ``a`` and ``b``.
-    Uniform values mix with either; an index never mixes into data, since
-    the interpreter holds it as a Python int and the lowered body as an
-    ``int64`` array, which NumPy promotes differently."""
+    Uniform values mix with any kind; an index or a counter never mixes
+    into data, since the interpreter holds it as a Python int and the
+    lowered body as an ``int64`` array, which NumPy promotes differently
+    (against ``float32``, say)."""
     if a == b or b == _UNIFORM:
         return a
     if a == _UNIFORM:
         return b
     raise _Reject
+
+
+_INT64 = np.dtype(np.int64).str
+
+
+def _flavour(value) -> str:
+    """What decides how a temporary promotes: an array's or NumPy
+    scalar's dtype, ``int64`` for a Python int (a counter, which becomes
+    an ``int64`` array where it varies by thread), else its type."""
+    if isinstance(value, (np.ndarray, np.generic)):
+        return value.dtype.str
+    return _INT64 if type(value) is int else type(value).__name__
+
+
+def _integral(bound):
+    """A ``range`` argument as ``range`` takes it: an integer, or per
+    thread an ``int64`` array of integers."""
+    if not isinstance(bound, np.ndarray):
+        return operator.index(bound)
+    if bound.dtype.kind not in "iu" or bound.dtype == np.uint64:
+        raise TypeError(f"range() takes integers, not {bound.dtype}")
+    return bound.astype(np.int64, copy=False)
 
 
 class Lowered:
@@ -272,9 +308,13 @@ class Lowered:
     before the next: a shared array is one ``(blocks, *shape)`` array,
     thread and block indices are per-thread ``int64`` arrays, loops and
     tests on launch-uniform values run on the host, and a test on the
-    indices narrows the threads its branch runs for.  ``free`` names the
-    values the statements read by bare name, which must be numbers at
-    launch.
+    indices narrows the threads its branch runs for.  A loop whose test
+    or bound varies by thread runs one pass at a time for the threads
+    still in it, and drops each thread whose test fails at the end of a
+    pass; an ``if`` on data runs each branch for its own threads.  The
+    temporaries such a loop or ``if`` assigns and later code reads are
+    merged back per thread.  ``free`` names the values the statements
+    read by bare name, which must be numbers at launch.
     """
 
     def __init__(self, fn, body, form: "_Form") -> None:
@@ -285,8 +325,10 @@ class Lowered:
         self._arrays = frozenset(form.arrays)
         self._written = tuple(k for k, p in enumerate(self.params)
                               if p in form.written)
-        #: the free names a test, a subscript or a bound reads
+        #: the free names a test, a subscript, a bound or a counter reads
         self._bound = frozenset(form.bound)
+        self._counted = frozenset(form.counted)
+        self._int64 = frozenset(form.counter_stores)
         self._globals = tuple(sorted(self.free - set(self.params)))
         self._decisions: dict = {}
 
@@ -312,11 +354,11 @@ class Lowered:
 
     def _key(self, grid3: tuple, block3: tuple, args) -> tuple:
         """What :meth:`_admit` decides from: the launch shape, each
-        array's dtype and shape, the value of each number a test, a
-        subscript or a loop bound reads (directly or through temporaries),
-        and the type of every other argument and of each global the
-        statements read.  A number read only into values cannot move the
-        verdict."""
+        array's dtype and shape, the value of each number a test on the
+        indices, a subscript, a host loop's bound or a counter reads
+        (directly or through temporaries), and the type of every other
+        argument and of each global the statements read.  A number read
+        only into values or tests on them cannot move the verdict."""
         def part(name, value):
             if isinstance(value, np.ndarray):
                 return value.dtype.str, value.shape
@@ -332,27 +374,37 @@ class Lowered:
         """Positions of the arguments the launch writes when it may run
         lowered, else ``None``.
 
-        It may when every value read by bare name is a number, every
-        parameter used as an array is one, the kernel classifies as a
-        lowerable archetype and ``verified`` under this launch, and a
-        trace of the launch (:class:`_Rules`) finds every subscript an
-        in-bounds integer per dimension, no shared cell that one thread
-        writes touched by another thread of its block between two
-        barriers, and no cell of a written argument touched by two
-        threads.  Then running each statement for all threads before the
-        next computes what running the threads one after another does,
-        and no block depends on another.  The verdict rests on tests and
-        subscripts alone, which read no array data in the forms
-        :class:`_Form` takes, so one trace decides every launch of the
-        signature.
+        It may when every value read by bare name is a number (a Python
+        or NumPy ``int64`` integer where a counter reads it), every
+        parameter used as an array is one (of ``int64`` where a counter
+        is stored into it), the kernel classifies as a lowerable
+        archetype and ``verified`` under this launch, and a trace of the
+        launch (:class:`_Rules`) finds every subscript an in-bounds
+        integer per dimension, no shared cell that one thread writes
+        touched by another thread of its block between two barriers, and
+        no cell of a written argument touched by two threads.  Then
+        running each statement for all threads before the next computes
+        what running the threads one after another does, and no block
+        depends on another.  The verdict rests on the masks and
+        subscripts, which read no array data in the forms :class:`_Form`
+        takes, so one trace decides every launch of the signature.  A
+        test on data governs only temporaries, so the trace runs each
+        loop or branch under one once with no threads, which checks that
+        every temporary it merges back keeps its dtype whatever the data.
         """
         if len(args) != len(self.params):
             return None
         scope = dict(zip(self.params, args))
-        if not all(isinstance(scope[n] if n in scope
-                              else _resolve(self.fn, n), _NUMBERS)
-                   for n in self.free) or not all(
-                isinstance(scope[p], np.ndarray) for p in self._arrays):
+
+        def value(name):
+            return scope[name] if name in scope else _resolve(self.fn, name)
+
+        if not all(isinstance(value(n), _NUMBERS) for n in self.free) \
+                or not all(isinstance(scope[p], np.ndarray)
+                           for p in self._arrays) \
+                or not all(type(value(n)) in (int, np.int64)
+                           for n in self._counted) \
+                or not all(scope[p].dtype == np.int64 for p in self._int64):
             return None
         from repro.analysis.absint import LaunchEnv, classify_kernel
         from repro.analysis.domains import Affine
@@ -409,9 +461,10 @@ class Lowered:
 class _Blocks:
     """The threads of a chunk of whole blocks, as a lowered body sees
     them: index arrays built on first use, shared arrays with one row per
-    block, and the branch the body is in (:meth:`enter`, :meth:`leave`).
-    Under a trace (``rules``) each access is checked and stores are
-    skipped."""
+    block, and the branch or loop the body is in (:meth:`enter`,
+    :meth:`branch`, :meth:`loop`).  Under a trace (``rules``) each access
+    is checked, stores are skipped, and a branch or loop on data runs
+    once with no threads."""
 
     def __init__(self, grid3: tuple, block3: tuple, lo: tuple, hi: tuple,
                  rules: "_Rules | None") -> None:
@@ -422,9 +475,12 @@ class _Blocks:
                         for a, z, b in zip(lo, hi, block3)]
         self._shape = tuple(len(c) for c in self._coords)
         self._rules = rules
-        # per branch depth: (mask over the enclosing threads, or None when
-        # it takes them all; index arrays built so far; thread count)
+        # per branch depth: (mask or positions over the enclosing threads,
+        # or None when it takes them all; index arrays built so far;
+        # thread count)
         self._levels = [(None, {}, math.prod(self._shape))]
+        #: under a trace, the values each loop being probed started with
+        self._probes: list = []
 
     def _index(self, key: tuple, depth: int = -1) -> np.ndarray:
         mask, built, _ = self._levels[depth]
@@ -509,12 +565,20 @@ class _Blocks:
         else:
             tile[index] = value
 
+    def _threads(self, mask) -> np.ndarray:
+        """``mask``, per thread or one truth value for all, over the
+        current threads."""
+        count = self._levels[-1][2]
+        if isinstance(mask, np.ndarray) and mask.shape == (count,):
+            return mask
+        return np.broadcast_to(mask, (count,))
+
     def enter(self, mask, invert: bool) -> bool:
         """Narrow the threads to those ``mask`` (or, with ``invert``, its
         complement) holds for; ``False``, narrowing nothing, when it holds
         for none: the interpreter would not run the branch at all."""
         count = self._levels[-1][2]
-        mask = np.broadcast_to(mask, (count,))
+        mask = self._threads(mask)
         if invert:
             mask = ~mask
         taken = int(np.count_nonzero(mask))
@@ -534,6 +598,108 @@ class _Blocks:
 
     def leave(self) -> None:
         self._levels.pop()
+
+    # -- tests on data ----------------------------------------------------
+
+    def branch(self, mask, invert: bool) -> bool:
+        """:meth:`enter` for a test on data, selecting the threads by
+        position (its values are cut and merged back more than once);
+        under a trace the branch is entered with no threads, so each of
+        its statements is checked once whatever the data."""
+        if self._rules is not None:
+            self._levels.append((_NO_THREADS, {}, 0))
+            return True
+        mask = self._threads(mask)
+        taken = (~mask if invert else mask).nonzero()[0]
+        if not taken.size:
+            return False
+        count = self._levels[-1][2]
+        self._levels.append((None if taken.size == count else taken, {},
+                             taken.size))
+        return True
+
+    def widen(self, *values) -> tuple:
+        """``values`` as per-thread arrays of their own, which a branch or
+        loop on data merges its threads' results into."""
+        if self._rules is not None:
+            return values
+        count = self._levels[-1][2]
+        return tuple(v.copy() if isinstance(v, np.ndarray)
+                     else np.full(count, v) for v in values)
+
+    def merge(self, fulls: tuple, parts: tuple) -> tuple:
+        """``fulls`` (from :meth:`widen`) with the branch's threads set to
+        ``parts``; under a trace, checks that each part promotes as its
+        full value does."""
+        if self._rules is not None:
+            if any(_flavour(f) != _flavour(p) for f, p in zip(fulls, parts)):
+                raise _Reject
+            return fulls
+        selected = self._levels[-1][0]
+        if selected is None:
+            return parts
+        for full, part in zip(fulls, parts):
+            full[selected] = part
+        return fulls
+
+    def loop(self, mask, values: tuple) -> tuple | None:
+        """Enter a loop whose test varies by thread with the threads
+        ``mask`` holds for and ``values`` narrowed to them, or ``None``
+        when it holds for none.  Under a trace one pass runs with no
+        threads (:meth:`again` ends it)."""
+        if not self.branch(mask, False):
+            return None
+        if self._rules is not None:
+            self._probes.append(values)
+        return self.narrow(*values)
+
+    def again(self, mask, fulls: tuple, live: tuple, values: tuple):
+        """End a pass: write the ``live`` values of the threads whose test
+        ``mask`` fails into ``fulls`` (from :meth:`widen`), drop those
+        threads, and return ``values`` narrowed to the rest, or ``None``
+        (leaving the loop) when none is left.  Under a trace, checks that
+        the pass kept each value's and each live value's dtype."""
+        selected, _, count = self._levels[-1]
+        if self._rules is not None:
+            before = self._probes.pop()
+            self._levels.pop()
+            if any(_flavour(a) != _flavour(b) for a, b in
+                   itertools.chain(zip(before, values), zip(fulls, live))):
+                raise _Reject
+            return None
+        still = self._threads(mask)
+        left = int(np.count_nonzero(still))
+        if left == count:
+            return values
+        if selected is None:
+            selected = np.arange(count)
+        done = (~still).nonzero()[0]
+        at = selected[done]
+        for full, v in zip(fulls, live):
+            full[at] = v[done] if isinstance(v, np.ndarray) else v
+        if not left:
+            self._levels.pop()
+            return None
+        kept = still.nonzero()[0]
+        self._levels[-1] = (selected[kept], {}, left)
+        return tuple(v[kept] if isinstance(v, np.ndarray) else v
+                     for v in values)
+
+    def span(self, start, stop, step) -> tuple:
+        """``range(start, stop, step)`` per thread: the first value and
+        the stop, as integers or ``int64`` arrays, and the step (raising
+        as ``range`` does on a non-integer or a zero step)."""
+        step = operator.index(step)
+        if not step:
+            raise ValueError("range() arg 3 must not be zero")
+        return _integral(start), _integral(stop), step
+
+    def count(self, value):
+        """A counter's new value; under a trace, rejects one that is not
+        an integer, which would promote unlike the interpreter's."""
+        if self._rules is not None and _flavour(value) != _INT64:
+            raise _Reject
+        return value
 
     def sync(self) -> None:
         """``cuda.syncthreads()``: every thread has run every statement
@@ -718,6 +884,39 @@ def _names(names, ctx) -> ast.Tuple:
                      ctx=ctx())
 
 
+def _tuple(names) -> str:
+    """The source of a tuple of ``names``."""
+    return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
+
+
+class _Fill(ast.NodeTransformer):
+    """A template's ``_lw_<part>`` placeholders replaced by its parts: a
+    placeholder statement by a list of statements, a placeholder name by
+    a copy of an expression."""
+
+    def __init__(self, parts: dict) -> None:
+        self.parts = parts
+
+    def visit_Expr(self, node):
+        if isinstance(node.value, ast.Name) and node.value.id in self.parts:
+            return self.parts[node.value.id]
+        return self.generic_visit(node)
+
+    def visit_Name(self, node):
+        if node.id in self.parts:
+            return copy.deepcopy(self.parts[node.id])
+        return node
+
+
+def _template(source: str, at: ast.AST, **parts) -> list:
+    """The statements of ``source``, at the line of the statement ``at``
+    they stand for, with its placeholders filled (:class:`_Fill`)."""
+    tree = ast.parse(textwrap.dedent(source))
+    for node in ast.walk(tree):
+        ast.copy_location(node, at)
+    return _Fill(parts).visit(tree).body
+
+
 class _Form:
     """A kernel's statements checked against the forms the lowering
     takes, and rewritten (:attr:`lowered`) into the body of a
@@ -727,22 +926,46 @@ class _Form:
     all its assignments: ``uniform``, the same for every thread (numbers,
     dimensions, loop counters and arithmetic on them); ``index``, built
     from ``cuda.grid``, ``threadIdx`` and ``blockIdx`` with ``+``, ``-``
-    and ``*``; or ``value``, computed from array elements.  Tests,
-    subscripts and loop bounds read no values, so a trace decides a
-    launch from them alone, and values read no index.
+    and ``*``; ``value``, computed from array elements; or ``counter``,
+    an integer built from uniform ones with ``+``, ``-`` and ``*`` that
+    varies by thread because a test on data governs it (``count = 0`` and
+    ``count += 1`` under ``collatz``'s loop) or because its ``range``
+    starts per thread.  Masks, subscripts and host loop bounds read no
+    value or counter, so a trace decides a launch from them alone; values
+    read no index or counter.
 
     The statements are assignments, ``cuda.syncthreads()`` outside any
     thread-varying branch, ``if`` (an ``else`` too), ``for`` over
     ``range`` and ``while``.  A loop and a test on uniform values run on
     the host; a test on indices is a mask, its branch run for the threads
     it selects with the per-thread values it reads narrowed to them.  A
-    temporary assigned in such a branch may occur only in it.  Nothing
-    else is called: no helper, no atomic; there is no ``return``,
-    ``break`` or ``continue``.  :attr:`free` collects the names read by
-    bare name that are not temporaries, :attr:`bound` those of them a
-    test, a subscript, a bound or a shared shape reads (directly or
-    through temporaries), :attr:`arrays` the parameters used as arrays
-    and :attr:`written` those stored into.
+    temporary assigned in such a branch may occur only in it.
+
+    A test on data is one comparison (a chain or ``and`` would evaluate
+    its later parts for threads the interpreter skips); under it, and
+    under a loop whose test or ``range`` varies by thread, sit only
+    assignments to temporaries and more such tests and loops: no
+    subscript, shared array, barrier or call.  So no array is touched
+    there, and the trace runs them once with no threads rather than for
+    every thread and pass.  Each branch runs for its own
+    threads only; each loop pass for the threads whose test still holds.
+    A temporary they assign that code outside reads is merged back per
+    thread (:attr:`_merges`), so it must be assigned before, keep one
+    dtype on every path (the trace checks this) and, if a value, never
+    be a Python scalar (``masked_temp``'s ``t = 0.0``).  A counter must
+    be an integer (the trace checks this), is stored only into ``int64``
+    arrays, and reads only Python or ``int64`` integers; like an index,
+    it is taken to stay within ``int64``, past which the interpreter's
+    Python int would grow and the array wrap.
+
+    Nothing else is called: no helper, no atomic; there is no
+    ``return``, ``break`` or ``continue``.  :attr:`free` collects the
+    names read by bare name that are not temporaries, :attr:`bound` those
+    of them a mask, a subscript, a host loop's bound, a ``range`` step, a
+    counter or a shared shape reads (directly or through temporaries),
+    :attr:`counted` those a counter reads, :attr:`arrays` the parameters
+    used as arrays, :attr:`written` those stored into and
+    :attr:`counter_stores` those a counter is stored into.
     """
 
     def __init__(self, fn, params: list, body: list, cuda: set) -> None:
@@ -760,17 +983,31 @@ class _Form:
                        and isinstance(s.targets[0], ast.Name)
                        and self._shared_call(s.value)}
         self.temps = stored - self.shared
-        self.kinds: dict = {}
-        self.deps: dict = {}
-        self.free: set = set()
-        self.bound: set = set()
-        self.arrays: set = set()
+        self._counters: set = set()
+        while True:     # a new counter can make a test read data
+            self.kinds, self.deps = {}, {}
+            self.free, self.bound, self.arrays = set(), set(), set()
+            self._infer(body)
+            self._roles, self._uses = {}, {}
+            self._scan(body, (), False)
+            self._merges, self._stored = self._merged()
+            more = {n for names in self._merges.values() for n in names
+                    if self.kinds.get(n, _UNIFORM) in (_UNIFORM, _COUNTER)}
+            if more <= self._counters:
+                break
+            self._counters |= more
+        forms = self._forms(body)
+        if any(self.kinds.get(n) == _VALUE and _UNIFORM in forms[n]
+               for names in self._merges.values() for n in names):
+            raise _Reject   # a Python scalar on one path, an element on another
+        self.counted = set().union(*(self.deps[n] for n, k in self.kinds.items()
+                                     if k == _COUNTER))
+        self.bound |= self.counted
         self.written: set = set()
-        self._infer(body)
-        self._uses: dict = {}
-        self._scan(body, ())
+        self.counter_stores: set = set()
         self._narrowed = self._scopes()
-        self._masks = 0
+        self._serial = 0
+        self._governed = False
         self.lowered = self._block(body, masked=False, top=True)
 
     # -- kinds ----------------------------------------------------------------
@@ -785,6 +1022,8 @@ class _Form:
             changed = False
             for s in defs:
                 for name, kind, deps in self._defines(s):
+                    if kind == _UNIFORM and name in self._counters:
+                        kind = _COUNTER
                     old = self.kinds.get(name), self.deps.get(name)
                     new = (kind if old[0] is None else _join(old[0], kind),
                            deps | (old[1] or frozenset()))
@@ -792,10 +1031,20 @@ class _Form:
                         self.kinds[name], self.deps[name] = new
                         changed = True
 
+    def _forms(self, body: list) -> dict:
+        """Per temporary, the kinds of the values assigned to it."""
+        forms: dict = {}
+        for s in _statements(body):
+            if isinstance(s, (ast.Assign, ast.For)):
+                for name, kind, _ in self._defines(s):
+                    forms.setdefault(name, set()).add(kind)
+        return forms
+
     def _defines(self, s):
         if isinstance(s, ast.For):
             if isinstance(s.target, ast.Name):
-                yield s.target.id, _UNIFORM, self._range(s.iter)
+                varies, kind, reads = self._range(s.iter)
+                yield s.target.id, kind, frozenset() if varies else reads
             return
         if len(s.targets) != 1:
             raise _Reject
@@ -825,7 +1074,7 @@ class _Form:
             (left, lread), (right, rread) = (self.expr(node.left),
                                              self.expr(node.right))
             kind = _join(left, right)
-            if not isinstance(node.op, _INDEX_OPS if kind == _INDEX
+            if not isinstance(node.op, _INDEX_OPS if kind in (_INDEX, _COUNTER)
                               else _VALUE_OPS):
                 raise _Reject
             return kind, lread | rread
@@ -848,23 +1097,32 @@ class _Form:
         """The kind of an index or bound expression, whose free names
         join :attr:`bound`."""
         kind, reads = self.expr(node)
-        if kind == _VALUE:
+        if kind in _DATA:
             raise _Reject
         self.bound |= reads
         return kind
 
     def cond(self, node) -> str:
         """The kind of an ``if`` or ``while`` test: ``uniform`` runs on
-        the host, ``index`` is a mask."""
+        the host, ``index`` is a mask, and one that reads data (a single
+        comparison) governs temporaries only; the free names a test on no
+        data reads join :attr:`bound`."""
         if isinstance(node, ast.BoolOp):
             kinds = [self.cond(v) for v in node.values]
+            if any(k in _DATA for k in kinds):
+                raise _Reject
             return _INDEX if _INDEX in kinds else _UNIFORM
         if isinstance(node, ast.Compare):
             if not all(isinstance(op, _COMPARE_OPS) for op in node.ops):
                 raise _Reject
-            kind = _UNIFORM
+            kind, reads = _UNIFORM, frozenset()
             for term in [node.left, *node.comparators]:
-                kind = _join(kind, self._reads_no_value(term))
+                more_kind, more = self.expr(term)
+                kind, reads = _join(kind, more_kind), reads | more
+            if kind not in _DATA:
+                self.bound |= reads
+            elif len(node.ops) > 1:
+                raise _Reject
             return kind
         if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.Not) \
                 and self.cond(node.operand) == _UNIFORM:
@@ -873,21 +1131,30 @@ class _Form:
             raise _Reject
         return _UNIFORM
 
-    def _range(self, node) -> frozenset:
-        """The free names read by ``range(...)`` over uniform values."""
+    def _range(self, node) -> tuple:
+        """``range(...)``: whether its bounds vary by thread, the kind of
+        its loop variable (a counter where the start varies) and the free
+        names it reads.  The step is uniform; it joins :attr:`bound` (its
+        sign picks the test and zero raises), and so does every argument
+        of a range that varies by no thread."""
         if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                 and node.func.id == "range" and not node.keywords
                 and 1 <= len(node.args) <= 3
                 and _resolve(self.fn, "range") is None):
             raise _Reject
-        reads = frozenset()
+        kinds, reads = [], frozenset()
         for arg in node.args:
             kind, more = self.expr(arg)
-            if kind != _UNIFORM:
-                raise _Reject
+            kinds.append(kind)
             reads |= more
-        self.bound |= reads
-        return reads
+        if len(node.args) == 3:
+            if self._reads_no_value(node.args[2]) != _UNIFORM:
+                raise _Reject
+        varies = any(k != _UNIFORM for k in kinds)
+        if not varies:
+            self.bound |= reads
+        start = kinds[0] if len(kinds) > 1 else _UNIFORM
+        return varies, _UNIFORM if start == _UNIFORM else _COUNTER, reads
 
     # -- recognised forms -----------------------------------------------------
 
@@ -950,44 +1217,109 @@ class _Form:
 
     # -- thread-varying branches ----------------------------------------------
 
-    def _scan(self, stmts: list, branches: tuple) -> None:
-        """Record each occurrence of a temporary with the thread-varying
-        branches it sits in (an ``if`` node's id and 0 or 1 for ``else``)."""
+    def _scan(self, stmts: list, branches: tuple, governed: bool) -> None:
+        """Give each ``if``, ``while`` and ``for`` its role
+        (:attr:`_roles`), and record each occurrence of a temporary with
+        the thread-varying branches and loops it sits in (an ``if`` node's
+        id and 0 or 1 for ``else``, a loop's id and 0).  ``governed``: a
+        test on data governs ``stmts``."""
         for s in stmts:
-            if isinstance(s, ast.If) and self.cond(s.test) == _INDEX:
+            if isinstance(s, ast.If):
+                kind = self.cond(s.test)
+                role = _HOST if kind == _UNIFORM else \
+                    _MASK if kind == _INDEX and not governed else _SPLIT
                 self._occur(s.test, branches)
                 for k, block in enumerate((s.body, s.orelse)):
-                    self._scan(block, branches + ((id(s), k),))
+                    self._scan(block, branches if role == _HOST
+                               else branches + ((id(s), k),),
+                               governed or role == _SPLIT)
+            elif isinstance(s, (ast.While, ast.For)):
+                if isinstance(s, ast.While):
+                    role = _HOST if self.cond(s.test) == _UNIFORM else _LOOP
+                    head = s.test           # evaluated again every pass
+                else:
+                    role = _LOOP if self._range(s.iter)[0] else _HOST
+                    self._occur(s.iter, branches)
+                    head = s.target
+                inner = branches if role == _HOST \
+                    else branches + ((id(s), 0),)
+                self._occur(head, inner)
+                self._scan(s.body, inner, governed or role == _LOOP)
+            else:
+                self._occur(s, branches)
                 continue
-            for field, value in ast.iter_fields(s):
-                if field not in ("body", "orelse"):
-                    self._occur(value, branches)
-            for field in ("body", "orelse"):
-                self._scan(getattr(s, field, []), branches)
+            self._roles[id(s)] = role
 
     def _occur(self, value, branches: tuple) -> None:
-        for item in value if isinstance(value, list) else [value]:
-            if isinstance(item, ast.AST):
-                for n in ast.walk(item):
-                    if isinstance(n, ast.Name) and n.id in self.temps:
-                        self._uses.setdefault(n.id, []).append(
-                            (isinstance(n.ctx, ast.Store), branches))
+        for n in ast.walk(value):
+            if isinstance(n, ast.Name) and n.id in self.temps:
+                self._uses.setdefault(n.id, []).append(
+                    (isinstance(n.ctx, ast.Store), branches))
+
+    def _merged(self) -> tuple:
+        """Per split and loop (by node id), the temporaries it assigns
+        that are read outside it, sorted; and per branch or loop, the
+        temporaries assigned in it."""
+        stored: dict = {}
+        merged: dict = {}
+        for name, uses in self._uses.items():
+            reads = [other for store, other in uses if not store]
+            for b in {b for store, branches in uses if store for b in branches}:
+                stored.setdefault(b, set()).add(name)
+                if any(b not in other for other in reads):
+                    merged.setdefault(b[0], set()).add(name)
+        return ({node: sorted(merged.get(node, ()))
+                 for node, role in self._roles.items()
+                 if role in (_SPLIT, _LOOP)}, stored)
 
     def _scopes(self) -> dict:
-        """Per branch, the per-thread temporaries it reads from outside,
-        sorted; rejects a temporary assigned in a branch that occurs outside it."""
+        """Per masked branch, the per-thread temporaries it reads from
+        outside, sorted; rejects a temporary assigned in a masked branch
+        that occurs outside it."""
         reads: dict = {}
         stores: dict = {}
         for name, uses in self._uses.items():
             for store, branches in uses:
-                if store and branches and any(
-                        branches[-1] not in other for _, other in uses):
+                masks = [b for b in branches if self._roles[b[0]] == _MASK]
+                if store and masks and any(
+                        masks[-1] not in other for _, other in uses):
                     raise _Reject
-                for b in branches:
+                for b in masks:
                     (stores if store else reads).setdefault(b, set()).add(name)
         return {b: sorted(n for n in names - stores.get(b, set())
                           if self.kinds.get(n) != _UNIFORM)
                 for b, names in reads.items()}
+
+    def _loads(self, node) -> set:
+        return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
+                and isinstance(n.ctx, ast.Load) and n.id in self.temps}
+
+    def _exposed(self, stmts: list, defined: set) -> set:
+        """The temporaries ``stmts`` may read before assigning them, given
+        those ``defined`` before: the values they take from outside.  A
+        split or loop reads what it merges back where it starts."""
+        out: set = set()
+        for s in stmts:
+            if not isinstance(s, (ast.If, ast.While, ast.For)):
+                out |= self._loads(s) - defined
+                defined |= {n.id for n in ast.walk(s) if isinstance(n, ast.Name)
+                            and isinstance(n.ctx, ast.Store)}
+                continue
+            head = s.iter if isinstance(s, ast.For) else s.test
+            out |= (self._loads(head) | set(self._merges.get(id(s), ()))) \
+                - defined
+            if isinstance(s, ast.If):
+                taken, other = set(defined), set(defined)
+                out |= self._exposed(s.body, taken) \
+                    | self._exposed(s.orelse, other)
+                defined |= taken & other
+            else:       # the body may not run, so defines nothing after it
+                inner = set(defined)
+                if isinstance(s, ast.For):
+                    inner |= {n.id for n in ast.walk(s.target)
+                              if isinstance(n, ast.Name)}
+                out |= self._exposed(s.body, inner)
+        return out
 
     # -- the rewrite ----------------------------------------------------------
 
@@ -998,21 +1330,25 @@ class _Form:
     def _stmt(self, s, masked: bool, top: bool) -> list:
         if isinstance(s, ast.Pass):
             return []
+        role = self._roles.get(id(s))
+        if role == _MASK:
+            return self._masked(s)
+        if role == _SPLIT:
+            return self._split(s)
+        if role == _LOOP:
+            return self._loop(s)
         if isinstance(s, ast.Expr) and isinstance(s.value, ast.Call) \
                 and self._cuda_attr(s.value.func, "syncthreads") \
                 and not s.value.args and not s.value.keywords and not masked:
             new = ast.Expr(_lw("sync"))
         elif isinstance(s, ast.Assign):
             new = self._assign(s, top)
-        elif isinstance(s, ast.If) and self.cond(s.test) == _INDEX:
-            return self._masked(s)
         elif isinstance(s, ast.If):
             new = ast.If(test=self.rewrite(s.test),
                          body=self._block(s.body, masked),
                          orelse=self._block(s.orelse, masked)
                          if s.orelse else [])
-        elif isinstance(s, ast.While) and not s.orelse \
-                and self.cond(s.test) == _UNIFORM:
+        elif isinstance(s, ast.While) and not s.orelse:
             new = ast.While(test=self.rewrite(s.test),
                             body=self._block(s.body, masked), orelse=[])
         elif isinstance(s, ast.For) and not s.orelse \
@@ -1031,7 +1367,7 @@ class _Form:
         ndim = self._grid_call(value)
         if ndim is not None:
             names = [target] if ndim == 1 else getattr(target, "elts", [])
-            if len(names) != ndim \
+            if len(names) != ndim or self._governed \
                     or not all(isinstance(n, ast.Name) for n in names):
                 raise _Reject
             return ast.Assign(targets=[target],
@@ -1044,14 +1380,25 @@ class _Form:
                 func=_lw_attr("shared"), args=value.args,
                 keywords=value.keywords))
         if isinstance(target, ast.Name) and target.id in self.temps:
-            self.expr(value)
-            return ast.Assign(targets=[target], value=self.rewrite(value))
-        if not self._element(target) or self.expr(value)[0] == _INDEX:
+            kind = self.kinds.get(target.id)
+            if self._governed and _INDEX in (kind, self.expr(value)[0]):
+                raise _Reject   # an index that varies with the data
+            value = self.rewrite(value)
+            return ast.Assign(targets=[target], value=_lw("count", value)
+                              if kind == _COUNTER else value)
+        if self._governed or not self._element(target):
+            raise _Reject
+        kind = self.expr(value)[0]
+        if kind == _INDEX:
             raise _Reject
         base = target.value.id
         index = ast.Tuple(elts=[self.rewrite(e) for e in _subscripts(target)],
                           ctx=ast.Load())
         array = ast.Name(id=base, ctx=ast.Load())
+        if kind == _COUNTER:
+            if base in self.shared:
+                raise _Reject
+            self.counter_stores.add(base)
         if base in self.shared:
             return ast.Expr(_lw("sst", array, index, self.rewrite(value)))
         self.written.add(base)
@@ -1082,9 +1429,8 @@ class _Form:
         """An ``if`` on the indices: the mask, then each branch under
         ``_lw.enter`` with the temporaries it reads narrowed, and restored
         after it."""
-        self._masks += 1
-        mask = f"_lw_m{self._masks}"
-        saved = f"_lw_o{self._masks}"
+        n = self._fresh()
+        mask, saved = f"_lw_m{n}", f"_lw_o{n}"
         out = [ast.Assign(targets=[ast.Name(id=mask, ctx=ast.Store())],
                           value=self.mask(s.test))]
         for k, stmts in enumerate((s.body, s.orelse)):
@@ -1107,6 +1453,107 @@ class _Form:
                          ast.Constant(bool(k))),
                 body=body + [ast.Expr(_lw("leave"))], orelse=[]))
         return [ast.copy_location(new, s) for new in out]
+
+    def _fresh(self) -> int:
+        self._serial += 1
+        return self._serial
+
+    def _governed_block(self, stmts: list) -> list:
+        """``stmts`` rewritten as a test on data governs them."""
+        outer, self._governed = self._governed, True
+        out = self._block(stmts, masked=True)
+        self._governed = outer
+        return out
+
+    def _split(self, s: ast.If) -> list:
+        """An ``if`` on data, or any thread-varying ``if`` such a test
+        governs: the temporaries read after it widened to per-thread
+        arrays, then each branch under ``_lw.branch`` with the
+        temporaries it reads narrowed to its threads, and its results for
+        the widened ones merged back."""
+        n = self._fresh()
+        mask, fulls, saved = f"_lw_m{n}", f"_lw_f{n}", f"_lw_o{n}"
+        merged = self._merges[id(s)]
+        out = _template(f"""
+            {mask} = _lw_test
+            {fulls} = _lw.widen({', '.join(merged)})
+            """, s, _lw_test=self.mask(s.test))
+        for k, stmts in enumerate((s.body, s.orelse)):
+            if not stmts:
+                continue
+            kept = sorted(x for x in self._exposed(stmts, set())
+                          if x not in merged and self.kinds.get(x) != _UNIFORM)
+            out += _template(f"""
+                if _lw.branch({mask}, {bool(k)}):
+                    {saved} = {_tuple(kept)}
+                    {_tuple(kept + merged)} = _lw.narrow({', '.join(
+                        [*kept, '*' + fulls])})
+                    _lw_body
+                    {fulls} = _lw.merge({fulls}, {_tuple(merged)})
+                    {_tuple(kept)} = {saved}
+                    _lw.leave()
+                """, s, _lw_body=self._governed_block(stmts))
+        return out + _template(f"{_tuple(merged)} = {fulls}", s)
+
+    def _loop(self, s) -> list:
+        """A loop whose test or ``range`` varies by thread: the
+        temporaries read after it widened, ``_lw.loop`` entering it with
+        the threads whose test holds and the temporaries it reads
+        narrowed to them, then passes of the body, each closed by
+        ``_lw.again``, which merges back the values of the threads whose
+        test fails and drops them, until none is left.  A ``for`` steps a
+        hidden per-thread position from the ``range``'s start, evaluated
+        once like the stop and step."""
+        if s.orelse:
+            raise _Reject
+        n = self._fresh()
+        fulls, saved, state = f"_lw_f{n}", f"_lw_o{n}", f"_lw_v{n}"
+        if isinstance(s, ast.For):
+            if not isinstance(s.target, ast.Name):
+                raise _Reject
+            at, stop, step = f"_lw_k{n}", f"_lw_h{n}", f"_lw_d{n}"
+            bounds = [self.rewrite(a) for a in s.iter.args]
+            if len(bounds) == 1:
+                bounds.insert(0, ast.Constant(0))
+            if len(bounds) == 2:
+                bounds.append(ast.Constant(1))
+            start = _template(f"{at}, {stop}, {step} = _lw.span("
+                              "_lw_lo, _lw_hi, _lw_by)", s, _lw_lo=bounds[0],
+                              _lw_hi=bounds[1], _lw_by=bounds[2])
+            test = ast.parse(f"{at} < {stop} if {step} > 0 else {at} > {stop}",
+                             mode="eval").body
+            head = _template(f"{s.target.id} = {at}", s)
+            tail = _template(f"{at} = {at} + {step}", s)
+            exposed = self._exposed(s.body, {s.target.id})
+            hidden = [at, stop]
+        else:
+            start, head, tail, hidden = [], [], [], []
+            outer, self._governed = self._governed, True
+            test = self.mask(s.test)    # it runs again every pass
+            self._governed = outer
+            exposed = self._loads(s.test) | self._exposed(s.body, set())
+        live = self._merges[id(s)]
+        carried = sorted(x for x in exposed | set(live)
+                         if self.kinds.get(x) != _UNIFORM) + hidden
+        stored = self._stored.get((id(s), 0), set())
+        kept = [x for x in carried if x not in stored and x not in hidden]
+        body = head + self._governed_block(s.body) + tail
+        return start + _template(f"""
+            {fulls} = _lw.widen({', '.join(live)})
+            {saved} = {_tuple(kept)}
+            {state} = _lw.loop(_lw_test, {_tuple(carried)})
+            if {state} is not None:
+                {_tuple(carried)} = {state}
+                while True:
+                    _lw_body
+                    {state} = _lw.again(_lw_test, {fulls}, {_tuple(live)},
+                                        {_tuple(carried)})
+                    if {state} is None:
+                        break
+                    {_tuple(carried)} = {state}
+                {_tuple(kept)} = {saved}
+            {_tuple(live)} = {fulls}
+            """, s, _lw_test=test, _lw_body=body)
 
     def mask(self, test):
         """The test as one boolean expression over the index arrays:
@@ -1144,6 +1591,8 @@ class _Form:
         if isinstance(node, ast.Subscript) and isinstance(node.value, ast.Name) \
                 and (node.value.id in self._params
                      or node.value.id in self.shared):
+            if self._governed:
+                raise _Reject   # a test on data governs no subscript
             base = node.value.id
             index = ast.Tuple(elts=[self.rewrite(e) for e in _subscripts(node)],
                               ctx=ast.Load())

@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 
 from repro.errors import DeviceError
@@ -42,6 +43,23 @@ class TestLaunchConfig:
     def test_too_many_dims_rejected(self):
         with pytest.raises(DeviceError):
             normalize_launch((1, 1, 1, 1), 32)
+
+    def test_numpy_integer_dimensions(self):
+        cfg = normalize_launch(np.int64(4), np.int32(32))
+        assert cfg.grid == (4,) and cfg.block == (32,)
+        assert all(type(d) is int for d in cfg.grid + cfg.block)
+        cfg = normalize_launch([np.int16(2), 3], (np.uint8(16), 16))
+        assert cfg.grid == (2, 3) and cfg.block == (16, 16)
+
+    @pytest.mark.parametrize("grid, block, what", [
+        (100 / 32, 32, "grid"), ((100 / 32,), 32, "grid"),
+        (4, (32.7,), "block"), (4, np.float32(32.0), "block"),
+        ("4", 32, "grid")])
+    def test_non_integer_dimension_rejected(self, grid, block, what):
+        # truncating would run 3 blocks for 3.125 and leave elements unset
+        with pytest.raises(DeviceError, match=f"{what} dimensions must be "
+                                              "integers"):
+            normalize_launch(grid, block)
 
 
 class TestWarpEfficiency:

@@ -141,6 +141,38 @@ class TestLaunchMechanics:
         with pytest.raises(DeviceError):
             k[32](np.zeros(1))  # missing block
 
+    def test_numpy_integer_launch_dimensions(self, system1):
+        @cuda.jit
+        def fill(out, n):
+            i = cuda.grid(1)
+            if i < n:
+                out[i] = 1.0
+
+        n = 100
+        for grid, block in ((np.int64(4), 32), (4, np.int32(32)),
+                            ((np.int64(4),), [np.int32(32)])):
+            out = cuda.device_array(n)
+            fill[grid, block](out, n)
+            np.testing.assert_array_equal(out.get(), np.ones(n))
+
+    def test_fractional_launch_dimensions_rejected(self, system1):
+        @cuda.jit
+        def fill(out, n):
+            i = cuda.grid(1)
+            if i < n:
+                out[i] = 1.0
+
+        n = 100
+        out = cuda.device_array(n)
+        # (n / 32,) once ran int(3.125) = 3 blocks and filled 96 of 100
+        for grid, block, what in ((n / 32, 32, "grid"),
+                                  ((n / 32,), 32, "grid"),
+                                  (4, (32.7,), "block")):
+            with pytest.raises(DeviceError, match=f"{what} dimensions"):
+                fill[grid, block](out, n)
+        assert fill.launch_count == 0
+        np.testing.assert_array_equal(out.get(), np.zeros(n))
+
     def test_intrinsic_outside_kernel_rejected(self, system1):
         with pytest.raises(DeviceError, match="outside a kernel"):
             cuda.grid(1)

@@ -422,7 +422,7 @@ class TestBarrierKernelsKept:
                         np.zeros(2, np.float32)) == "generator"
 
 
-# -- what stays on the interpreter --------------------------------------------
+# -- loops and tests on data --------------------------------------------------
 
 @cuda.jit
 def collatz(start, steps):
@@ -438,6 +438,245 @@ def collatz(start, steps):
             count += 1
         steps[i] = count
 
+
+@cuda.jit
+def newton_sqrt(x, out, steps):
+    i = cuda.grid(1)
+    if i < x.size:
+        a = x[i]
+        r = a + 1.0
+        nxt = 0.5 * (r + a / r)
+        count = 0
+        while nxt < r:      # strictly falling, so it stops
+            r = nxt
+            nxt = 0.5 * (r + a / r)
+            count += 1
+        out[i] = r
+        steps[i] = count
+
+
+@cuda.jit
+def damped(lens, x, out, sums):
+    i = cuda.grid(1)
+    if i < lens.size:
+        v = x[i]
+        total = 0
+        for k in range(lens[i]):
+            v = v * 0.5 + 1.0
+            total += k
+        out[i] = v
+        sums[i] = total
+
+
+@cuda.jit
+def stepped(lo, hi, step, x, out, sums):
+    i = cuda.grid(1)
+    if i < lo.size:
+        v = x[i]
+        total = 0
+        for k in range(lo[i], hi[i], step):
+            if k < 5:
+                v = v * 0.5 + 1.0
+            total += k
+        out[i] = v
+        sums[i] = total
+
+
+def both_chunkings(kernel, grid, block, *args):
+    """``run_both`` at the default chunk cap and in chunks of 64
+    threads; asserts the launch lowers."""
+    for chunk in (lowering.CHUNK_THREADS, 64):
+        with chunks_of(chunk):
+            assert run_both(kernel, grid, block, *args) == "lowered"
+
+
+def short_of_blocks(blocks: int, block: int, short: int) -> int:
+    """A thread count that leaves the last of ``blocks`` blocks short."""
+    return blocks * block - 1 - short % (block - 1)
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(blocks=st.integers(1, 4), block=st.sampled_from([32, 64, 128, 256]),
+       short=st.integers(0, 255), top=st.integers(2, 5000))
+def test_collatz_lowers_byte_identically(blocks, block, short, top):
+    make_system(1, "T4")
+    n = short_of_blocks(blocks, block, short)
+    start = np.random.default_rng(n + top).integers(1, top, n)
+    both_chunkings(collatz, blocks, block, start, np.zeros(n, np.int64))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(1, 400), block=st.sampled_from([32, 64, 100]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       scale=st.sampled_from([1.0, 1e3, 1e6]))
+def test_newton_sqrt_lowers_byte_identically(n, block, dtype, scale):
+    make_system(1, "T4")
+    x = np.random.default_rng(n).uniform(1e-3, scale, n).astype(dtype)
+    both_chunkings(newton_sqrt, -(-n // block), block, x, np.zeros(n, dtype),
+                   np.zeros(n, np.int64))
+
+
+@settings(max_examples=15, deadline=None, derandomize=True)
+@given(n=st.integers(1, 300), block=st.sampled_from([32, 64, 100]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       step=st.sampled_from([-3, -1, 1, 2]))
+def test_thread_varying_ranges_lower_byte_identically(n, block, dtype, step):
+    make_system(1, "T4")
+    rng = np.random.default_rng(n)
+    x = rng.random(n).astype(dtype)
+    grid = -(-n // block)
+    both_chunkings(damped, grid, block, rng.integers(0, 20, n), x,
+                   np.zeros(n, dtype), np.zeros(n, np.int64))
+    both_chunkings(stepped, grid, block, rng.integers(-10, 20, n),
+                   rng.integers(-10, 20, n), step, x, np.zeros(n, dtype),
+                   np.zeros(n, np.int64))
+
+
+@cuda.jit
+def magnitude(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        t = x[i]
+        if t < 0:
+            t = -t
+        out[i] = t
+
+
+@cuda.jit
+def nested(lens, x, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        v = x[i]
+        for k in range(lens[i]):
+            while v > 2.0:
+                v = v * 0.5
+            v = v * 3.0 + k
+        out[i] = v
+
+
+@cuda.jit
+def relu(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        out[i] = x[i] if x[i] > 0 else 0.0
+
+
+@cuda.jit
+def decay_reload(x, decay, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        while v > 1.0:
+            v = v * decay[i]
+        out[i] = v
+
+
+@cuda.jit
+def float_accumulator(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        acc = 0.0
+        while v > 1.0:
+            acc += v
+            v = v * 0.5
+        out[i] = acc
+
+
+@cuda.jit
+def scaled_count(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        count = 0
+        while v > 1.0:
+            v = v * 0.5
+            count += 1
+        out[i] = count * x[i]
+
+
+@cuda.jit
+def halving(start, out):
+    i = cuda.grid(1)
+    if i < start.size:
+        n = start[i]
+        while n > 1:
+            n = n / 2
+        out[i] = n
+
+
+@cuda.jit
+def early_stop(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        while v > 1.0:
+            v = v * 0.5
+            if v < 3.0:
+                break
+        out[i] = v
+
+
+class TestThreadVaryingLoops:
+    """A test on data governs only temporaries that keep one dtype on
+    every path; anything else keeps the kernel on the interpreter."""
+
+    def test_data_dependent_loop(self, system1):
+        assert run_both(collatz, 4, 64, np.arange(1, 257),
+                        np.zeros(256, np.int64)) == "lowered"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_if_on_data_outside_a_loop(self, system1, chunk):
+        x = np.random.default_rng(6).standard_normal(300).astype(np.float32)
+        with chunks_of(chunk):
+            assert run_both(magnitude, 3, 128, x,
+                            np.zeros(300, np.float32)) == "lowered"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_loop_on_data_inside_another(self, system1, chunk):
+        rng = np.random.default_rng(7)
+        with chunks_of(chunk):
+            assert run_both(nested, 3, 100, rng.integers(0, 6, 300),
+                            rng.uniform(0, 40, 300), np.zeros(300)) \
+                == "lowered"
+
+    def test_store_under_a_test_on_data(self, system1):
+        x = np.random.default_rng(0).standard_normal(300).astype(np.float32)
+        assert run_both(relu, 3, 128, x, np.zeros(300, np.float32)) \
+            == "sequential"
+
+    def test_load_inside_a_loop_on_data(self, system1):
+        rng = np.random.default_rng(1)
+        assert run_both(decay_reload, 2, 128, rng.uniform(0.5, 50, 256),
+                        rng.uniform(0.1, 0.9, 256), np.zeros(256)) \
+            == "sequential"
+
+    def test_python_float_accumulating_elements(self, system1):
+        # 0.0 stays a Python float where the loop never runs, and becomes
+        # float32 where it does
+        x = np.random.default_rng(2).uniform(0.5, 50, 256).astype(np.float32)
+        assert run_both(float_accumulator, 2, 128, x,
+                        np.zeros(256, np.float32)) == "sequential"
+
+    def test_counter_times_an_element(self, system1):
+        # a Python int times float32 is float32, int64 times float32 is
+        # float64
+        x = np.random.default_rng(3).uniform(0.5, 50, 256).astype(np.float32)
+        assert run_both(scaled_count, 2, 128, x, np.zeros(256)) \
+            == "sequential"
+
+    def test_value_changing_dtype_in_the_loop(self, system1):
+        # int64 where the loop never runs, float64 where it does
+        start = np.random.default_rng(4).integers(0, 9, 256)
+        assert run_both(halving, 2, 128, start, np.zeros(256)) \
+            == "sequential"
+
+    def test_break_in_a_loop_on_data(self, system1):
+        x = np.random.default_rng(5).uniform(0.5, 50, 256)
+        assert run_both(early_stop, 2, 128, x, np.zeros(256)) == "sequential"
+
+
+# -- what stays on the interpreter --------------------------------------------
 
 @cuda.jit
 def strided_inc(out):
@@ -477,11 +716,6 @@ def saxpy(a, x, y, out):
 
 class TestInterpreterKept:
     """Each lowering condition keeps a kernel on the interpreter."""
-
-    def test_data_dependent_loop(self, system1):
-        # classifies elementwise and verified, but loops on data
-        assert run_both(collatz, 4, 64, np.arange(1, 257),
-                        np.zeros(256, np.int64)) == "sequential"
 
     def test_grid_stride_loop(self, system1):
         assert run_both(strided_inc, 2, 16,
