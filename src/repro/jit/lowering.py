@@ -73,7 +73,8 @@ _NUMBERS = (int, float, complex, np.number, np.bool_)
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
 _MASK_OPS = {ast.And: ast.BitAnd, ast.Or: ast.BitOr}
 _COMPARE_OPS = (ast.Lt, ast.LtE, ast.Gt, ast.GtE, ast.Eq, ast.NotEq)
-_INDEX_OPS = (ast.Add, ast.Sub, ast.Mult)
+_COUNTER_OPS = (ast.Add, ast.Sub)
+_INDEX_OPS = _COUNTER_OPS + (ast.Mult,)
 _VALUE_OPS = _INDEX_OPS + (ast.Div, ast.FloorDiv, ast.Mod, ast.Pow)
 
 
@@ -254,6 +255,9 @@ class _Reject(Exception):
 _UNIFORM, _INDEX, _VALUE, _COUNTER = "uniform", "index", "value", "counter"
 #: the kinds that can differ with the data, not only with the thread
 _DATA = (_VALUE, _COUNTER)
+#: the operators an index or a counter may be computed with (any other
+#: kind takes every one of :data:`_VALUE_OPS`)
+_OPS = {_INDEX: _INDEX_OPS, _COUNTER: _COUNTER_OPS}
 #: what an ``if``, ``while`` or ``for`` becomes: run on the host, a mask
 #: on the indices, an ``if`` on data (or any thread-varying ``if`` inside
 #: one) run branch by branch, or a loop run pass by pass per thread
@@ -312,8 +316,9 @@ class Lowered:
     or bound varies by thread runs one pass at a time for the threads
     still in it, and drops each thread whose test fails at the end of a
     pass; an ``if`` on data runs each branch for its own threads.  The
-    temporaries such a loop or ``if`` assigns and later code reads are
-    merged back per thread.  ``free`` names the values the statements
+    temporaries such a loop or ``if`` assigns that later code reads, or
+    that it reads again on its next pass or run, are merged back per
+    thread.  ``free`` names the values the statements
     read by bare name, which must be numbers at launch.
     """
 
@@ -475,23 +480,22 @@ class _Blocks:
                         for a, z, b in zip(lo, hi, block3)]
         self._shape = tuple(len(c) for c in self._coords)
         self._rules = rules
-        # per branch depth: (mask or positions over the enclosing threads,
-        # or None when it takes them all; index arrays built so far;
-        # thread count)
+        # per branch depth: (positions among the enclosing threads, or None
+        # when it takes them all; index arrays built so far; thread count)
         self._levels = [(None, {}, math.prod(self._shape))]
         #: under a trace, the values each loop being probed started with
         self._probes: list = []
 
     def _index(self, key: tuple, depth: int = -1) -> np.ndarray:
-        mask, built, _ = self._levels[depth]
+        selected, built, _ = self._levels[depth]
         arr = built.get(key)
         if arr is None:
             if depth == -len(self._levels):
                 arr = self._full(*key)
             else:
                 arr = self._index(key, depth - 1)
-                if mask is not None:
-                    arr = arr[mask]
+                if selected is not None:
+                    arr = arr[selected]
             built[key] = arr
         return arr
 
@@ -575,8 +579,9 @@ class _Blocks:
 
     def enter(self, mask, invert: bool) -> bool:
         """Narrow the threads to those ``mask`` (or, with ``invert``, its
-        complement) holds for; ``False``, narrowing nothing, when it holds
-        for none: the interpreter would not run the branch at all."""
+        complement) holds for, kept as their positions among the current
+        ones; ``False``, narrowing nothing, when it holds for none: the
+        interpreter would not run the branch at all."""
         count = self._levels[-1][2]
         mask = self._threads(mask)
         if invert:
@@ -584,16 +589,17 @@ class _Blocks:
         taken = int(np.count_nonzero(mask))
         if not taken:
             return False
-        self._levels.append((None if taken == count else mask, {}, taken))
+        self._levels.append((None if taken == count else mask.nonzero()[0],
+                             {}, taken))
         return True
 
     def narrow(self, *values) -> tuple:
         """``values``, per-thread arrays among them cut to the threads of
         the branch just entered."""
-        mask = self._levels[-1][0]
-        if mask is None:
+        selected = self._levels[-1][0]
+        if selected is None:
             return values
-        return tuple(v[mask] if isinstance(v, np.ndarray) else v
+        return tuple(v[selected] if isinstance(v, np.ndarray) else v
                      for v in values)
 
     def leave(self) -> None:
@@ -602,20 +608,12 @@ class _Blocks:
     # -- tests on data ----------------------------------------------------
 
     def branch(self, mask, invert: bool) -> bool:
-        """:meth:`enter` for a test on data, selecting the threads by
-        position (its values are cut and merged back more than once);
-        under a trace the branch is entered with no threads, so each of
-        its statements is checked once whatever the data."""
-        if self._rules is not None:
-            self._levels.append((_NO_THREADS, {}, 0))
-            return True
-        mask = self._threads(mask)
-        taken = (~mask if invert else mask).nonzero()[0]
-        if not taken.size:
-            return False
-        count = self._levels[-1][2]
-        self._levels.append((None if taken.size == count else taken, {},
-                             taken.size))
+        """:meth:`enter` for a test on data; under a trace the branch is
+        entered with no threads, so each of its statements is checked
+        once whatever the data."""
+        if self._rules is None:
+            return self.enter(mask, invert)
+        self._levels.append((_NO_THREADS, {}, 0))
         return True
 
     def widen(self, *values) -> tuple:
@@ -879,11 +877,6 @@ def _lw(method: str, *args) -> ast.Call:
     return ast.Call(func=_lw_attr(method), args=list(args), keywords=[])
 
 
-def _names(names, ctx) -> ast.Tuple:
-    return ast.Tuple(elts=[ast.Name(id=n, ctx=ctx()) for n in names],
-                     ctx=ctx())
-
-
 def _tuple(names) -> str:
     """The source of a tuple of ``names``."""
     return f"({', '.join(names)}{',' if len(names) == 1 else ''})"
@@ -927,8 +920,8 @@ class _Form:
     dimensions, loop counters and arithmetic on them); ``index``, built
     from ``cuda.grid``, ``threadIdx`` and ``blockIdx`` with ``+``, ``-``
     and ``*``; ``value``, computed from array elements; or ``counter``,
-    an integer built from uniform ones with ``+``, ``-`` and ``*`` that
-    varies by thread because a test on data governs it (``count = 0`` and
+    an integer built from uniform ones with ``+`` and ``-`` that varies
+    by thread because a test on data governs it (``count = 0`` and
     ``count += 1`` under ``collatz``'s loop) or because its ``range``
     starts per thread.  Masks, subscripts and host loop bounds read no
     value or counter, so a trace decides a launch from them alone; values
@@ -949,14 +942,23 @@ class _Form:
     there, and the trace runs them once with no threads rather than for
     every thread and pass.  Each branch runs for its own
     threads only; each loop pass for the threads whose test still holds.
-    A temporary they assign that code outside reads is merged back per
-    thread (:attr:`_merges`), so it must be assigned before, keep one
-    dtype on every path (the trace checks this) and, if a value, never
-    be a Python scalar (``masked_temp``'s ``t = 0.0``).  A counter must
-    be an integer (the trace checks this), is stored only into ``int64``
-    arrays, and reads only Python or ``int64`` integers; like an index,
-    it is taken to stay within ``int64``, past which the interpreter's
-    Python int would grow and the array wrap.
+    A temporary they assign that code outside reads, or that they read
+    before assigning it (the next pass, or the next run under an
+    enclosing loop, starts from it), is merged back per thread
+    (:attr:`_merges`), so it must be assigned before, keep one dtype on
+    every path (the trace checks this) and, if a value, never be a
+    Python scalar (``masked_temp``'s ``t = 0.0``); a uniform one becomes
+    a counter.  So does a uniform temporary a loop on data assigns (its
+    ``range`` variable, say) that a host test or loop or a ``**`` under
+    a test on data reads: from one pass to the next it may take another
+    path, or make ``2 ** k`` a float where it was an int.  As a counter
+    it makes a test on data, whose every path the trace runs, and no
+    ``**`` takes it.
+    A counter must be an integer (the trace checks this), is stored only
+    into ``int64`` arrays, and reads only Python or ``int64`` integers;
+    like an index, it is taken to stay within ``int64``, past which the
+    interpreter's Python int would grow and the array wrap (``*`` is
+    refused: ``p = p * 3`` gets there in 40 passes).
 
     Nothing else is called: no helper, no atomic; there is no
     ``return``, ``break`` or ``continue``.  :attr:`free` collects the
@@ -988,10 +990,18 @@ class _Form:
             self.kinds, self.deps = {}, {}
             self.free, self.bound, self.arrays = set(), set(), set()
             self._infer(body)
-            self._roles, self._uses = {}, {}
+            self._roles, self._nodes, self._uses = {}, {}, {}
+            self._steers: set = set()
             self._scan(body, (), False)
-            self._merges, self._stored = self._merged()
-            more = {n for names in self._merges.values() for n in names
+            self._find_merges()
+            # numbers that vary by thread: those merged back, and those a
+            # loop on data assigns that steer a host test or loop or a
+            # power under a test on data (the trace runs one pass, so it
+            # sees one path and one result type)
+            looped = {n for b, names in self._stored.items()
+                      if self._roles[b[0]] == _LOOP for n in names}
+            more = {n for n in (self._steers & looped).union(
+                        *self._merges.values())
                     if self.kinds.get(n, _UNIFORM) in (_UNIFORM, _COUNTER)}
             if more <= self._counters:
                 break
@@ -1074,8 +1084,7 @@ class _Form:
             (left, lread), (right, rread) = (self.expr(node.left),
                                              self.expr(node.right))
             kind = _join(left, right)
-            if not isinstance(node.op, _INDEX_OPS if kind in (_INDEX, _COUNTER)
-                              else _VALUE_OPS):
+            if not isinstance(node.op, _OPS.get(kind, _VALUE_OPS)):
                 raise _Reject
             return kind, lread | rread
         if isinstance(node, ast.UnaryOp) \
@@ -1221,8 +1230,10 @@ class _Form:
         """Give each ``if``, ``while`` and ``for`` its role
         (:attr:`_roles`), and record each occurrence of a temporary with
         the thread-varying branches and loops it sits in (an ``if`` node's
-        id and 0 or 1 for ``else``, a loop's id and 0).  ``governed``: a
-        test on data governs ``stmts``."""
+        id and 0 or 1 for ``else``, a loop's id and 0), and the
+        temporaries read by the host tests and loops and the powers that a
+        test on data governs (:attr:`_steers`).  ``governed``: a test on
+        data governs ``stmts``."""
         for s in stmts:
             if isinstance(s, ast.If):
                 kind = self.cond(s.test)
@@ -1247,8 +1258,17 @@ class _Form:
                 self._scan(s.body, inner, governed or role == _LOOP)
             else:
                 self._occur(s, branches)
+                if governed:    # ``2 ** k`` is an int or a float by ``k``
+                    self._steers |= {n for e in ast.walk(s)
+                                     if isinstance(e, ast.BinOp)
+                                     and isinstance(e.op, ast.Pow)
+                                     for n in self._loads(e)}
                 continue
+            if governed and role == _HOST:
+                self._steers |= self._loads(
+                    s.iter if isinstance(s, ast.For) else s.test)
             self._roles[id(s)] = role
+            self._nodes[id(s)] = s
 
     def _occur(self, value, branches: tuple) -> None:
         for n in ast.walk(value):
@@ -1256,21 +1276,33 @@ class _Form:
                 self._uses.setdefault(n.id, []).append(
                     (isinstance(n.ctx, ast.Store), branches))
 
-    def _merged(self) -> tuple:
-        """Per split and loop (by node id), the temporaries it assigns
-        that are read outside it, sorted; and per branch or loop, the
-        temporaries assigned in it."""
+    def _find_merges(self) -> None:
+        """Set :attr:`_stored`, per branch or loop the temporaries
+        assigned in it, and :attr:`_merges`, per split and loop (by node
+        id) the temporaries it assigns that are read outside it or that
+        it may read before assigning them (:meth:`_entry`), sorted: the
+        next pass of a loop, or the next run of a split or loop under an
+        enclosing loop, starts from the value each thread left there."""
         stored: dict = {}
-        merged: dict = {}
+        merged = {node: set() for node, role in self._roles.items()
+                  if role in (_SPLIT, _LOOP)}
         for name, uses in self._uses.items():
             reads = [other for store, other in uses if not store]
             for b in {b for store, branches in uses if store for b in branches}:
                 stored.setdefault(b, set()).add(name)
-                if any(b not in other for other in reads):
-                    merged.setdefault(b[0], set()).add(name)
-        return ({node: sorted(merged.get(node, ()))
-                 for node, role in self._roles.items()
-                 if role in (_SPLIT, _LOOP)}, stored)
+                if b[0] in merged and any(b not in other for other in reads):
+                    merged[b[0]].add(name)
+        self._stored = stored
+        while True:     # a region reads what it merges where it starts
+            self._merges = {node: sorted(names)
+                            for node, names in merged.items()}
+            more = {(node, name) for node, k in stored if node in merged
+                    for name in self._entry(self._nodes[node], k)
+                    & (stored[node, k] - merged[node])}
+            if not more:
+                return
+            for node, name in more:
+                merged[node].add(name)
 
     def _scopes(self) -> dict:
         """Per masked branch, the per-thread temporaries it reads from
@@ -1293,6 +1325,17 @@ class _Form:
     def _loads(self, node) -> set:
         return {n.id for n in ast.walk(node) if isinstance(n, ast.Name)
                 and isinstance(n.ctx, ast.Load) and n.id in self.temps}
+
+    def _entry(self, s, k: int = 0) -> set:
+        """The temporaries branch ``k`` of the split ``s``, or a pass of
+        the loop ``s`` (its test included), may read before assigning
+        them."""
+        if isinstance(s, ast.If):
+            return self._exposed((s.body, s.orelse)[k], set())
+        if isinstance(s, ast.For):
+            return self._exposed(s.body, {n.id for n in ast.walk(s.target)
+                                          if isinstance(n, ast.Name)})
+        return self._loads(s.test) | self._exposed(s.body, set())
 
     def _exposed(self, stmts: list, defined: set) -> set:
         """The temporaries ``stmts`` may read before assigning them, given
@@ -1431,28 +1474,20 @@ class _Form:
         after it."""
         n = self._fresh()
         mask, saved = f"_lw_m{n}", f"_lw_o{n}"
-        out = [ast.Assign(targets=[ast.Name(id=mask, ctx=ast.Store())],
-                          value=self.mask(s.test))]
+        out = _template(f"{mask} = _lw_test", s, _lw_test=self.mask(s.test))
         for k, stmts in enumerate((s.body, s.orelse)):
             if not stmts:
                 continue
             names = self._narrowed.get((id(s), k), [])
-            body = self._block(stmts, masked=True)
-            if names:
-                body = [ast.Assign(targets=[ast.Name(id=saved,
-                                                     ctx=ast.Store())],
-                                   value=_names(names, ast.Load)),
-                        ast.Assign(targets=[_names(names, ast.Store)],
-                                   value=_lw("narrow", *_names(
-                                       names, ast.Load).elts)),
-                        *body,
-                        ast.Assign(targets=[_names(names, ast.Store)],
-                                   value=ast.Name(id=saved, ctx=ast.Load()))]
-            out.append(ast.If(
-                test=_lw("enter", ast.Name(id=mask, ctx=ast.Load()),
-                         ast.Constant(bool(k))),
-                body=body + [ast.Expr(_lw("leave"))], orelse=[]))
-        return [ast.copy_location(new, s) for new in out]
+            out += _template(f"""
+                if _lw.enter({mask}, {bool(k)}):
+                    {saved} = {_tuple(names)}
+                    {_tuple(names)} = _lw.narrow({', '.join(names)})
+                    _lw_body
+                    {_tuple(names)} = {saved}
+                    _lw.leave()
+                """, s, _lw_body=self._block(stmts, masked=True))
+        return out
 
     def _fresh(self) -> int:
         self._serial += 1
@@ -1481,7 +1516,7 @@ class _Form:
         for k, stmts in enumerate((s.body, s.orelse)):
             if not stmts:
                 continue
-            kept = sorted(x for x in self._exposed(stmts, set())
+            kept = sorted(x for x in self._entry(s, k)
                           if x not in merged and self.kinds.get(x) != _UNIFORM)
             out += _template(f"""
                 if _lw.branch({mask}, {bool(k)}):
@@ -1524,16 +1559,14 @@ class _Form:
                              mode="eval").body
             head = _template(f"{s.target.id} = {at}", s)
             tail = _template(f"{at} = {at} + {step}", s)
-            exposed = self._exposed(s.body, {s.target.id})
             hidden = [at, stop]
         else:
             start, head, tail, hidden = [], [], [], []
             outer, self._governed = self._governed, True
             test = self.mask(s.test)    # it runs again every pass
             self._governed = outer
-            exposed = self._loads(s.test) | self._exposed(s.body, set())
         live = self._merges[id(s)]
-        carried = sorted(x for x in exposed | set(live)
+        carried = sorted(x for x in self._entry(s) | set(live)
                          if self.kinds.get(x) != _UNIFORM) + hidden
         stored = self._stored.get((id(s), 0), set())
         kept = [x for x in carried if x not in stored and x not in hidden]

@@ -617,6 +617,142 @@ def early_stop(x, out):
         out[i] = v
 
 
+@cuda.jit
+def tripling(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        p = 1
+        while v > 1.0:
+            v = v * 0.5
+            p = p * 3
+        out[i] = p
+
+
+# temporaries that only the branch or loop assigning them reads, which an
+# enclosing loop runs again: each run starts from the value the last one
+# left for that thread
+
+@cuda.jit
+def shrinking_step(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        w = 0.1 * x[i]
+        for j in range(4):
+            if v < 4.0:
+                w = w * 0.5
+                v = v - w
+        out[i] = v
+
+
+@cuda.jit
+def tally_under_a_test(x, out):
+    i = cuda.grid(1)
+    if i < x.size:
+        v = x[i]
+        c = 0
+        total = 0
+        while v > 1.0:
+            if v < 4.0:
+                c += 1
+                total += c
+            v = v * 0.5
+        out[i] = total
+
+
+@cuda.jit
+def inner_step(lens, x, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        v = x[i]
+        t = 0.5 * x[i]
+        for k in range(lens[i]):
+            while v > 2.0:
+                t = t * 0.5 + 0.25
+                v = v - t
+            v = v * 3.0 + k
+        out[i] = v
+
+
+@cuda.jit
+def count_then_halve(m0, out):
+    i = cuda.grid(1)
+    if i < m0.size:
+        m = m0[i]
+        c = 0
+        while m > 1:
+            c += 1
+            if c > 2:
+                m = m // 2
+            else:
+                m = m - 1
+        out[i] = m
+
+
+@cuda.jit
+def count_then_divide(m0, out):
+    i = cuda.grid(1)
+    if i < m0.size:
+        m = m0[i]
+        c = 0
+        while m > 1:
+            c += 1
+            if c > 2:
+                m = m / 2
+            else:
+                m = m - 1
+        out[i] = m
+
+
+@cuda.jit
+def late_halving(lens, m0, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        m = m0[i]
+        for k in range(lens[i]):
+            if k > 2:
+                m = m // 2
+            else:
+                m = m - 1
+        out[i] = m
+
+
+@cuda.jit
+def late_division(lens, m0, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        m = m0[i]
+        for k in range(lens[i]):
+            if k > 2:
+                m = m / 2
+            else:
+                m = m - 1
+        out[i] = m
+
+
+@cuda.jit
+def divide_k_times(lens, m0, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        m = m0[i]
+        for k in range(lens[i]):
+            for j in range(k):
+                m = m / 2
+            m = m - 1
+        out[i] = m
+
+
+@cuda.jit
+def scale_by_powers(lens, m0, out):
+    i = cuda.grid(1)
+    if i < lens.size:
+        m = m0[i]
+        for k in range(1, -lens[i], -1):
+            m = m * 2 ** k
+        out[i] = m
+
+
 class TestThreadVaryingLoops:
     """A test on data governs only temporaries that keep one dtype on
     every path; anything else keeps the kernel on the interpreter."""
@@ -674,6 +810,66 @@ class TestThreadVaryingLoops:
     def test_break_in_a_loop_on_data(self, system1):
         x = np.random.default_rng(5).uniform(0.5, 50, 256)
         assert run_both(early_stop, 2, 128, x, np.zeros(256)) == "sequential"
+
+    def test_counter_times_a_number(self, system1):
+        # an int64 array wraps where the interpreter's Python int grows
+        x = np.random.default_rng(8).uniform(0.5, 50, 256)
+        assert run_both(tripling, 2, 128, x, np.zeros(256, np.int64)) \
+            == "sequential"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_value_read_only_under_a_test_in_a_host_loop(self, system1,
+                                                         chunk):
+        x = np.random.default_rng(9).uniform(0.5, 30, 300)
+        with chunks_of(chunk):
+            assert run_both(shrinking_step, 3, 128, x, np.zeros(300)) \
+                == "lowered"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_number_read_only_under_a_test_in_a_loop(self, system1, chunk):
+        x = np.random.default_rng(10).uniform(0.5, 30, 300)
+        with chunks_of(chunk):
+            assert run_both(tally_under_a_test, 3, 128, x,
+                            np.zeros(300, np.int64)) == "lowered"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_value_read_only_in_an_inner_loop(self, system1, chunk):
+        rng = np.random.default_rng(11)
+        with chunks_of(chunk):
+            assert run_both(inner_step, 3, 100, rng.integers(0, 5, 300),
+                            rng.uniform(0.5, 30, 300), np.zeros(300)) \
+                == "lowered"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_if_on_a_pass_count(self, system1, chunk):
+        m0 = np.random.default_rng(12).integers(0, 40, 300)
+        with chunks_of(chunk):
+            assert run_both(count_then_halve, 3, 128, m0,
+                            np.zeros(300, np.int64)) == "lowered"
+
+    def test_pass_count_choosing_a_dtype(self, system1):
+        # int64 while two passes or fewer run, float64 from the third
+        m0 = np.random.default_rng(12).integers(0, 40, 300)
+        assert run_both(count_then_divide, 3, 128, m0, np.zeros(300)) \
+            == "sequential"
+
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_if_on_a_range_variable(self, system1, chunk):
+        rng = np.random.default_rng(13)
+        with chunks_of(chunk):
+            assert run_both(late_halving, 3, 128, rng.integers(0, 8, 300),
+                            rng.integers(0, 100, 300),
+                            np.zeros(300, np.int64)) == "lowered"
+
+    @pytest.mark.parametrize("kernel", [late_division, divide_k_times,
+                                        scale_by_powers],
+                             ids=["if", "range", "power"])
+    def test_range_variable_choosing_a_dtype(self, system1, kernel):
+        # the first pass keeps int64, a later one makes float64
+        rng = np.random.default_rng(13)
+        assert run_both(kernel, 3, 128, rng.integers(0, 8, 300),
+                        rng.integers(0, 100, 300), np.zeros(300)) \
+            == "sequential"
 
 
 # -- what stays on the interpreter --------------------------------------------
