@@ -19,14 +19,12 @@ alone (no option selects one), all giving the same output bytes:
   like Collatz's, or ``range(lens[i])``) runs pass by pass for the
   threads still in it, and an ``if`` on data runs each branch for its
   own threads; under such a test sit only assignments to temporaries,
-  never a subscript, barrier or call.  It
-  does so when the abstract interpreter classifies it ``elementwise``,
-  ``stencil``, ``reduction`` or ``tiled-matmul`` and ``verified`` under
-  this launch's grid, block and argument shapes, and a trace of the
-  launch's subscripts finds no thread touching a cell another thread
-  writes in the same phase.  The verdict is cached per launch signature;
-  a signature first seen on a small launch is classified when it recurs,
-  so one-off small launches never pay for the proof.
+  never a subscript, barrier or call.  It does so when a trace of the
+  launch's tests and subscripts finds every subscript an in-bounds
+  integer, no shared cell that one thread writes touched by another
+  thread in the same phase, and no cell of a written argument touched
+  by two threads.  The trace decides alone, once per launch signature;
+  no launch runs the static analyzer.
 * **Sequential**: any other kernel that never calls ``syncthreads``.
   The threads of a block run one after another; this per-thread
   interpreter is the reference the other paths are tested against.
@@ -438,11 +436,11 @@ class CudaKernel:
         kernel's source and returns its
         :class:`~repro.analysis.kernelclass.KernelClass` — the
         vectorizability archetype, per-array access footprints, and
-        OOB/barrier verdicts a lowering pass must respect.  Extents
-        are anonymous (no launch site is visible from here), so bound
-        guards still prove safety but launch-dependent bounds report
-        ``unknown``; the launcher classifies each launch under its own
-        grid, block and argument shapes instead.
+        OOB/barrier verdicts.  Extents are anonymous (no launch site is
+        visible from here), so bound guards still prove safety but
+        launch-dependent bounds report ``unknown``.  A report for the
+        student, not an input of the launcher, which admits a launch to
+        the lowered path by its own trace.
         """
         from repro.analysis.absint import classify_kernel
         return classify_kernel(self)
@@ -627,8 +625,8 @@ class _Launcher:
                     run_block(Dim3(x, y, z), tids, run_args)
 
     def _run_lowered(self, run_args) -> bool:
-        """Run the launch as whole-block NumPy when the kernel's class
-        and a trace of the launch admit it."""
+        """Run the launch as whole-block NumPy when the kernel's form and
+        a trace of the launch admit it."""
         lowered = self.kernel._variant("lowered")
         if lowered is None:
             return False

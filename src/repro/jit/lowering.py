@@ -22,10 +22,10 @@ globals and closure cells, so every name resolves as in the original:
   each branch for its own threads; both govern only assignments to
   temporaries.  An elementwise or stencil kernel is the one-phase case
   with no shared array.  :meth:`Lowered.admitted` decides per launch
-  signature, from the kernel's
-  :class:`~repro.analysis.kernelclass.KernelClass` under that launch and
-  a trace of the launch's tests and subscripts, whether the result is
-  the interpreter's, byte for byte.
+  signature, from a trace of the launch's tests and subscripts alone,
+  whether the result is the interpreter's, byte for byte: the statement
+  forms :class:`_Form` takes and the trace's rules (:class:`_Rules`)
+  decide that exactly, so no launch consults the static analyzer.
 
 Both return ``None`` when the kernel's source cannot be retrieved, does
 not compile to the kernel's live code, or does not have the required
@@ -51,15 +51,8 @@ import numpy as np
 #: (under NumPy 1.x a float32 scalar times a Python float is float64)
 _NEP50 = np.lib.NumpyVersion(np.__version__) >= "2.0.0"
 
-#: a launch signature first seen on fewer threads than this is classified
-#: only when it recurs, and runs on the interpreter until then.
-#: Classification takes 1.5-6 ms, about what the interpreter spends on a
-#: thousand threads at 2-10 us each (2-vCPU x86 VM), so a one-off small
-#: launch is cheaper there.
-EAGER_THREADS = 1024
 #: admission decisions kept per kernel; the oldest is dropped first
 _DECISIONS = 256
-_SEEN = object()        # a small launch's signature, not yet classified
 #: threads one chunk of a lowered launch holds (at least one block): a
 #: launch runs a box of whole blocks at a time, so no temporary grows
 #: with the grid.  At this size a chunk's arrays stay in cache: a
@@ -67,7 +60,6 @@ _SEEN = object()        # a small launch's signature, not yet classified
 #: 16,384 threads than in one (2-vCPU x86 VM)
 CHUNK_THREADS = 1 << 14
 
-_LOWERABLE = ("elementwise", "stencil", "reduction", "tiled-matmul")
 _NUMBERS = (int, float, complex, np.number, np.bool_)
 
 _JUMPS = frozenset(dis.hasjrel + dis.hasjabs)
@@ -339,23 +331,18 @@ class Lowered:
 
     def admitted(self, grid3: tuple, block3: tuple, args) -> tuple | None:
         """Positions of the arguments the launch writes when it may run
-        lowered, else ``None``: :meth:`_admit`, decided once per launch
-        signature (:meth:`_key`).  A signature first seen on a launch of
-        fewer than :data:`EAGER_THREADS` threads is decided when it
-        recurs; that first launch stays on the interpreter."""
+        lowered, else ``None``: :meth:`_admit`, decided on the first
+        launch of each signature (:meth:`_key`) and kept for the latest
+        :data:`_DECISIONS` signatures."""
         key = self._key(grid3, block3, args)
         decisions = self._decisions
-        seen = key in decisions
-        if seen and decisions[key] is not _SEEN:
+        if key in decisions:
             return decisions[key]
-        if not seen and math.prod(grid3 + block3) < EAGER_THREADS:
-            decision = _SEEN
-        else:
-            decision = self._admit(grid3, block3, args)
-        if not seen and len(decisions) >= _DECISIONS:
+        decision = self._admit(grid3, block3, args)
+        if len(decisions) >= _DECISIONS:
             del decisions[next(iter(decisions))]
         decisions[key] = decision
-        return None if decision is _SEEN else decision
+        return decision
 
     def _key(self, grid3: tuple, block3: tuple, args) -> tuple:
         """What :meth:`_admit` decides from: the launch shape, each
@@ -363,7 +350,8 @@ class Lowered:
         indices, a subscript, a host loop's bound or a counter reads
         (directly or through temporaries), and the type of every other
         argument and of each global the statements read.  A number read
-        only into values or tests on them cannot move the verdict."""
+        only into values or tests on them cannot move the trace, so a
+        relaunch with a new one reuses the verdict."""
         def part(name, value):
             if isinstance(value, np.ndarray):
                 return value.dtype.str, value.shape
@@ -382,17 +370,17 @@ class Lowered:
         It may when every value read by bare name is a number (a Python
         or NumPy ``int64`` integer where a counter reads it), every
         parameter used as an array is one (of ``int64`` where a counter
-        is stored into it), the kernel classifies as a lowerable
-        archetype and ``verified`` under this launch, and a trace of the
-        launch (:class:`_Rules`) finds every subscript an in-bounds
-        integer per dimension, no shared cell that one thread writes
-        touched by another thread of its block between two barriers, and
-        no cell of a written argument touched by two threads.  Then
-        running each statement for all threads before the next computes
-        what running the threads one after another does, and no block
-        depends on another.  The verdict rests on the masks and
-        subscripts, which read no array data in the forms :class:`_Form`
-        takes, so one trace decides every launch of the signature.  A
+        is stored into it), and a trace of the launch (:class:`_Rules`)
+        finds every subscript an in-bounds integer per dimension (a
+        negative one counts from the end, as in the interpreter), no
+        shared cell that one thread writes touched by another thread of
+        its block between two barriers, and no cell of a written argument
+        touched by two threads.  Then running each statement for all
+        threads before the next computes what running the threads one
+        after another does, and no block depends on another.  The
+        verdict rests on the masks and subscripts, which read no array
+        data in the forms :class:`_Form` takes, so one trace decides
+        every launch of the signature.  A
         test on data governs only temporaries, so the trace runs each
         loop or branch under one once with no threads, which checks that
         every temporary it merges back keeps its dtype whatever the data.
@@ -410,22 +398,6 @@ class Lowered:
                 or not all(type(value(n)) in (int, np.int64)
                            for n in self._counted) \
                 or not all(scope[p].dtype == np.int64 for p in self._int64):
-            return None
-        from repro.analysis.absint import LaunchEnv, classify_kernel
-        from repro.analysis.domains import Affine
-
-        env = LaunchEnv(
-            block=block3, grid=grid3,
-            scalars={p: Affine.constant(int(a)) for p, a in scope.items()
-                     if p in self._bound and isinstance(a, (int, np.integer))
-                     and not isinstance(a, bool)},
-            extents={p: tuple(Affine.constant(d) for d in a.shape)
-                     for p, a in scope.items() if isinstance(a, np.ndarray)})
-        try:
-            kc = classify_kernel(self.fn, env)
-        except ValueError:
-            return None
-        if kc.klass not in _LOWERABLE or not kc.verified:
             return None
         try:
             with np.errstate(all="ignore"):
@@ -1645,5 +1617,5 @@ class _Form:
         return node
 
 
-__all__ = ["CHUNK_THREADS", "EAGER_THREADS", "Lowered", "cuda_names",
+__all__ = ["CHUNK_THREADS", "Lowered", "cuda_names",
            "generator_variant", "helper_syncs", "lower"]

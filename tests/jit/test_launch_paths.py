@@ -6,15 +6,20 @@ that only the per-thread paths remain.  Both runs must give the same
 output bytes, device span durations and ``launch_count``.  The scenarios
 are every test of ``test_cuda_sim.py``, the walkthrough in
 ``examples/custom_kernels.py``, the course's Lab 5, and derandomized
-saxpy and blur shapes.  Every launch here is classified on first sight,
-so even small one-off launches take their fast path; ``TestAdmission``
-covers the launcher's real policy.
+saxpy and blur shapes.  The launcher decides each launch signature by
+its own trace on the signature's first launch, so small one-off
+launches take their fast path too; ``TestAdmission`` covers how often
+it decides.
 """
 
 import contextlib
 import importlib.util
 import inspect
+import json
+import os
 import runpy
+import subprocess
+import sys
 import textwrap
 import threading
 from pathlib import Path
@@ -23,7 +28,6 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from repro.analysis import absint
 from repro.course.labs import lab5_custom_kernel
 from repro.errors import DeviceError
 from repro.gpu import make_system
@@ -34,14 +38,6 @@ from repro.sanitize import check_launch
 from . import test_cuda_sim
 
 REPO = Path(__file__).resolve().parents[2]
-EAGER_THREADS = lowering.EAGER_THREADS
-
-
-@pytest.fixture(autouse=True, scope="module")
-def classify_on_first_sight():
-    with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(lowering, "EAGER_THREADS", 0)
-        yield
 
 
 @contextlib.contextmanager
@@ -964,7 +960,107 @@ class TestInterpreterKept:
         np.testing.assert_array_equal(out.get(), 2.0 * np.arange(64))
 
 
-# -- when a launch is classified ----------------------------------------------
+# -- kernels the trace admits and the static classifier does not -------------
+
+@cuda.jit
+def block_heads(x, out):
+    if cuda.threadIdx.x == 0:
+        out[cuda.blockIdx.x] = x[cuda.blockIdx.x * cuda.blockDim.x] * 2.0
+
+
+@cuda.jit
+def squares(x, out):
+    i = cuda.grid(1)
+    if i < out.size:
+        out[i] = x[i * i]
+
+
+@cuda.jit
+def previous(x, out):
+    i = cuda.grid(1)
+    if i < out.size:
+        out[i] = x[i - 1]       # x[-1] at i = 0, as NumPy indexes
+
+
+def trace_only_launch(kernel, n: int, block: int, dtype) -> tuple:
+    """``(grid, block, *args)`` for one launch of ``kernel`` over ``n``
+    threads' worth of data."""
+    rng = np.random.default_rng(n)
+    grid = -(-n // block)
+    if kernel is block_heads:
+        return grid, block, rng.standard_normal(n).astype(dtype), \
+            np.zeros(grid, dtype)
+    size = (n - 1) ** 2 + 1 if kernel is squares else n
+    return grid, block, rng.standard_normal(size).astype(dtype), \
+        np.zeros(n, dtype)
+
+
+TRACE_ONLY = [block_heads, squares, previous]
+
+
+class TestTraceAdmits:
+    """Launches the abstract interpreter calls unverified or irregular
+    (a lane-0 write, a non-affine index, an index that reaches -1) that
+    the trace shows give the interpreter's bytes, so they run lowered."""
+
+    @pytest.mark.parametrize("kernel", TRACE_ONLY,
+                             ids=lambda k: k.name)
+    @pytest.mark.parametrize("chunk", [lowering.CHUNK_THREADS, 64])
+    def test_lowered_at_both_chunk_caps(self, system1, kernel, chunk):
+        with chunks_of(chunk):
+            assert run_both(kernel, *trace_only_launch(
+                kernel, 300, 64, np.float32)) == "lowered"
+
+    def test_lowered_launches_load_no_analyzer(self):
+        # a fresh process: the Lab 5 kernels of the benchmark, lowered
+        script = textwrap.dedent(f"""
+            import json, sys
+            import numpy as np
+            sys.path.insert(0, {str(REPO / "bench")!r})
+            import kernels
+            from repro.gpu import make_system
+            from repro.jit import cuda
+
+            make_system(1, "T4")
+            n = 4096
+            x = cuda.to_device(np.ones(n, np.float32))
+            out = cuda.device_array(n)
+            kernels.saxpy[n // 256, 256](2.0, x, x, out)
+            img = cuda.to_device(np.ones((64, 64), np.float32))
+            kernels.blur[(4, 4), (16, 16)](img, cuda.device_array((64, 64)))
+            kernels.block_sum[n // 64, 64](x, cuda.device_array(n // 64))
+            start = cuda.to_device(np.arange(1, n + 1))
+            kernels.collatz[n // 256, 256](start, cuda.device_array(
+                n, dtype=np.int64))
+            print(json.dumps({{
+                "paths": [k.last_path for k in (kernels.saxpy, kernels.blur,
+                          kernels.block_sum, kernels.collatz)],
+                "analysis": sorted(m for m in sys.modules
+                                   if m.startswith("repro.analysis"))}}))
+        """)
+        proc = subprocess.run(
+            [sys.executable, "-c", script], capture_output=True, text=True,
+            cwd=REPO, env={**os.environ, "PYTHONPATH": str(REPO / "src")})
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert loaded["paths"] == ["lowered"] * 4
+        assert loaded["analysis"] == []
+
+
+@settings(max_examples=30, deadline=None, derandomize=True)
+@given(kernel=st.sampled_from(TRACE_ONLY), n=st.integers(1, 300),
+       block=st.sampled_from([16, 32, 64, 100]),
+       dtype=st.sampled_from([np.float32, np.float64]),
+       chunk=st.sampled_from([lowering.CHUNK_THREADS, 64]))
+def test_trace_only_shapes_lower_byte_identically(kernel, n, block, dtype,
+                                                  chunk):
+    make_system(1, "T4")
+    with chunks_of(chunk):
+        assert run_both(kernel, *trace_only_launch(kernel, n, block,
+                                                   dtype)) == "lowered"
+
+
+# -- when a launch is decided ------------------------------------------------
 
 @cuda.jit
 def add_step(x, out, step):
@@ -982,28 +1078,24 @@ def copy_upto(x, out, n):
 
 
 @pytest.fixture
-def classifications(monkeypatch):
-    """The launches ``classify_kernel`` is called for, by kernel name."""
+def admissions(monkeypatch):
+    """The launches the launcher decides (:meth:`Lowered._admit`), by
+    kernel name."""
     calls = []
-    classify = absint.classify_kernel
+    admit = lowering.Lowered._admit
 
-    def counting(kernel, env=None):
-        calls.append(kernel.__name__)
-        return classify(kernel, env)
+    def counting(self, grid3, block3, args):
+        calls.append(self.fn.__name__)
+        return admit(self, grid3, block3, args)
 
-    monkeypatch.setattr(absint, "classify_kernel", counting)
+    monkeypatch.setattr(lowering.Lowered, "_admit", counting)
     return calls
 
 
 class TestAdmission:
-    """The launcher's own policy, with the real :data:`EAGER_THREADS`."""
+    """One trace per launch signature, whatever the launch's size."""
 
-    @pytest.fixture(autouse=True)
-    def real_threshold(self, monkeypatch):
-        monkeypatch.setattr(lowering, "EAGER_THREADS", EAGER_THREADS)
-
-    def test_small_launch_is_classified_when_it_recurs(self, system1,
-                                                        classifications):
+    def test_small_launch_is_decided_once(self, system1, admissions):
         k = cuda.CudaKernel(saxpy.fn)
         x = cuda.to_device(np.ones(256, np.float32))
         out = cuda.device_array(256)
@@ -1011,49 +1103,49 @@ class TestAdmission:
         for _ in range(3):
             k[2, 128](2.0, x, x, out)
             paths.append(k.last_path)
-        assert paths == ["sequential", "lowered", "lowered"]
-        assert classifications == ["saxpy"]
+        assert paths == ["lowered"] * 3
+        assert admissions == ["saxpy"]
 
-    def test_large_launch_is_classified_at_once(self, system1,
-                                                classifications):
+    def test_large_launch_is_decided_at_once(self, system1, admissions):
         k = cuda.CudaKernel(saxpy.fn)
-        n = EAGER_THREADS
+        n = 1024
         x = cuda.to_device(np.ones(n, np.float32))
         out = cuda.device_array(n)
         k[n // 256, 256](2.0, x, x, out)
         assert k.last_path == "lowered"
         np.testing.assert_array_equal(out.get(), np.full(n, 3.0))
+        assert admissions == ["saxpy"]
 
     def test_integer_read_only_as_a_value_is_not_part_of_the_key(
-            self, system1, classifications):
+            self, system1, admissions):
         x = cuda.to_device(np.ones(4096, np.float32))
         out = cuda.device_array(4096)
         for step in range(5):
             add_step[16, 256](x, out, step)
             assert add_step.last_path == "lowered"
         np.testing.assert_array_equal(out.get(), np.full(4096, 5.0))
-        assert classifications == ["add_step"]
+        assert admissions == ["add_step"]
 
-    def test_integer_in_the_guard_is(self, system1, classifications):
-        # through a temporary, too: each new bound is a new proof
+    def test_integer_in_the_guard_is(self, system1, admissions):
+        # through a temporary, too: each new bound is a new trace
         x = cuda.to_device(np.arange(4096, dtype=np.float32))
         out = cuda.device_array(4096)
         for n in (4096, 100, 4096, 2000):
             copy_upto[16, 256](x, out, n)
             assert copy_upto.last_path == "lowered"
         np.testing.assert_array_equal(out.get(), np.arange(4096))
-        assert classifications == ["copy_upto"] * 3
+        assert admissions == ["copy_upto"] * 3
 
-    def test_small_one_off_launches_are_never_classified(
-            self, system1, classifications):
+    def test_one_off_launches_keep_the_latest_decisions(self, system1,
+                                                        admissions):
         k = cuda.CudaKernel(copy_upto.fn)
         x = cuda.to_device(np.arange(64, dtype=np.float32))
         out = cuda.device_array(64)
         for n in range(1, 301):
             k[1, 64](x, out, n)
-            assert k.last_path == "sequential"
+            assert k.last_path == "lowered"
         np.testing.assert_array_equal(out.get(), np.arange(64))
-        assert classifications == []
+        assert admissions == ["copy_upto"] * 300
         assert len(k._variant("lowered")._decisions) == lowering._DECISIONS
 
 
