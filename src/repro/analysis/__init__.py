@@ -26,12 +26,12 @@ the same substrate:
   project-wide call graph, composable per-function summaries, and the
   cross-function rules behind ``--interprocedural``;
 * :mod:`repro.analysis.absint` / :mod:`repro.analysis.domains` /
-  :mod:`repro.analysis.kernelclass` — the abstract interpreter: the
-  SAN-OOB / SAN-BARRIER-DIV proofs the ``kernel`` family reports, over
-  interval + affine domains, and the serializable :class:`KernelClass`
-  vectorizability contract the JIT roadmap consumes, reported as
-  ``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT`` notes by the opt-in
-  ``absint`` family;
+  :mod:`repro.analysis.kernelclass` — the abstract interpreter: every
+  kernel rule the ``kernel`` family reports (the SAN-OOB /
+  SAN-BARRIER-DIV proofs over interval + affine domains, the lane-stride
+  rules and the shared-memory phase rule), and the serializable
+  :class:`KernelClass` of each kernel, reported as ``VEC-VECTORIZABLE``
+  / ``VEC-DIVERGENT`` notes by the opt-in ``absint`` family;
 * :mod:`repro.analysis.rules` — the one rule registry (every family's
   rule ids, severities and fix hints) and ``make_finding``.
 
@@ -83,10 +83,10 @@ from repro.analysis.kernelclass import (
     render_classes_json,
 )
 
-#: lazily-imported names (PEP 562) — the abstract interpreter and its
-#: domains import :mod:`repro.sanitize.astlint`, which itself imports
-#: the framework's CFG, so an eager import here would cycle whenever
-#: ``repro.sanitize`` is imported first
+#: lazily-imported names (PEP 562): the abstract interpreter loads only
+#: when a kernel is analyzed.  Importing it here would put it into the
+#: start-up of every process that imports the framework, every
+#: benchmark workload's set-up included (lab5's, which never analyzes)
 _LAZY = {
     "AbsintResult": "repro.analysis.absint",
     "LaunchEnv": "repro.analysis.absint",

@@ -8,7 +8,7 @@ affine form ``a·tid + b·bid + c`` where one exists, and the set of
 affine branch constraints that hold on the current path.  Widening at
 loop heads keeps the fixpoint finite; joins at merges keep it sound.
 
-Three results ride the fixpoint:
+What rides the fixpoint:
 
 * **proof-grade SAN-OOB** — each parameter-array subscript is compared
   against the array's extent.  Extents come from *launch sites* in the
@@ -27,16 +27,36 @@ Three results ride the fixpoint:
   the divergent region to everything after it).  Cancelled forms are
   the precision win: ``i - cuda.threadIdx.x`` is block-uniform even
   though every syntactic taint walk calls it global.
+* **SAN-UNCOALESCED and SAN-BANK-CONFLICT from the lane stride** — how
+  far apart neighbouring lanes of a warp index: the ``threadIdx.x``
+  coefficient of a subscript's affine form, plus the grid index's when
+  the block dim is unknown, plus a ``range`` loop variable's times the
+  stride of its start when its step is uniform.  A global access is
+  reported when the stride of its innermost axis exceeds 1, a shared
+  access when the stride of any axis shares a factor with the 32
+  banks.  The form sees through temporaries and constant offsets
+  (``j = i * 4; x[j]``, ``tile[tx * 2 + 1]``), and lanes that share
+  ``threadIdx.y`` are not a conflict.
+* **SAN-SHARED-RACE**, a phase rule over the canonical unrolled
+  schedule (:func:`repro.analysis.cfg.unrolled_schedule`): a shared
+  array read at another index than a write to it earlier in the same
+  phase.  A barrier statement closes the phase, and so does a call to
+  a same-file def that reaches ``syncthreads()``.  It is a pattern,
+  not a proof: a read of a neighbour's cell *before* the thread's own
+  write in the phase is not flagged (``shift_sum`` in
+  ``docs/sanitizer.md``).
 * the **kernel classifier** (:mod:`repro.analysis.kernelclass`) — the
   per-array access footprints feed the elementwise / stencil /
   reduction / tiled-matmul / divergent-fallback decision and the
   ``VEC-VECTORIZABLE`` / ``VEC-DIVERGENT`` notes.
 
-The interpreter is the only engine behind SAN-OOB and SAN-BARRIER-DIV:
-the ``kernel`` family (:func:`repro.sanitize.astlint.lint_context`)
-reports those two rules from :func:`absint_context`, whose result is
-cached on the file's context, and the opt-in ``absint`` family reports
-the same findings plus the ``VEC-*`` notes.
+The interpreter is the only engine behind every kernel rule: the
+``kernel`` family (the sanitizer's ``lint_context``) reports its SAN-*
+findings from :func:`absint_context`, whose result is cached on the
+file's context, and the opt-in ``absint`` family reports the same
+findings plus the ``VEC-*`` notes.  Kernels are keyed by their def, so
+two kernels with one name are each checked, each under the launches
+that bind to it.
 
 Device helper calls resolve through
 :func:`repro.analysis.summaries.device_affine_summary` (a pure affine
@@ -47,9 +67,11 @@ top.
 from __future__ import annotations
 
 import ast
+import math
 from dataclasses import dataclass, field
 
-from repro.analysis.cfg import build_cfg, scopes
+from repro.analysis.cfg import build_cfg, unrolled_schedule
+from repro.analysis.context import _is_kernel_def, is_sync
 from repro.analysis.domains import (
     INF,
     AbsVal,
@@ -70,7 +92,6 @@ from repro.analysis.kernelclass import (
     classify,
 )
 from repro.analysis.rules import make_finding
-from repro.sanitize.astlint import _is_kernel_def, _KernelLinter
 from repro.sanitize.findings import Report
 
 _THREAD_VARYING = (T_THREAD, T_GLOBAL)
@@ -256,47 +277,64 @@ def _dims(spec, assigns) -> tuple:
     return (None, 1, 1)
 
 
-def _scan_launches(ctx, kernels: dict) -> dict:
+_SCOPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+
+
+def _scope_statements(stmts):
+    """One scope's statements in source order, those of its nested
+    blocks included; a nested def or class is yielded, not entered."""
+    for stmt in stmts:
+        yield stmt
+        if isinstance(stmt, _SCOPES):
+            continue
+        for sub in ("body", "orelse", "finalbody"):
+            yield from _scope_statements(getattr(stmt, sub, ()))
+        for handler in getattr(stmt, "handlers", ()):
+            yield from _scope_statements(handler.body)
+
+
+def _scan_launches(ctx, kernels) -> dict:
     """Find every ``kern[grid, block](args)`` launch in the file and
-    derive a :class:`LaunchEnv` per site from the host-side context."""
-    envs: dict = {name: [] for name in kernels}
-    for _scope, body in scopes(ctx.tree):
-        assigns: dict = {}
+    derive a :class:`LaunchEnv` per site from the host-side context,
+    keyed by the kernel def the launch binds to: the def of that name
+    visible where the launch is made (the latest one above it in its
+    own scope, else the one its enclosing scope binds last)."""
+    envs: dict = {fn: [] for fn in kernels}
 
-        def visit(stmts):
-            for stmt in stmts:
-                if isinstance(stmt, (ast.FunctionDef,
-                                     ast.AsyncFunctionDef,
-                                     ast.ClassDef)):
+    def scan(body, outer: dict, in_class: bool = False) -> None:
+        stmts = list(_scope_statements(body))
+        # each name's def once this scope has run, which is what a
+        # function defined in it sees (a class's own names it does not)
+        final = dict(outer)
+        if not in_class:
+            final.update((s.name, s) for s in stmts
+                         if isinstance(s, _SCOPES))
+        visible, assigns = dict(outer), {}
+        for stmt in stmts:
+            if isinstance(stmt, _SCOPES):
+                visible[stmt.name] = stmt
+                scan(stmt.body, final, isinstance(stmt, ast.ClassDef))
+                continue
+            # only this statement's own expressions: its nested
+            # statements follow it, with the assignments up to them
+            for child in ast.iter_child_nodes(stmt):
+                if isinstance(child, (ast.stmt, ast.ExceptHandler)):
                     continue
-                # only this statement's own expressions — nested
-                # statement lists are visited by the recursion below,
-                # with the assignments seen up to that point recorded
-                for child in ast.iter_child_nodes(stmt):
-                    if isinstance(child, (ast.stmt, ast.ExceptHandler)):
-                        continue
-                    for node in ast.walk(child):
-                        if isinstance(node, ast.Call) \
-                                and isinstance(node.func, ast.Subscript) \
-                                and isinstance(node.func.value, ast.Name) \
-                                and node.func.value.id in kernels:
-                            env = _launch_env(
-                                kernels[node.func.value.id],
-                                node, dict(assigns))
-                            if env is not None:
-                                envs[node.func.value.id].append(env)
-                if isinstance(stmt, ast.Assign) \
-                        and len(stmt.targets) == 1 \
-                        and isinstance(stmt.targets[0], ast.Name):
-                    assigns[stmt.targets[0].id] = stmt.value
-                for sub in ("body", "orelse", "finalbody"):
-                    inner = getattr(stmt, sub, None)
-                    if inner:
-                        visit(list(inner))
-                for handler in getattr(stmt, "handlers", ()):
-                    visit(list(handler.body))
+                for node in ast.walk(child):
+                    if isinstance(node, ast.Call) \
+                            and isinstance(node.func, ast.Subscript) \
+                            and isinstance(node.func.value, ast.Name):
+                        fn = visible.get(node.func.value.id)
+                        env = _launch_env(fn, node, dict(assigns)) \
+                            if fn in envs else None
+                        if env is not None:
+                            envs[fn].append(env)
+            if isinstance(stmt, ast.Assign) \
+                    and len(stmt.targets) == 1 \
+                    and isinstance(stmt.targets[0], ast.Name):
+                assigns[stmt.targets[0].id] = stmt.value
 
-        visit(body)
+    scan(ctx.tree.body, {})
     return envs
 
 
@@ -364,21 +402,6 @@ _NEGATE = {ast.Lt: ast.GtE, ast.LtE: ast.Gt, ast.Gt: ast.LtE,
            ast.GtE: ast.Lt, ast.NotEq: ast.Eq}
 
 
-def is_sync(stmt, cuda_names) -> bool:
-    """Is ``stmt`` a barrier statement: ``cuda.syncthreads()`` through
-    one of ``cuda_names``, or a bare ``syncthreads()``?  The JIT launcher
-    compiles exactly these statements into ``yield``, so the analyzer
-    and the executor agree on what a barrier is."""
-    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
-        return False
-    func = stmt.value.func
-    if isinstance(func, ast.Name):
-        return func.id == "syncthreads"
-    return (isinstance(func, ast.Attribute) and func.attr == "syncthreads"
-            and isinstance(func.value, ast.Name)
-            and func.value.id in cuda_names)
-
-
 # ---------------------------------------------------------------------------
 # The per-kernel interpreter
 # ---------------------------------------------------------------------------
@@ -400,6 +423,8 @@ class _KernelInterp:
         self.verdicts: dict = {}       # access key -> "safe"|"oob"|"unknown"
         self.oob_detail: dict = {}     # access key -> (line, base, why)
         self.accesses: dict = {}       # access key -> Access
+        #: (rule, array, line) -> the first lane stride that breaks it
+        self.strides: dict = {}
         self._summary_cache: dict = {}
 
     # -- one environment ------------------------------------------------
@@ -407,6 +432,9 @@ class _KernelInterp:
     def run_env(self, env: LaunchEnv) -> None:
         self.env = env
         self.atom_ranges = env.atom_ranges()
+        #: per atom, how far apart neighbouring lanes of a warp hold it
+        #: (the grid index's atom stands for ``bdim·bid + tid``)
+        self.lanes = {"tid.x": 1, "gidx.x": 1}
         cfg = build_cfg(self.fn.body)
         init = _State()
         for p, aff in env.scalars.items():
@@ -526,6 +554,10 @@ class _KernelInterp:
             hi = stop.interval.hi
             hi = hi if hi in (INF,) else hi - 1
             self.atom_ranges[f"it:{stmt.lineno}"] = Interval(lo, hi)
+            if len(vals) < 3 or vals[2].taint == T_NONE:
+                # a uniform step keeps the lanes as far apart as at start
+                self.lanes[f"it:{stmt.lineno}"] = self._lane_stride(
+                    start.affine)
             self._loop_bounds = (start, stop)
             return self._mk(atom, Interval(lo, hi), taint), taint
         val = self._eval(it, state, check)
@@ -890,11 +922,34 @@ class _KernelInterp:
                  if isinstance(node.slice, ast.Tuple) else [node.slice])
         vals = [self._eval(e, state, check) for e in elems]
         taint = max((v.taint for v in vals), default=T_NONE)
-        if base in self.local or base in self.shared:
-            return AbsVal(None, Interval.top(), taint)
-        if base in self.params and check:
+        if base in self.shared and check:
+            self._note_stride("SAN-BANK-CONFLICT", base, node, vals)
+        elif base in self.params and base not in self.local and check:
             self._check_access(base, node, vals, state, store)
+            self._note_stride("SAN-UNCOALESCED", base, node, vals[-1:])
         return AbsVal(None, Interval.top(), taint)
+
+    def _note_stride(self, rule: str, base: str, node: ast.Subscript,
+                     vals) -> None:
+        """Record the first of ``vals`` (axes of one access) whose lane
+        stride breaks ``rule``: above 1 on a global array's innermost
+        axis, sharing a factor with the 32 banks on any shared axis."""
+        key = (rule, base, node.lineno)
+        if key in self.strides:
+            return
+        for val in vals:
+            stride = self._lane_stride(val.affine)
+            if stride > 1 and (rule == "SAN-UNCOALESCED"
+                               or math.gcd(stride, 32) > 1):
+                self.strides[key] = stride
+                return
+
+    def _lane_stride(self, form: Affine | None) -> int:
+        """How far apart neighbouring lanes of a warp index with
+        ``form``: 0 for a non-affine index."""
+        if form is None:
+            return 0
+        return sum(c * self.lanes.get(a, 0) for a, c in form.coeffs)
 
     def _check_access(self, base: str, node: ast.Subscript, vals,
                       state: _State, store: bool) -> None:
@@ -1131,9 +1186,8 @@ def absint_context(ctx) -> AbsintResult:
         kernels, helpers = _kernel_defs(ctx)
         if kernels:
             launches = _scan_launches(ctx, kernels)
-            for name in sorted(kernels):
-                kc = _analyze_kernel(ctx, kernels[name], helpers,
-                                     launches.get(name, ()),
+            for fn in kernels:
+                kc = _analyze_kernel(ctx, fn, helpers, launches[fn],
                                      result.report)
                 if kc is not None:
                     result.classes.append(kc)
@@ -1141,18 +1195,21 @@ def absint_context(ctx) -> AbsintResult:
     return result
 
 
-def _kernel_defs(ctx, live: str | None = None) -> tuple[dict, dict]:
-    """``({kernel name: def}, {helper name: def})`` over one file.  A def
-    named ``live`` is a kernel with or without ``@cuda.jit``: it is the
-    source of a live kernel, which ``cuda.jit(fn)`` may have made."""
-    kernels: dict = {}
+def _kernel_defs(ctx, live: str | None = None) -> tuple[list, dict]:
+    """``([kernel def], {helper name: def})`` over one file, the kernels
+    by name, then line, each def its own kernel even where two share a
+    name.  A def named ``live`` is a kernel with or without
+    ``@cuda.jit``: it is the source of a live kernel, which
+    ``cuda.jit(fn)`` may have made."""
+    kernels: list = []
     helpers: dict = {}
     for node in ctx.nodes:
         if isinstance(node, ast.FunctionDef):
             if node.name == live or _is_kernel_def(node, ctx.cuda_names):
-                kernels.setdefault(node.name, node)
+                kernels.append(node)
             else:
                 helpers[node.name] = node
+    kernels.sort(key=lambda fn: (fn.name, fn.lineno))
     return kernels, helpers
 
 
@@ -1232,13 +1289,99 @@ def _analyze_kernel(ctx, fn, helpers, launch_envs,
             facts.block_indexed_writes += 1
     facts.shared = set(interp.shared)
     facts.has_mac_loop = _has_mac_loop(fn)
-    facts.races = sum(
-        1 for f in _KernelLinter(fn, ctx.cuda_names,
-                                 ctx.filename).run().findings
-        if f.rule == "SAN-SHARED-RACE")
+    races = _shared_races(fn, interp.shared, ctx.cuda_names, helpers)
+    for line, message in races:
+        report.add(make_finding("SAN-SHARED-RACE", message,
+                                file=ctx.filename, line=line,
+                                context=fn.name))
+    facts.races = len(races)
+    for (rule, base, line), stride in interp.strides.items():
+        if rule == "SAN-UNCOALESCED":
+            message = (f"global access `{base}[... * {stride}]` makes a "
+                       f"warp touch every {stride}-th element; "
+                       "consecutive threads should touch consecutive "
+                       "elements")
+        else:
+            ways = math.gcd(stride, 32)
+            message = (f"shared access `{base}[... * {stride}]` maps "
+                       f"{ways} warp lanes to the same bank ({ways}-way "
+                       "conflict)")
+        report.add(make_finding(rule, message, file=ctx.filename,
+                                line=line, context=fn.name))
     kc = classify(facts)
     report.add(class_finding(kc))
     return kc
+
+
+def _reaches_sync(name: str, helpers: dict) -> bool:
+    """Does the same-file def ``name`` reach ``syncthreads()``, itself or
+    through other same-file defs it names?  What
+    :func:`repro.jit.lowering.helper_syncs` decides for live code."""
+    todo, seen = [name], {name}
+    while todo:
+        fn = helpers.get(todo.pop())
+        if fn is None:
+            continue
+        names = {n.id if isinstance(n, ast.Name) else n.attr
+                 for n in ast.walk(fn)
+                 if isinstance(n, (ast.Name, ast.Attribute))}
+        if "syncthreads" in names:
+            return True
+        todo.extend(names & (helpers.keys() - seen))
+        seen |= names
+    return False
+
+
+def _shared_races(fn, shared, cuda_names, helpers: dict) -> list:
+    """SAN-SHARED-RACE as ``(line, message)`` pairs: a shared array read
+    at another index than a write to it earlier in the same phase, over
+    the canonical unrolled schedule (loop bodies twice, so a write in
+    one iteration meets the read in the next; ``if`` arms concatenated).
+    A barrier statement closes the phase, and so does a call to a
+    same-file def that reaches one (:func:`_reaches_sync`)."""
+    barrier_calls: dict = {}
+
+    def closes(stmt) -> bool:
+        if is_sync(stmt, cuda_names):
+            return True
+        call = stmt.value if isinstance(stmt, ast.Expr) else None
+        if not (isinstance(call, ast.Call)
+                and isinstance(call.func, ast.Name)
+                and call.func.id in helpers):
+            return False
+        name = call.func.id
+        if name not in barrier_calls:
+            barrier_calls[name] = _reaches_sync(name, helpers)
+        return barrier_calls[name]
+
+    found: dict = {}
+    pending: dict = {}      # array -> [(index, line)] written this phase
+    for stmt in unrolled_schedule(fn.body):
+        if closes(stmt):
+            pending.clear()
+            continue
+        reads, writes = [], []
+        for n in ast.walk(stmt):
+            if not (isinstance(n, ast.Subscript)
+                    and isinstance(n.value, ast.Name)
+                    and n.value.id in shared):
+                continue
+            access = (n.value.id, ast.unparse(n.slice), n.lineno)
+            (writes if isinstance(n.ctx, ast.Store) else reads).append(
+                access)
+            if isinstance(stmt, ast.AugAssign) and n is stmt.target:
+                reads.append(access)    # `a[i] op= ...` reads it too
+        for name, idx, line in reads:
+            for widx, wline in pending.get(name, ()):
+                if widx != idx:
+                    found.setdefault((name, line, wline), (
+                        f"`{name}[{idx}]` is read without a syncthreads() "
+                        f"after the write to `{name}[{widx}]` on line "
+                        f"{wline}; another thread's write may not be "
+                        "visible yet"))
+        for name, idx, line in writes:
+            pending.setdefault(name, []).append((idx, line))
+    return [(line, message) for (_, line, _), message in found.items()]
 
 
 def _parse_base(rendered: str) -> dict:
@@ -1285,17 +1428,15 @@ def absint_source(source: str, filename: str = "<string>", *,
                                           line_offset=line_offset))
 
 
-def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
+def classify_kernel(kernel) -> KernelClass:
     """Classify a live kernel (a :class:`repro.jit.cuda.CudaKernel`,
     a plain function, or a source string).
 
-    With ``env`` the kernel is analyzed under exactly that launch (the
-    JIT launcher passes its live grid, block and argument shapes).
-    Without it, extents come from launch sites in the extracted source;
-    with none there they are anonymous atoms — guards still prove
-    safety, launch-dependent bounds stay unknown.  A live kernel's def
-    is found by the function's name, so one made by calling
-    ``cuda.jit(fn)`` on an undecorated def classifies too."""
+    Extents come from launch sites in the extracted source; with none
+    there they are anonymous atoms — guards still prove safety,
+    launch-dependent bounds stay unknown.  A live kernel's def is found
+    by the function's name, so one made by calling ``cuda.jit(fn)`` on
+    an undecorated def classifies too."""
     import inspect
     import textwrap
 
@@ -1319,12 +1460,11 @@ def classify_kernel(kernel, env: LaunchEnv | None = None) -> KernelClass:
         ctx = AnalysisContext(textwrap.dedent("".join(lines)),
                               filename=filename, line_offset=start - 1)
     kernels, helpers = _kernel_defs(ctx, live=name)
-    picked = kernels.get(name) or next(
-        (kernels[k] for k in sorted(kernels)), None)
+    picked = next((fn for fn in kernels if fn.name == name),
+                  kernels[0] if kernels else None)
     kc = None
     if picked is not None:
-        envs = [env] if env is not None else _scan_launches(
-            ctx, {picked.name: picked})[picked.name]
+        envs = _scan_launches(ctx, [picked])[picked]
         kc = _analyze_kernel(ctx, picked, helpers, envs, Report())
     if kc is None:
         raise ValueError("no @cuda.jit kernel found in the source")

@@ -34,7 +34,7 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.context import AnalysisContext
+from repro.analysis.context import AnalysisContext, _is_kernel_def
 
 MODULE_SCOPE = "<module>"
 
@@ -305,8 +305,6 @@ class _FileScanner:
         self.ctx = ctx
         self.graph = graph
         self.module = module_name_for(ctx.filename)
-        from repro.sanitize.astlint import _is_kernel_def
-        self._is_kernel_def = _is_kernel_def
         # pending call sites: (scope fid, call node, scope-local bindings,
         # loop_depth, bound_to, returned) resolved after all files scan
         self.pending: list[tuple] = []
@@ -339,8 +337,7 @@ class _FileScanner:
                 self.graph.functions[fid] = FunctionInfo(
                     fid=fid, name=stmt.name, qualname=qualname,
                     file=self.ctx.filename, node=stmt, ctx=self.ctx,
-                    is_kernel=self._is_kernel_def(stmt,
-                                                  self.ctx.cuda_names),
+                    is_kernel=_is_kernel_def(stmt, self.ctx.cuda_names),
                     params=params)
                 self.def_fids[id(stmt)] = fid
                 if class_name is not None:

@@ -55,6 +55,48 @@ def module_nodes(tree: ast.Module) -> tuple[ast.AST, ...]:
     return nodes
 
 
+def _cuda_aliases(tree: ast.Module) -> set[str]:
+    """Names the module binds to a cuda-like namespace (default: cuda)."""
+    names = {"cuda"}
+    for node in module_nodes(tree):
+        if isinstance(node, ast.ImportFrom):
+            for alias in node.names:
+                if alias.name == "cuda":
+                    names.add(alias.asname or alias.name)
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.endswith(".cuda") and alias.asname:
+                    names.add(alias.asname)
+    return names
+
+
+def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
+    """Is ``fn`` decorated ``@cuda.jit`` (or ``@cuda.jit(...)``) through
+    one of ``cuda_names``?"""
+    for dec in fn.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if isinstance(target, ast.Attribute) and target.attr == "jit" \
+                and isinstance(target.value, ast.Name) \
+                and target.value.id in cuda_names:
+            return True
+    return False
+
+
+def is_sync(stmt, cuda_names) -> bool:
+    """Is ``stmt`` a barrier statement: ``cuda.syncthreads()`` through
+    one of ``cuda_names``, or a bare ``syncthreads()``?  The JIT launcher
+    compiles exactly these statements into ``yield``, so the analyzer
+    and the executor agree on what a barrier is."""
+    if not (isinstance(stmt, ast.Expr) and isinstance(stmt.value, ast.Call)):
+        return False
+    func = stmt.value.func
+    if isinstance(func, ast.Name):
+        return func.id == "syncthreads"
+    return (isinstance(func, ast.Attribute) and func.attr == "syncthreads"
+            and isinstance(func.value, ast.Name)
+            and func.value.id in cuda_names)
+
+
 #: ``# repro: disable=RULE-A,RULE-B`` (or bare ``# repro: disable``)
 _DISABLE_RE = re.compile(
     r"#\s*repro:\s*disable(?:\s*=\s*(?P<rules>[A-Za-z0-9_\-,\s]+))?")
@@ -132,9 +174,7 @@ class AnalysisContext:
 
     @cached_property
     def cuda_names(self) -> set[str]:
-        """Names bound to a cuda-like namespace (kernel linter)."""
-        from repro.sanitize.astlint import _cuda_aliases
-
+        """Names bound to a cuda-like namespace (kernel rules)."""
         if self.tree is None:
             return {"cuda"}
         return _cuda_aliases(self.tree)
@@ -165,5 +205,5 @@ class AnalysisContext:
         return False
 
 
-__all__ = ["AnalysisContext", "module_nodes", "parse_count",
+__all__ = ["AnalysisContext", "is_sync", "module_nodes", "parse_count",
            "reset_parse_count"]

@@ -20,10 +20,10 @@ Branch knowledge is carried as a set of affine **constraints**, each an
 :func:`entails_le_zero` answers "is ``g ≤ 0`` provable?" by constant
 difference against any known fact.
 
-Taint reuses the sanitizer's lattice (:data:`T_NONE` < :data:`T_BLOCK`
-< :data:`T_THREAD` < :data:`T_GLOBAL`) but is *derived from the affine
-atoms* whenever a form is known — ``i - cuda.threadIdx.x`` with
-``i = cuda.grid(1)`` cancels to a block-only form, something the
+Taint is a four-point lattice (:data:`T_NONE` < :data:`T_BLOCK` <
+:data:`T_THREAD` < :data:`T_GLOBAL`) *derived from the affine atoms*
+whenever a form is known — ``i - cuda.threadIdx.x`` with
+``i = cuda.grid(1)`` cancels to a block-only form, something a
 syntactic taint walk can never see.
 """
 
@@ -31,7 +31,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from repro.sanitize.astlint import T_BLOCK, T_GLOBAL, T_NONE, T_THREAD
+T_NONE = 0      # uniform across the block (constants, blockDim, sizes)
+T_BLOCK = 1     # varies per block only (blockIdx)
+T_THREAD = 2    # varies within a warp (threadIdx)
+T_GLOBAL = 3    # varies across the whole grid (cuda.grid, bI*bD+tI)
 
 INF = float("inf")
 NEG_INF = float("-inf")

@@ -7,15 +7,14 @@ and hands the *same* context to every requested pass; each pass reads
 the module's nodes from the context's one walk (``ctx.nodes``) rather
 than walking the tree again:
 
-* ``kernel`` — :func:`repro.sanitize.astlint.lint_context` (its
-  SAN-OOB / SAN-BARRIER-DIV verdicts are the abstract interpreter's
-  proofs)
+* ``kernel`` — the sanitizer's ``lint_context`` (every kernel rule in
+  it is the abstract interpreter's; it adds the stream-hazard scan)
 * ``perf`` / ``cost`` / ``iam`` — :func:`repro.perflint.analyze_context`
 * ``mem`` — :func:`repro.memcheck.analyze_context`
 * ``det`` — :func:`repro.analysis.detpass.det_pass`
 * ``absint`` — :func:`repro.analysis.absint.absint_context` (opt-in:
   named explicitly, never implied by ``all``; its full report — the
-  same SAN-OOB / SAN-BARRIER-DIV proofs plus the VEC-* notes)
+  same SAN-* kernel findings plus the VEC-* notes)
 
 Driver-level post-processing applies to every family uniformly:
 ``# repro: disable=RULE`` suppressions, duplicate-finding removal (so
@@ -62,8 +61,8 @@ def analyze_context(ctx: AnalysisContext,
             line=(exc.lineno or 0) + ctx.line_offset))
         return report
     if "kernel" in analyzers:
-        from repro.sanitize.astlint import lint_context
-        report.extend(lint_context(ctx).findings)
+        from repro.sanitize import astlint
+        report.extend(astlint.lint_context(ctx).findings)
     perf_families = tuple(f for f in _PERFLINT_FAMILIES
                           if f in analyzers)
     if perf_families:

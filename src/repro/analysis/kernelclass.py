@@ -1,10 +1,13 @@
-"""Serializable kernel classification — the JIT dispatcher's contract.
+"""Serializable kernel classification — a report on each kernel.
 
 The abstract interpreter (:mod:`repro.analysis.absint`) reduces every
 ``@cuda.jit`` kernel to a :class:`KernelClass`: which vectorizable
 archetype the body matches, the per-array access footprints that prove
-it, and the safety verdicts a lowering pass must respect.  The classes
-mirror the course's kernel archetypes (Lab 5):
+it, and its safety verdicts.  It is what the student, the CI artifact
+(``--kernel-classes json``) and ``CudaKernel.classify()`` read; the JIT
+does not consult it, since its launcher admits each launch to the
+lowered path by a trace of that launch.  The classes mirror the
+course's kernel archetypes (Lab 5):
 
 * ``elementwise`` — every global access reads/writes the thread's own
   cell (zero constant offsets on a thread-affine base);
@@ -60,14 +63,14 @@ class Access:
 
 @dataclass
 class KernelClass:
-    """The classification contract one kernel exports to the JIT."""
+    """One kernel's classification: archetype, footprints, verdicts."""
 
     kernel: str
     file: str
     line: int
     klass: str                       # one of VECTORIZABLE or FALLBACK
     oob: str = "unknown"             # proven_safe | oob | unknown
-    verified: bool = False           # oob-proven + race-free + uniform
+    verified: bool = False           # oob-proven, no race found, uniform
     barriers: int = 0
     divergent_barriers: int = 0
     races: int = 0

@@ -6,8 +6,8 @@ SARIF exporter (which publishes :data:`RULES` as the tool's rule
 metadata) refer to them by name.  The families, by prefix:
 
 * ``SAN-*`` — the kernel sanitizer: the ``kernel`` family's static
-  checks (SAN-OOB and SAN-BARRIER-DIV proven by the abstract
-  interpreter), the shadow-memory race detector (``SAN-DYN-*``), the
+  checks (each kernel rule from the abstract interpreter), the
+  shadow-memory race detector (``SAN-DYN-*``), the
   stream and collective hazard checks, and the interprocedural
   host-call rule;
 * ``PERF-*`` / ``COST-*`` / ``IAM-*`` — perflint's host-side workflow

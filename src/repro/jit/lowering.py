@@ -6,7 +6,7 @@ sound, each recompiled from the kernel's source with the kernel's own
 globals and closure cells, so every name resolves as in the original:
 
 * :func:`generator_variant` — every barrier statement (the analyzer's
-  :func:`repro.analysis.absint.is_sync`) becomes ``yield``, so the
+  :func:`repro.analysis.context.is_sync`) becomes ``yield``, so the
   threads of a block can be resumed round-robin on the launching thread
   instead of each needing an OS thread.
 * :func:`lower` — a kernel whose statements are assignments, tests and
@@ -200,7 +200,7 @@ def helper_syncs(fn) -> bool:
 def _yield_at_barriers(body: list, names: set) -> int:
     """Replace each barrier statement in ``body`` and its nested statement
     lists (not nested scopes) with ``yield``; return how many."""
-    from repro.analysis.absint import is_sync
+    from repro.analysis.context import is_sync
 
     count = 0
     for k, stmt in enumerate(body):

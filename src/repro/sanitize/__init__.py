@@ -11,8 +11,8 @@ Four cooperating passes, all reporting the same :class:`Finding` type:
 * :mod:`repro.sanitize.astlint` — static AST linter for ``@cuda.jit``
   kernels (``SAN-OOB``, ``SAN-SHARED-RACE``, ``SAN-BARRIER-DIV``,
   ``SAN-UNCOALESCED``, ``SAN-BANK-CONFLICT``, ``SAN-STREAM-HAZARD``);
-  ``SAN-OOB`` and ``SAN-BARRIER-DIV`` are the abstract interpreter's
-  proofs (:mod:`repro.analysis.absint`).
+  every kernel rule is the abstract interpreter's
+  (:mod:`repro.analysis.absint`).
 * :mod:`repro.sanitize.dynamic` — shadow-memory race detector running on
   the simulator's own executor (``SAN-DYN-WW``, ``SAN-DYN-RW``).
 * :mod:`repro.sanitize.streamcheck` — exact cross-stream hazard check on

@@ -6,329 +6,44 @@ The pass reproduces, on the simulator, the checks students get from
 * ``SAN-OOB`` — a grid-derived index can run past a global (parameter)
   array's extent.  Launch grids are rounded up, so the last block
   always has threads past the end.
-* ``SAN-SHARED-RACE`` — a shared-memory cell is read at a different index
-  than it was written, with no ``syncthreads()`` between the phases.
+* ``SAN-SHARED-RACE`` — a shared-memory array is read at a different
+  index than it was written, with no ``syncthreads()`` between the
+  phases.
 * ``SAN-BARRIER-DIV`` — ``syncthreads()`` under a branch whose predicate
   varies within a block: threads that skip the branch never reach the
   barrier and the block deadlocks.
-* ``SAN-UNCOALESCED`` — the innermost index of a global access multiplies
-  a thread-varying value by a constant stride, so a warp touches
+* ``SAN-UNCOALESCED`` — neighbouring lanes of a warp index the innermost
+  axis of a global array more than one element apart, so a warp touches
   scattered cache lines instead of one.
-* ``SAN-BANK-CONFLICT`` — a shared-memory index uses a stride sharing a
-  factor with the 32 banks, serializing warp lanes on the same bank.
+* ``SAN-BANK-CONFLICT`` — neighbouring lanes index a shared array with a
+  stride sharing a factor with the 32 banks, serializing them on the
+  same bank.
 * ``SAN-STREAM-HAZARD`` — the same device buffer is passed to kernel
   launches on two different streams with no event dependency or
   synchronization between them.
 
-SAN-OOB and SAN-BARRIER-DIV are proofs, not patterns: they come from
-the abstract interpreter (:mod:`repro.analysis.absint`), which runs
-each kernel to a fixpoint over intervals, affine index forms and the
-branch constraints on each path (see ``docs/sanitizer.md``).  The
-other kernel rules are heuristic in the way a linter is: taint is
-propagated through straight-line assignments and loops are unrolled
-once for the phase analysis.  That is enough to be exact on the kernel
-shapes the course teaches (elementwise, stencil, tiled
-reduction/matmul).
+Every kernel rule comes from one engine, the abstract interpreter
+(:mod:`repro.analysis.absint`), which runs each kernel to a fixpoint
+over intervals, affine index forms and the branch constraints on each
+path (see ``docs/sanitizer.md``): SAN-OOB and SAN-BARRIER-DIV are its
+proofs, SAN-UNCOALESCED and SAN-BANK-CONFLICT read the lane stride of
+its affine forms, and SAN-SHARED-RACE is its phase rule over the
+canonical unrolled schedule.  This module adds the host-side stream
+scan and the entry points.
 """
 
 from __future__ import annotations
 
 import ast
-import math
-from dataclasses import dataclass, field
 from pathlib import Path
 
-from repro.analysis.cfg import unrolled_schedule
-from repro.analysis.context import AnalysisContext, module_nodes
+from repro.analysis.context import AnalysisContext, _is_kernel_def
 from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
-
-# -- taint lattice ----------------------------------------------------------
-
-T_NONE = 0      # uniform across the block (constants, blockDim, sizes)
-T_BLOCK = 1     # varies per block only (blockIdx)
-T_THREAD = 2    # varies within a warp (threadIdx)
-T_GLOBAL = 3    # varies across the whole grid (cuda.grid, bI*bD+tI)
-
-_THREAD_VARYING = (T_THREAD, T_GLOBAL)
 
 # device-buffer producers recognized by the stream-hazard scan
 _BUFFER_MAKERS = {"to_device", "device_array"}
 _SYNC_ATTRS = {"synchronize", "wait_for", "record"}
-
-
-def _gcd32(stride: int) -> int:
-    return math.gcd(stride, 32)
-
-
-@dataclass
-class _KernelEnv:
-    """Per-kernel symbol knowledge built up during the walk."""
-
-    cuda_names: set[str]
-    params: set[str] = field(default_factory=set)
-    shared: set[str] = field(default_factory=set)
-    local: set[str] = field(default_factory=set)
-    taint: dict[str, int] = field(default_factory=dict)
-
-
-class _KernelLinter:
-    """Runs all intra-kernel rules over one ``@cuda.jit`` function."""
-
-    def __init__(self, fn: ast.FunctionDef, cuda_names: set[str],
-                 filename: str) -> None:
-        self.fn = fn
-        self.filename = filename
-        self.env = _KernelEnv(cuda_names=cuda_names)
-        self.env.params = {a.arg for a in fn.args.args}
-        self.report = Report()
-        self._seen: set[tuple] = set()
-
-    # -- cuda namespace recognition ------------------------------------
-
-    def _is_cuda_attr(self, node: ast.AST, *path: str) -> bool:
-        """Match ``cuda.a.b`` attribute chains (any registered alias)."""
-        for attr in reversed(path):
-            if not (isinstance(node, ast.Attribute) and node.attr == attr):
-                return False
-            node = node.value
-        return isinstance(node, ast.Name) and node.id in self.env.cuda_names
-
-    def _is_sync_call(self, node: ast.AST) -> bool:
-        if not isinstance(node, ast.Call):
-            return False
-        f = node.func
-        if self._is_cuda_attr(f, "syncthreads"):
-            return True
-        return isinstance(f, ast.Name) and f.id == "syncthreads"
-
-    # -- taint ----------------------------------------------------------
-
-    def _expr_taint(self, node: ast.AST) -> int:
-        """Worst-case taint of an expression (BLOCK+THREAD => GLOBAL)."""
-        kinds: set[int] = set()
-        for n in ast.walk(node):
-            if isinstance(n, ast.Attribute):
-                if self._is_cuda_attr(n.value, "threadIdx"):
-                    kinds.add(T_THREAD)
-                elif self._is_cuda_attr(n.value, "blockIdx"):
-                    kinds.add(T_BLOCK)
-            elif isinstance(n, ast.Call) and self._is_cuda_attr(n.func, "grid"):
-                kinds.add(T_GLOBAL)
-            elif isinstance(n, ast.Name):
-                t = self.env.taint.get(n.id, T_NONE)
-                if t:
-                    kinds.add(t)
-        if not kinds:
-            return T_NONE
-        if T_GLOBAL in kinds or (T_BLOCK in kinds and T_THREAD in kinds):
-            return T_GLOBAL
-        return max(kinds)
-
-    def _record_assign(self, target: ast.AST, value: ast.AST) -> None:
-        if isinstance(target, ast.Tuple) and isinstance(value, ast.Call) \
-                and self._is_cuda_attr(value.func, "grid"):
-            for elt in target.elts:
-                if isinstance(elt, ast.Name):
-                    self.env.taint[elt.id] = T_GLOBAL
-            return
-        if isinstance(target, ast.Tuple) and isinstance(value, ast.Tuple) \
-                and len(target.elts) == len(value.elts):
-            for t, v in zip(target.elts, value.elts):
-                self._record_assign(t, v)
-            return
-        if isinstance(target, ast.Name):
-            if isinstance(value, ast.Call):
-                if self._is_cuda_attr(value.func, "shared", "array"):
-                    self.env.shared.add(target.id)
-                    self.env.taint[target.id] = T_NONE
-                    return
-                if self._is_cuda_attr(value.func, "local", "array"):
-                    self.env.local.add(target.id)
-                    self.env.taint[target.id] = T_NONE
-                    return
-            self.env.taint[target.id] = self._expr_taint(value)
-
-    # -- findings -------------------------------------------------------
-
-    def _emit(self, rule: str, message: str, line: int,
-              dedupe_key: tuple) -> None:
-        if dedupe_key in self._seen:
-            return
-        self._seen.add(dedupe_key)
-        self.report.add(make_finding(
-            rule, message, file=self.filename, line=line,
-            context=self.fn.name))
-
-    # -- main walk ------------------------------------------------------
-
-    def run(self) -> Report:
-        self._visit_body(self.fn.body)
-        self._phase_analysis()
-        return self.report
-
-    def _visit_body(self, stmts) -> None:
-        for stmt in stmts:
-            self._visit_stmt(stmt)
-
-    def _visit_stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign):
-            self._check_expr(stmt.value)
-            for t in stmt.targets:
-                self._check_expr(t)
-            for t in stmt.targets:
-                self._record_assign(t, stmt.value)
-        elif isinstance(stmt, ast.AugAssign):
-            self._check_expr(stmt.value)
-            self._check_expr(stmt.target)
-            if isinstance(stmt.target, ast.Name):
-                self.env.taint[stmt.target.id] = max(
-                    self.env.taint.get(stmt.target.id, T_NONE),
-                    self._expr_taint(stmt.value))
-        elif isinstance(stmt, ast.AnnAssign):
-            if stmt.value is not None:
-                self._check_expr(stmt.value)
-                self._record_assign(stmt.target, stmt.value)
-        elif isinstance(stmt, (ast.If, ast.While)):
-            self._check_expr(stmt.test)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-        elif isinstance(stmt, ast.For):
-            self._check_expr(stmt.iter)
-            self._loop_taint(stmt)
-            self._visit_body(stmt.body)
-            self._visit_body(stmt.orelse)
-        elif isinstance(stmt, ast.Expr):
-            self._check_expr(stmt.value)
-        elif isinstance(stmt, ast.Return):
-            if stmt.value is not None:
-                self._check_expr(stmt.value)
-        # other statement kinds carry no kernel semantics we model
-
-    def _loop_taint(self, stmt: ast.For) -> None:
-        """Loop-variable taint: ``for v in range(...)`` takes the worst
-        argument's taint, any other iterable its own."""
-        if not isinstance(stmt.target, ast.Name):
-            return
-        it = stmt.iter
-        if isinstance(it, ast.Call) and isinstance(it.func, ast.Name) \
-                and it.func.id == "range" and it.args:
-            taint = max(self._expr_taint(a) for a in it.args)
-        else:
-            taint = self._expr_taint(it)
-        self.env.taint[stmt.target.id] = taint
-
-    # -- expression-level access checks ---------------------------------
-
-    def _check_expr(self, node: ast.AST) -> None:
-        if isinstance(node, ast.Subscript):
-            self._check_subscript(node)
-        for child in ast.iter_child_nodes(node):
-            self._check_expr(child)
-
-    def _check_subscript(self, node: ast.Subscript) -> None:
-        if not isinstance(node.value, ast.Name):
-            return
-        base = node.value.id
-        sl = node.slice
-        elements = list(sl.elts) if isinstance(sl, ast.Tuple) else [sl]
-        if base in self.env.local:
-            return
-        if base in self.env.shared:
-            self._check_bank_conflict(base, node, elements)
-        elif base in self.env.params:
-            self._check_coalescing(base, node, elements)
-
-    def _const_stride(self, elem: ast.AST) -> int | None:
-        """Return c for ``tainted * c`` / ``c * tainted`` index shapes."""
-        if not isinstance(elem, ast.BinOp) or not isinstance(elem.op, ast.Mult):
-            return None
-        left, right = elem.left, elem.right
-        for var, const in ((left, right), (right, left)):
-            if isinstance(const, ast.Constant) \
-                    and isinstance(const.value, int) \
-                    and self._expr_taint(var) in _THREAD_VARYING:
-                return const.value
-        return None
-
-    def _check_coalescing(self, base: str, node: ast.Subscript,
-                          elements) -> None:
-        stride = self._const_stride(elements[-1])
-        if stride is not None and stride > 1:
-            self._emit(
-                "SAN-UNCOALESCED",
-                f"global access `{base}[... * {stride}]` makes a warp "
-                f"touch every {stride}-th element; consecutive threads "
-                "should touch consecutive elements",
-                node.lineno, ("coalesce", base, node.lineno))
-
-    def _check_bank_conflict(self, base: str, node: ast.Subscript,
-                             elements) -> None:
-        for elem in elements:
-            stride = self._const_stride(elem)
-            if stride is not None and stride > 1 and _gcd32(stride) > 1:
-                self._emit(
-                    "SAN-BANK-CONFLICT",
-                    f"shared access `{base}[... * {stride}]` maps "
-                    f"{_gcd32(stride)} warp lanes to the same bank "
-                    f"({_gcd32(stride)}-way conflict)",
-                    node.lineno, ("bank", base, node.lineno))
-
-    # -- shared-memory phase analysis (SAN-SHARED-RACE) -----------------
-
-    def _phase_analysis(self) -> None:
-        events = self._events(unrolled_schedule(self.fn.body))
-        pending: dict[str, list[tuple[str, int]]] = {}
-        for ev in events:
-            kind = ev[0]
-            if kind == "sync":
-                pending.clear()
-            elif kind == "read":
-                _, name, idx, line = ev
-                for widx, wline in pending.get(name, ()):
-                    if widx != idx:
-                        self._emit(
-                            "SAN-SHARED-RACE",
-                            f"`{name}[{idx}]` is read without a "
-                            "syncthreads() after the write to "
-                            f"`{name}[{widx}]` on line {wline}; another "
-                            "thread's write may not be visible yet",
-                            line, ("race", name, line, wline))
-            elif kind == "write":
-                _, name, idx, line = ev
-                pending.setdefault(name, []).append((idx, line))
-
-    def _events(self, schedule) -> list[tuple]:
-        """Map the canonical unrolled schedule (loop bodies repeated so a
-        write in iteration N meets the read in N+1, ``if`` arms
-        concatenated — see :func:`repro.analysis.cfg.unrolled_schedule`)
-        to (sync|read|write) events."""
-        out: list[tuple] = []
-        for stmt in schedule:
-            if isinstance(stmt, ast.Expr) and self._is_sync_call(stmt.value):
-                out.append(("sync", stmt.lineno))
-            else:
-                out.extend(self._stmt_events(stmt))
-        return out
-
-    def _stmt_events(self, stmt: ast.stmt) -> list[tuple]:
-        reads: list[tuple] = []
-        writes: list[tuple] = []
-        for n in ast.walk(stmt):
-            if not isinstance(n, ast.Subscript) \
-                    or not isinstance(n.value, ast.Name) \
-                    or n.value.id not in self.env.shared:
-                continue
-            idx = ast.unparse(n.slice)
-            ev = (n.value.id, idx, n.lineno)
-            if isinstance(n.ctx, ast.Store):
-                writes.append(("write", *ev))
-            else:
-                reads.append(("read", *ev))
-            if isinstance(stmt, ast.AugAssign) and n is stmt.target:
-                # `a[i] op= ...` both reads and writes the target cell
-                reads.append(("read", *ev))
-        return reads + writes
 
 
 # -- stream-hazard scan (module- or function-level straight-line code) -----
@@ -408,44 +123,16 @@ class _StreamScan:
 
 # -- entry points -----------------------------------------------------------
 
-def _cuda_aliases(tree: ast.Module) -> set[str]:
-    """Names the module binds to a cuda-like namespace (default: cuda)."""
-    names = {"cuda"}
-    for node in module_nodes(tree):
-        if isinstance(node, ast.ImportFrom):
-            for alias in node.names:
-                if alias.name == "cuda":
-                    names.add(alias.asname or alias.name)
-        elif isinstance(node, ast.Import):
-            for alias in node.names:
-                if alias.name.endswith(".cuda") and alias.asname:
-                    names.add(alias.asname)
-    return names
-
-
-def _is_kernel_def(fn: ast.FunctionDef, cuda_names: set[str]) -> bool:
-    for dec in fn.decorator_list:
-        target = dec.func if isinstance(dec, ast.Call) else dec
-        if isinstance(target, ast.Attribute) and target.attr == "jit" \
-                and isinstance(target.value, ast.Name) \
-                and target.value.id in cuda_names:
-            return True
-    return False
-
-
-#: the kernel rules the abstract interpreter proves
-_PROVEN_RULES = ("SAN-OOB", "SAN-BARRIER-DIV")
-
-
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     shared :class:`repro.analysis.context.AnalysisContext` — the parse
     already happened; this pass reads the shared ``ctx.nodes``.
 
-    SAN-OOB and SAN-BARRIER-DIV are the abstract interpreter's verdicts
+    Every kernel rule is the abstract interpreter's
     (:func:`repro.analysis.absint.absint_context`, cached on the
-    context, so the ``absint`` family reuses the same run)."""
-    # absint imports this module, so the import waits for the call
+    context, so the ``absint`` family reuses the same run): its SAN-*
+    findings, without the VEC-* notes."""
+    # the interpreter loads only when a file is linted
     from repro.analysis.absint import absint_context
 
     report = Report()
@@ -457,18 +144,15 @@ def lint_context(ctx) -> Report:
             line=(exc.lineno or 0) + ctx.line_offset))
         return report
     report.extend(f for f in absint_context(ctx).report.findings
-                  if f.rule in _PROVEN_RULES)
-    tree = ctx.tree
+                  if f.rule.startswith("SAN-"))
     cuda_names = ctx.cuda_names
     for node in ctx.nodes:
-        if isinstance(node, ast.FunctionDef):
-            if _is_kernel_def(node, cuda_names):
-                report.extend(
-                    _KernelLinter(node, cuda_names, filename).run().findings)
-            else:
-                report.extend(
-                    _StreamScan(cuda_names, filename).scan(node.body).findings)
-    report.extend(_StreamScan(cuda_names, filename).scan(tree.body).findings)
+        if isinstance(node, ast.FunctionDef) \
+                and not _is_kernel_def(node, cuda_names):
+            report.extend(
+                _StreamScan(cuda_names, filename).scan(node.body).findings)
+    report.extend(
+        _StreamScan(cuda_names, filename).scan(ctx.tree.body).findings)
     return report
 
 

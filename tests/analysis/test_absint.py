@@ -401,6 +401,44 @@ class TestDriverOwnership:
                 if f.rule == "SAN-SHARED-RACE"] == race
 
 
+TWO_KERNELS_NAMED_K = """\
+import numpy as np
+from repro.jit import cuda
+
+
+def contiguous():
+    @cuda.jit
+    def k(x, out):
+        i = cuda.grid(1)
+        if i < out.size:
+            out[i] = x[i]
+
+    k[2, 128](cuda.to_device(np.ones(256)), cuda.device_array(256))
+
+
+def strided():
+    @cuda.jit
+    def k(x, out):
+        i = cuda.grid(1)
+        if i < out.size:
+            out[i] = x[i * 2]
+
+    k[2, 128](cuda.to_device(np.ones(512)), cuda.device_array(256))
+"""
+
+
+class TestSameNamedKernels:
+    def test_each_def_is_checked_under_the_launch_that_binds_it(self):
+        # under the first launch the second ``k`` would read past ``x``
+        result = absint_source(TWO_KERNELS_NAMED_K, "twins.py")
+        assert [(k.kernel, k.line, k.launches, k.oob)
+                for k in result.classes] == [
+                    ("k", 7, 1, "proven_safe"), ("k", 17, 1, "proven_safe")]
+        strided = [f for f in result.report.findings
+                   if f.rule == "SAN-UNCOALESCED"]
+        assert [(f.line, f.context) for f in strided] == [(20, "k")]
+
+
 class TestHelperComputedLaunch:
     def test_only_the_unguarded_kernel_is_flagged(self):
         report = analyze_source(HELPER_LAUNCH, "tpb.py",

@@ -3,10 +3,14 @@ reported with the correct file:line in both text and JSON output."""
 
 import json
 import textwrap
+from pathlib import Path
 
 import pytest
 
+from repro.analysis.driver import analyze_source
 from repro.sanitize import lint_file, lint_kernel, lint_paths, lint_source
+
+KERNEL_FIXTURES = Path(__file__).resolve().parent / "fixtures_kernel"
 
 # One dedicated fixture kernel per rule id.  `line` is the 1-based line
 # (within the written fixture file) the finding must anchor to.
@@ -361,3 +365,50 @@ class TestLintKernelObject:
         '''))
         assert any(f.rule == "SAN-SHARED-RACE" for f in report.findings), \
             report.render_text()
+
+
+class TestOneEngine:
+    """Every kernel rule is the abstract interpreter's."""
+
+    @pytest.mark.parametrize("rule", ["SAN-SHARED-RACE", "SAN-UNCOALESCED",
+                                      "SAN-BANK-CONFLICT"])
+    def test_absint_family_alone_reports_the_rule(self, rule):
+        fixture = FIXTURES[rule]
+        report = analyze_source(fixture["source"], "k.py",
+                                analyzers=("absint",))
+        assert [f.line for f in report.findings if f.rule == rule] \
+            == [fixture["line"]]
+
+    def test_lane_stride_follows_a_grid_stride_loop(self):
+        report = lint_source(textwrap.dedent('''
+            from repro.jit import cuda
+
+            @cuda.jit
+            def strided_loop(x, out):
+                start = cuda.grid(1)
+                step = cuda.gridsize(1)
+                for i in range(start, out.size, step):
+                    out[i] = x[i * 2]
+        '''))
+        assert [(f.rule, f.line) for f in report.findings] == [
+            ("SAN-UNCOALESCED", 9)]
+
+    def test_barrier_in_a_same_file_helper_closes_the_phase(self):
+        # directly or through a chain of same-file defs; a barrier
+        # passed in as an argument is out of sight
+        report = lint_file(KERNEL_FIXTURES / "helper_barrier.py")
+        assert [(f.line, f.context) for f in report.findings
+                if f.rule == "SAN-SHARED-RACE"] == [
+                    (42, "reverse_via_argument")]
+
+    @pytest.mark.parametrize("fixture, rule, lines", [
+        ("strided_temporary.py", "SAN-UNCOALESCED", [11]),     # j = i * 4
+        ("strided_offset.py", "SAN-UNCOALESCED", [10]),        # 2 * i + 1
+        ("shared_offset_stride.py", "SAN-BANK-CONFLICT", [14, 17]),
+        # lanes share threadIdx.y whenever blockDim.x >= 32
+        ("shared_row_stride.py", "SAN-BANK-CONFLICT", []),
+    ])
+    def test_lane_stride_sees_through_temporaries_and_offsets(
+            self, fixture, rule, lines):
+        report = lint_file(KERNEL_FIXTURES / fixture)
+        assert [f.line for f in report.findings if f.rule == rule] == lines
