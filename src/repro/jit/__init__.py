@@ -8,9 +8,10 @@ the Numba stand-in:
   are plain Python functions with real ``threadIdx``/``blockIdx``
   semantics, block-shared memory, barriers, and atomics, interpreted once
   per CUDA thread — except where :mod:`repro.jit.lowering` proves a
-  faster path gives the same bytes: a verified elementwise, stencil,
-  block-reduction or tiled-matmul launch runs as whole-block NumPy, one
-  phase between barriers at a time (a loop whose test varies by thread,
+  faster path gives the same bytes: a launch whose trace shows no
+  thread depending on another (an elementwise, stencil, block-reduction
+  or tiled-matmul kernel, say) runs as whole-block NumPy, one phase
+  between barriers at a time (a loop whose test varies by thread,
   like Collatz's ``while n != 1``, runs pass by pass over the threads
   still in it, governing only temporaries), and any other kernel with
   barriers runs each block's threads as generators on one OS thread.
