@@ -1339,6 +1339,8 @@ def _shared_races(fn, shared, cuda_names, helpers: dict) -> list:
     one iteration meets the read in the next; ``if`` arms concatenated).
     A barrier statement closes the phase, and so does a call to a
     same-file def that reaches one (:func:`_reaches_sync`)."""
+    if not shared:
+        return []
     barrier_calls: dict = {}
 
     def closes(stmt) -> bool:
