@@ -10,8 +10,8 @@ MEM-UAF / MEM-PEAK-OOM findings).
 import time
 from pathlib import Path
 
+from repro.analysis import analyze_paths
 from repro.analytics import series_table
-from repro.memcheck import analyze_paths
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -24,7 +24,7 @@ def run_full_repo_memcheck():
     paths = [REPO / "src" / "repro", REPO / "examples"]
     n_files = sum(len(list(p.rglob("*.py"))) for p in paths)
     start = time.perf_counter()
-    report = analyze_paths(paths)
+    report = analyze_paths(paths, analyzers=("mem",))
     elapsed = time.perf_counter() - start
     return {
         "n_files": n_files,

@@ -16,10 +16,9 @@ single-parse invariant while the clock runs.
 import time
 from pathlib import Path
 
-import repro.memcheck as memcheck
 from repro.analysis import (
     KNOWN_ANALYZERS,
-    analyze_paths as unified_analyze_paths,
+    analyze_paths,
     clear_summary_cache,
     parse_count,
     reset_parse_count,
@@ -28,8 +27,6 @@ from repro.analysis import (
 )
 from repro.analysis.driver import collect_files
 from repro.analytics import series_table
-from repro.perflint import analyze_paths
-from repro.sanitize import lint_paths
 
 REPO = Path(__file__).resolve().parents[1]
 
@@ -55,7 +52,7 @@ def run_full_repo_analysis():
     paths = [REPO / "src" / "repro", REPO / "examples"]
     n_files = sum(len(list(p.rglob("*.py"))) for p in paths)
     start = time.perf_counter()
-    kernel = lint_paths(paths)
+    kernel = analyze_paths(paths, analyzers=("kernel",))
     workflow = analyze_paths(paths, analyzers=("perf", "cost", "iam"))
     elapsed = time.perf_counter() - start
     return {
@@ -97,15 +94,11 @@ def run_speedup_comparison():
     def sequential():
         # how the gate ran before the unified driver: one sweep per
         # family, each walking and re-parsing every file on its own
-        lint_paths(paths)
-        analyze_paths(paths, analyzers=("perf",))
-        analyze_paths(paths, analyzers=("cost",))
-        analyze_paths(paths, analyzers=("iam",))
-        memcheck.analyze_paths(paths)
-        unified_analyze_paths(paths, analyzers=("det",))
+        for family in KNOWN_ANALYZERS:
+            analyze_paths(paths, analyzers=(family,))
 
     def unified():
-        unified_analyze_paths(paths, analyzers=KNOWN_ANALYZERS)
+        analyze_paths(paths, analyzers=KNOWN_ANALYZERS)
 
     sequential_s = min(_timed(sequential) for _ in range(SPEEDUP_TRIALS))
     reset_parse_count()

@@ -12,9 +12,10 @@ Run:  python examples/memory_preflight.py
 
 import numpy as np
 
+from repro.analysis import analyze_source
 from repro.cloud import Alarm, CloudWatch
 from repro.gpu import format_bytes, make_system
-from repro.memcheck import analyze_source, gcn_training_footprint, preflight
+from repro.memcheck import gcn_training_footprint, preflight
 from repro.telemetry import Tracer, record_device_memory
 
 LEAKY_LAB = '''\
@@ -38,7 +39,8 @@ def main() -> None:
 
     # --- 2. static pass: the TA's review of a leaky submission -------------
     print("\n=== static MEM-* findings on a leaky lab script ===")
-    for f in analyze_source(LEAKY_LAB, "leaky_lab.py").findings:
+    for f in analyze_source(LEAKY_LAB, "leaky_lab.py",
+                            analyzers=("mem",)).findings:
         print(f"  {f.rule} line {f.line}: {f.message}")
 
     # --- 3. dynamic ledger: the same leak caught at runtime ----------------

@@ -6,21 +6,24 @@ the same substrate:
 
 * :mod:`repro.analysis.context` — :class:`AnalysisContext`: each file
   parsed and walked **exactly once**, with the source, line index,
-  module nodes, namespace aliases, and ``# repro: disable`` suppression
-  table shared by every pass (``parse_count()`` is the test hook
-  proving the single parse);
+  module nodes, namespace aliases, and the one suppression table
+  (``# repro: disable``; ``# noqa`` for MEM-* rules) shared by every
+  pass (``parse_count()`` is the test hook proving the single parse);
 * :mod:`repro.analysis.cfg` — per-scope basic-block CFGs and the
   canonical unrolled statement schedule the abstract interpreters walk;
 * :mod:`repro.analysis.dataflow` — the generic forward/backward
   fixpoint engine (reaching definitions, liveness);
 * :mod:`repro.analysis.detpass` — the ``DET-*`` determinism rules that
   self-host over ``src/repro`` in CI;
-* :mod:`repro.analysis.pipeline` — stable finding fingerprints,
-  suppressions, and the ``.reprolint-baseline.json`` workflow;
+* :mod:`repro.analysis.pipeline` — stable finding fingerprints and
+  the ``.reprolint-baseline.json`` workflow;
 * :mod:`repro.analysis.sarif` — SARIF 2.1.0 export;
-* :mod:`repro.analysis.driver` — the unified dispatcher behind
-  ``python -m repro.sanitize --analyzers kernel,perf,cost,iam,mem,det``
-  (also reachable as ``python -m repro.analysis``);
+* :mod:`repro.analysis.driver` — the only way from source to a report:
+  :func:`analyze_source`, :func:`analyze_paths` and :func:`run_paths`
+  dispatch every family over one shared context per file, report
+  unparsable files and apply the one suppression table;
+* :mod:`repro.analysis.cli` — the one analyzer CLI,
+  ``python -m repro.analysis --analyzers kernel,perf,cost,iam,mem,det``;
 * :mod:`repro.analysis.callgraph` / :mod:`repro.analysis.summaries` /
   :mod:`repro.analysis.interproc` — the interprocedural layer: the
   project-wide call graph, composable per-function summaries, and the
@@ -111,7 +114,6 @@ from repro.analysis.pipeline import (
     BASELINE_NAME,
     BASELINE_VERSION,
     Baseline,
-    apply_suppressions,
     fingerprint,
     fingerprint_report,
     normalize_path,
@@ -166,7 +168,6 @@ __all__ = [
     "BASELINE_NAME",
     "BASELINE_VERSION",
     "Baseline",
-    "apply_suppressions",
     "fingerprint",
     "fingerprint_report",
     "normalize_path",

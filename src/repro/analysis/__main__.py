@@ -1,15 +1,9 @@
-"""``python -m repro.analysis`` — the unified analyzer CLI.
-
-An alias of ``python -m repro.sanitize``: the sanitize entry point has
-dispatched every family through the unified :mod:`repro.analysis`
-driver since the framework landed, so both module names run the same
-command (``--analyzers``, ``--interprocedural``, ``--call-graph``,
-baselines, SARIF — see ``--help``).
-"""
+"""``python -m repro.analysis`` — the analyzer CLI
+(:mod:`repro.analysis.cli`; ``--help`` lists its flags)."""
 
 import sys
 
-from repro.sanitize.cli import main
+from repro.analysis.cli import main
 
 if __name__ == "__main__":
     sys.exit(main())

@@ -1,13 +1,14 @@
-"""``python -m repro.sanitize <paths>`` — lint kernels the way
-``compute-sanitizer`` would have caught them on real hardware, and
-(with ``--analyzers``) lint the workflow layer above them the way a
-pre-flight cost/perf review would.
+"""``python -m repro.analysis <paths>`` — the one analyzer CLI: lint
+kernels the way ``compute-sanitizer`` would have caught them on real
+hardware, and (with ``--analyzers``) lint the workflow layer above them
+the way a pre-flight cost/perf review would.
 
 Every requested family runs off one shared parse per file (the
-:mod:`repro.analysis` driver), with unified ``# repro: disable=RULE``
-suppressions, optional ``.reprolint-baseline.json`` filtering (CI fails
-only on findings not in the baseline), and SARIF 2.1.0 output for
-code-scanning UIs.
+:mod:`repro.analysis` driver), with the driver's suppressions
+(``# repro: disable=RULE``; ``# noqa`` for MEM-* rules), optional
+``.reprolint-baseline.json`` filtering (CI fails only on findings not
+in the baseline), and SARIF 2.1.0 output for code-scanning UIs.
+``python -m repro.sanitize`` still runs this module.
 
 Exit codes: 0 clean, 1 findings, 2 usage error (mirroring ruff/flake8 so
 the CI lint session can gate on it).
@@ -22,6 +23,7 @@ from pathlib import Path
 from repro.analysis.driver import (
     ALL_ANALYZERS,
     KNOWN_ANALYZERS,
+    load_contexts,
     run_paths,
 )
 from repro.analysis.pipeline import Baseline, fingerprint_report
@@ -30,7 +32,7 @@ from repro.sanitize.findings import Report, Severity
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="python -m repro.sanitize",
+        prog="python -m repro.analysis",
         description="Static analysis for the simulated GPU stack: the "
                     "kernel sanitizer (OOB guards, shared-memory races, "
                     "barrier divergence, coalescing, bank conflicts, "
@@ -100,38 +102,29 @@ def main(argv: list[str] | None = None) -> int:
     analyzers, unknown = _parse_analyzers(args.analyzers)
     if unknown or not analyzers:
         what = ", ".join(unknown) if unknown else "nothing"
-        print(f"repro.sanitize: unknown analyzer {what!r} in "
+        print(f"repro.analysis: unknown analyzer {what!r} in "
               f"{args.analyzers!r}; choose from "
               f"{', '.join(ALL_ANALYZERS)} (or 'all')",
               file=sys.stderr)
         return 2
     missing = [p for p in args.paths if not Path(p).exists()]
     if missing:
-        print(f"repro.sanitize: no such path: {', '.join(missing)}",
+        print(f"repro.analysis: no such path: {', '.join(missing)}",
               file=sys.stderr)
         return 2
     if args.call_graph:
         from repro.analysis.callgraph import build_call_graph
-        from repro.analysis.context import AnalysisContext
-        from repro.analysis.driver import collect_files
 
-        contexts = {}
-        for f in collect_files(args.paths):
-            ctx = AnalysisContext.from_file(f)
-            contexts[ctx.filename] = ctx
-        graph = build_call_graph(contexts)
+        graph = build_call_graph(load_contexts(args.paths))
         print(graph.to_dot() if args.call_graph == "dot"
               else graph.render_json())
         return 0
     if args.kernel_classes:
         from repro.analysis.absint import absint_context
-        from repro.analysis.context import AnalysisContext
-        from repro.analysis.driver import collect_files
         from repro.analysis.kernelclass import render_classes_json
 
         classes = []
-        for f in collect_files(args.paths):
-            ctx = AnalysisContext.from_file(f)
+        for ctx in load_contexts(args.paths).values():
             if ctx.ok:
                 classes.extend(absint_context(ctx).classes)
         print(render_classes_json(classes))
@@ -154,7 +147,7 @@ def main(argv: list[str] | None = None) -> int:
         Baseline.from_report(annotated).save(path, annotated)
         note = " (migrated to version-2 repo-root-relative paths)" \
             if migrated else ""
-        print(f"repro.sanitize: wrote {len(annotated)} fingerprint(s) "
+        print(f"repro.analysis: wrote {len(annotated)} fingerprint(s) "
               f"to {path}{note}", file=sys.stderr)
         return 0
     if args.baseline:
@@ -176,7 +169,3 @@ def main(argv: list[str] | None = None) -> int:
     else:
         print(report.render_text())
     return 0 if report.ok else 1
-
-
-if __name__ == "__main__":  # pragma: no cover - exercised via __main__
-    sys.exit(main())

@@ -5,7 +5,9 @@ Before the unified framework, each analyzer family re-read and
 re-parsed the same file — the kernel linter, the perflint families, and
 the memcheck pass each called ``ast.parse`` on identical source.  The
 context parses **exactly once** and hands every pass the same tree,
-source, line index, namespace aliases, and suppression table.
+source, line index, namespace aliases, and suppression table
+(:meth:`AnalysisContext.is_suppressed`, which every entry point applies
+through the driver).
 
 :func:`module_nodes` walks a parsed module **once** and keeps its
 nodes, in ``ast.walk`` order, on the tree itself.  Every family's
@@ -101,6 +103,28 @@ def is_sync(stmt, cuda_names) -> bool:
 _DISABLE_RE = re.compile(
     r"#\s*repro:\s*disable(?:\s*=\s*(?P<rules>[A-Za-z0-9_\-,\s]+))?")
 
+#: memcheck's legacy ``# noqa`` / ``# noqa: MEM-LEAK``; it speaks for
+#: MEM-* rules only, since ruff reads the same comment (``# noqa: A001``)
+_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9,\-\s]+))?",
+                      re.IGNORECASE)
+
+
+def _marks(lines, pattern, first: int) -> dict[int, set[str]]:
+    """Line -> rule ids a comment ``pattern`` names on it (``{"*"}``
+    when it names none), numbering ``lines`` from ``first``."""
+    out: dict[int, set[str]] = {}
+    for n, line in enumerate(lines, start=first):
+        m = pattern.search(line)
+        if not m:
+            continue
+        rules = m.group("rules")
+        if rules is None:
+            out[n] = {"*"}
+        else:
+            out[n] = {r.strip().upper() for r in rules.split(",")
+                      if r.strip()}
+    return out
+
 
 class AnalysisContext:
     """Everything the passes need about one file, computed once."""
@@ -150,22 +174,25 @@ class AnalysisContext:
     def suppressions(self) -> dict[int, set[str]]:
         """``# repro: disable`` table: line -> suppressed rule ids
         (``{"*"}`` for a bare disable)."""
-        out: dict[int, set[str]] = {}
-        for n, line in enumerate(self.lines, start=1 + self.line_offset):
-            m = _DISABLE_RE.search(line)
-            if not m:
-                continue
-            rules = m.group("rules")
-            if rules is None:
-                out[n] = {"*"}
-            else:
-                out[n] = {r.strip().upper() for r in rules.split(",")
-                          if r.strip()}
-        return out
+        return _marks(self.lines, _DISABLE_RE, 1 + self.line_offset)
+
+    @cached_property
+    def noqa(self) -> dict[int, set[str]]:
+        """``# noqa`` table, the same shape; read for MEM-* rules only."""
+        return _marks(self.lines, _NOQA_RE, 1 + self.line_offset)
 
     def is_suppressed(self, rule: str, line: int) -> bool:
+        """The one suppression check of every family and entry point:
+        ``# repro: disable[=RULES]`` for any rule, ``# noqa[: RULES]``
+        for MEM-* rules, both on offset-adjusted lines."""
+        rule = rule.upper()
         marks = self.suppressions.get(line, ())
-        return "*" in marks or rule.upper() in marks
+        if "*" in marks or rule in marks:
+            return True
+        if not rule.startswith("MEM-"):
+            return False
+        marks = self.noqa.get(line, ())
+        return "*" in marks or rule in marks
 
     @property
     def nodes(self) -> tuple[ast.AST, ...]:

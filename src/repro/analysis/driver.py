@@ -1,14 +1,18 @@
 """The unified analyzer driver: one parse and one walk per file, every
 family, one report.
 
-Before the framework each ``--analyzers`` family re-read and re-parsed
-every file.  The driver builds one :class:`AnalysisContext` per file
-and hands the *same* context to every requested pass; each pass reads
-the module's nodes from the context's one walk (``ctx.nodes``) rather
-than walking the tree again:
+The driver is the only way from source to a report: the CLI
+(``python -m repro.analysis``), :func:`analyze_source`,
+:func:`analyze_paths` / :func:`run_paths`, the grader's
+``lint_kernel`` and the benchmark all come through it.  It builds one
+:class:`AnalysisContext` per file and hands the *same* context to every
+requested family; each family package keeps only the ``*_context``
+function called here, which reads the module's nodes from the
+context's one walk (``ctx.nodes``) rather than walking the tree again:
 
-* ``kernel`` — the sanitizer's ``lint_context`` (every kernel rule in
-  it is the abstract interpreter's; it adds the stream-hazard scan)
+* ``kernel`` — :func:`repro.sanitize.astlint.lint_context` (every
+  kernel rule in it is the abstract interpreter's; it adds the
+  stream-hazard scan)
 * ``perf`` / ``cost`` / ``iam`` — :func:`repro.perflint.analyze_context`
 * ``mem`` — :func:`repro.memcheck.analyze_context`
 * ``det`` — :func:`repro.analysis.detpass.det_pass`
@@ -16,11 +20,13 @@ than walking the tree again:
   named explicitly, never implied by ``all``; its full report — the
   same SAN-* kernel findings plus the VEC-* notes)
 
-Driver-level post-processing applies to every family uniformly:
-``# repro: disable=RULE`` suppressions, duplicate-finding removal (so
-``kernel,absint`` reports each proof once), and a deterministic total
-order — so the JSON report is byte-stable across ``--analyzers``
-orderings and overlapping path arguments.
+Driver-level post-processing applies to every family uniformly: a file
+that does not parse is one ``SAN-SYNTAX`` finding, suppressions go
+through :meth:`AnalysisContext.is_suppressed` (``# repro: disable`` for
+any rule, memcheck's ``# noqa`` for MEM-* rules), duplicate findings
+are removed (so ``kernel,absint`` reports each proof once), and a
+deterministic total order makes the JSON report byte-stable across
+``--analyzers`` orderings and overlapping path arguments.
 
 Family imports are lazy so importing :mod:`repro.analysis` never drags
 in the whole analyzer suite (and cannot cycle with the family modules,
@@ -114,6 +120,16 @@ def collect_files(paths) -> list[Path]:
     return out
 
 
+def load_contexts(paths) -> dict[str, AnalysisContext]:
+    """One context per unique file under ``paths``
+    (:func:`collect_files`), keyed by its display path."""
+    contexts: dict[str, AnalysisContext] = {}
+    for f in collect_files(paths):
+        ctx = AnalysisContext.from_file(f)
+        contexts[ctx.filename] = ctx
+    return contexts
+
+
 def _sort_key(f: Finding):
     # same leading key as Report.sorted() with full tiebreakers, so the
     # stored order is a total order independent of analyzer order
@@ -153,10 +169,8 @@ def run_paths(paths, analyzers=KNOWN_ANALYZERS, *,
     are byte-identical either way.
     """
     report = Report()
-    contexts: dict[str, AnalysisContext] = {}
-    for f in collect_files(paths):
-        ctx = AnalysisContext.from_file(f)
-        contexts[ctx.filename] = ctx
+    contexts = load_contexts(paths)
+    for ctx in contexts.values():
         report.extend(analyze_context(ctx, analyzers=analyzers).findings)
     graph = None
     if interprocedural:
@@ -189,5 +203,6 @@ __all__ = [
     "analyze_source",
     "analyze_paths",
     "collect_files",
+    "load_contexts",
     "run_paths",
 ]

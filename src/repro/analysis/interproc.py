@@ -257,26 +257,11 @@ class _InterPass:
                     f"`{callee.qualname}` at {root[0]}:{root[1]}) is "
                     "rebound without .free(); its storage is "
                     "unreachable but still charged to the pool")
-            if self._mem_suppressed(fn, line):
-                continue
             self._emit(
                 "MEM-LEAK", message, fn=fn, line=line,
                 context=name,
                 chain=_finding_chain(callee, effect.chain),
                 dedup_key=("MEM-LEAK", fn.file, line, effect.key))
-
-    @staticmethod
-    def _mem_suppressed(fn: FunctionInfo, line: int) -> bool:
-        """MEM findings honor ``# noqa`` like the intra pass does."""
-        from repro.memcheck.mempass import _suppressions
-
-        ctx = fn.ctx
-        marks = getattr(ctx, "_interproc_noqa", None)
-        if marks is None:
-            marks = _suppressions(ctx.dedented)
-            ctx._interproc_noqa = marks
-        on_line = marks.get(line, ())
-        return "*" in on_line or "MEM-LEAK" in on_line
 
     def _mem_events(self, fn: FunctionInfo, name: str,
                     call_line: int) -> tuple[set, set]:

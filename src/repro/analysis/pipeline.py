@@ -4,9 +4,13 @@ Every analyzer family emits :class:`~repro.sanitize.findings.Finding`
 objects; this module is the shared post-processing those findings flow
 through before a report reaches the user or CI:
 
-1. **suppressions** — ``# repro: disable=RULE`` (or a bare
-   ``# repro: disable``) on the offending line removes the finding, for
-   every family, applied once at the driver level;
+1. **suppressions** — one table,
+   :meth:`~repro.analysis.context.AnalysisContext.is_suppressed`:
+   ``# repro: disable=RULE`` (or a bare ``# repro: disable``) on the
+   offending line removes the finding for every family, and memcheck's
+   ``# noqa`` / ``# noqa: MEM-LEAK`` removes MEM-* findings only; both
+   read offset-adjusted lines, and the driver applies them for every
+   entry point;
 2. **fingerprints** — a stable identity for each finding that survives
    unrelated edits: the hash covers the rule, the **repo-root-relative**
    file path, context and the *text* of the flagged line (not its
@@ -126,19 +130,6 @@ def fingerprint_report(report: Report,
     return out
 
 
-def apply_suppressions(report: Report, contexts: dict) -> Report:
-    """Drop findings whose line carries a matching ``# repro: disable``
-    marker.  ``contexts`` maps filename -> :class:`AnalysisContext`."""
-    kept = Report()
-    for finding in report.findings:
-        ctx = contexts.get(finding.file)
-        if ctx is not None and ctx.is_suppressed(finding.rule,
-                                                 finding.line):
-            continue
-        kept.add(finding)
-    return kept
-
-
 class Baseline:
     """The accepted-findings ledger (``.reprolint-baseline.json``).
 
@@ -213,7 +204,6 @@ __all__ = [
     "BASELINE_NAME",
     "BASELINE_VERSION",
     "Baseline",
-    "apply_suppressions",
     "fingerprint",
     "fingerprint_report",
     "normalize_path",

@@ -19,16 +19,18 @@ halves:
   closed-form footprint is validated against the measured
   ``peak_bytes`` in the test-suite.
 
-CLI: ``python -m repro.sanitize --analyzers mem <paths>`` — same
-reporters, exit codes, and JSON schema as the other analyzer families.
-Rule-by-rule documentation lives in ``docs/memcheck.md``.
+The static half is the ``mem`` family of the :mod:`repro.analysis`
+driver, which calls :func:`analyze_context`: ``python -m
+repro.analysis --analyzers mem <paths>`` on the command line, or
+``repro.analysis.analyze_source(src, name, analyzers=("mem",))`` from
+Python — same reporters, exit codes, and JSON schema as the other
+analyzer families, and the driver's suppressions (``# noqa`` /
+``# noqa: MEM-LEAK`` still silence MEM-* rules).  Rule-by-rule
+documentation lives in ``docs/memcheck.md``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.analysis.rules import make_finding
 from repro.memcheck.estimate import (
     Preflight,
     ddp_training_footprint,
@@ -42,63 +44,19 @@ from repro.memcheck.estimate import (
 from repro.memcheck.mempass import BufferInfo, MemInterp, mem_pass
 from repro.sanitize.findings import Report
 
-#: every analyzer family this package implements
-ANALYZERS = ("mem",)
 
-
-def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
-    """Run the requested memcheck passes over one shared
+def analyze_context(ctx) -> Report:
+    """Run the memcheck liveness pass over one parsed
     :class:`repro.analysis.context.AnalysisContext` (no re-parse)."""
-    report = Report()
-    if ctx.tree is None:
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
-            file=ctx.filename, line=ctx.syntax_error.lineno or 0))
-        return report
-    if "mem" in analyzers:
-        # the context's dedent preserves line numbers, so noqa comments
-        # still align with the tree
-        report.extend(mem_pass(ctx.tree, ctx.filename,
-                               source=ctx.dedented).findings)
-    return report
-
-
-def analyze_source(source: str, filename: str = "<string>",
-                   analyzers=ANALYZERS) -> Report:
-    """Run the requested memcheck passes over one source string."""
-    from repro.analysis.context import AnalysisContext
-
-    return analyze_context(AnalysisContext(source, filename=filename),
-                           analyzers=analyzers)
-
-
-def analyze_file(path, analyzers=ANALYZERS) -> Report:
-    path = Path(path)
-    return analyze_source(path.read_text(), filename=str(path),
-                          analyzers=analyzers)
-
-
-def analyze_paths(paths, analyzers=ANALYZERS) -> Report:
-    """Analyze files and/or directories (recursing into ``*.py``); a file
-    named by two overlapping paths is analyzed once."""
-    from repro.analysis.driver import collect_files
-
-    report = Report()
-    for f in collect_files(paths):
-        report.extend(analyze_file(f, analyzers=analyzers).findings)
-    return report
+    return mem_pass(ctx.tree, ctx.filename)
 
 
 __all__ = [
-    "ANALYZERS",
     "Report",
     "BufferInfo",
     "MemInterp",
     "Preflight",
     "analyze_context",
-    "analyze_source",
-    "analyze_file",
-    "analyze_paths",
     "mem_pass",
     "llm_token_budget_preflight",
     "preflight",

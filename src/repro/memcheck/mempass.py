@@ -25,15 +25,15 @@ Findings dedup on (rule, line), so the double walk never double-reports.
 
 Like the shape pass, precision beats recall: a buffer the interpreter
 cannot size is still tracked for leak/UAF state, but anything it cannot
-*prove* is never reported.  ``# noqa`` / ``# noqa: MEM-LEAK`` comments
-suppress findings on their line — how an intentionally-leaky teaching
-fixture ships without tripping the CI gate.
+*prove* is never reported.  The pass itself suppresses nothing: the
+:mod:`repro.analysis` driver drops findings on lines marked ``# noqa`` /
+``# noqa: MEM-LEAK`` (or ``# repro: disable``), which is how an
+intentionally-leaky teaching fixture ships without tripping the CI gate.
 """
 
 from __future__ import annotations
 
 import ast
-import re
 
 import numpy as np
 
@@ -69,30 +69,6 @@ _PINNED_PRODUCERS = {"pinned_empty", "pinned_array", "page_locked_empty"}
 #: flag when cumulative pinned staging crosses this fraction of host RAM
 PINNED_OVERSUB_FRACTION = 0.5
 
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9,\-\s]+))?",
-                      re.IGNORECASE)
-
-
-def _suppressions(source: str) -> dict[int, set[str]]:
-    """Per-line suppressed rule ids from ``# noqa`` comments.
-
-    Bare ``# noqa`` suppresses everything on its line (``{"*"}``);
-    ``# noqa: MEM-LEAK, MEM-UAF`` suppresses only the named rules.
-    """
-    out: dict[int, set[str]] = {}
-    for lineno, line in enumerate(source.splitlines(), start=1):
-        m = _NOQA_RE.search(line)
-        if not m:
-            continue
-        rules = m.group("rules")
-        if rules is None:
-            out[lineno] = {"*"}
-        else:
-            out[lineno] = {r.strip().upper() for r in rules.split(",")
-                           if r.strip()}
-    return out
-
-
 class BufferInfo:
     """Liveness state of one named device buffer."""
 
@@ -123,10 +99,8 @@ class MemInterp(ShapeInterp):
     def __init__(self, filename: str, report: Report,
                  xp_names: set[str], nn_names: set[str],
                  np_names: set[str], *,
-                 suppressed: dict[int, set[str]] | None = None,
                  host_ram_bytes: int = DEFAULT_HOST_RAM_BYTES) -> None:
         super().__init__(filename, report, xp_names, nn_names, np_names)
-        self.suppressed = suppressed if suppressed is not None else {}
         self.host_ram_bytes = host_ram_bytes
         self.buffers: dict[str, BufferInfo] = {}
         self.peak_live_bytes = 0
@@ -147,9 +121,6 @@ class MemInterp(ShapeInterp):
 
     def _emit_mem(self, rule: str, message: str, line: int,
                   context: str = "") -> None:
-        marks = self.suppressed.get(line, ())
-        if "*" in marks or rule in marks:
-            return
         key = (rule, line)
         if key in self._seen:
             return
@@ -226,7 +197,6 @@ class MemInterp(ShapeInterp):
         if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef)):
             inner = MemInterp(self.filename, self.report, self.xp_names,
                               self.nn_names, self.np_names,
-                              suppressed=self.suppressed,
                               host_ram_bytes=self.host_ram_bytes)
             inner.env = dict(self.env)
             inner._seen = self._seen
@@ -522,12 +492,11 @@ def _check_peak(interp: MemInterp, tree: ast.Module, filename: str) -> None:
     interp._emit_mem("MEM-PEAK-OOM", msg, interp.peak_line or 1)
 
 
-def mem_pass(tree: ast.Module, filename: str, source: str = "") -> Report:
+def mem_pass(tree: ast.Module, filename: str) -> Report:
     """Run the device-memory liveness pass over a parsed module."""
     report = Report()
     xp, nn, np_names = _namespace_aliases(tree)
     interp = MemInterp(filename, report, xp, nn, np_names,
-                       suppressed=_suppressions(source),
                        host_ram_bytes=_host_ram_bytes(tree))
     interp.run(list(tree.body))
     _check_peak(interp, tree, filename)

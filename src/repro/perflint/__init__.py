@@ -18,16 +18,17 @@ cloud plan paying for them.  Three passes, all emitting the shared
   plan's needed actions against the policies in scope via
   :func:`repro.cloud.iam.simulate_policy`.
 
-CLI: ``python -m repro.sanitize --analyzers perf,cost,iam <paths>`` —
-the same reporters, exit codes, and JSON schema as the kernel
-sanitizer.  Rule-by-rule documentation lives in ``docs/perflint.md``.
+The three are families of the :mod:`repro.analysis` driver, which
+calls :func:`analyze_context`: ``python -m repro.analysis --analyzers
+perf,cost,iam <paths>`` on the command line, or
+``repro.analysis.analyze_source(src, name, analyzers=("perf",))`` from
+Python — the same reporters, exit codes, suppressions and JSON schema
+as the kernel sanitizer.  Rule-by-rule documentation lives in
+``docs/perflint.md``.
 """
 
 from __future__ import annotations
 
-from pathlib import Path
-
-from repro.analysis.rules import make_finding
 from repro.perflint.costpass import (
     LAB_COST_ENVELOPE_USD,
     PlanSite,
@@ -50,21 +51,13 @@ from repro.perflint.shapes import (
 )
 from repro.sanitize.findings import Report
 
-#: every analyzer family this package implements
-ANALYZERS = ("perf", "cost", "iam")
 
-
-def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
-    """Run the requested perflint passes over one shared
+def analyze_context(ctx, analyzers) -> Report:
+    """Run the requested perflint families (``perf``, ``cost``,
+    ``iam``) over one parsed
     :class:`repro.analysis.context.AnalysisContext` (no re-parse)."""
     report = Report()
-    filename = ctx.filename
-    if ctx.tree is None:
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {ctx.syntax_error.msg}",
-            file=filename, line=ctx.syntax_error.lineno or 0))
-        return report
-    tree = ctx.tree
+    tree, filename = ctx.tree, ctx.filename
     if "perf" in analyzers:
         report.extend(perf_pass(tree, filename).findings)
         report.extend(shape_pass(tree, filename).findings)
@@ -75,43 +68,13 @@ def analyze_context(ctx, analyzers=ANALYZERS) -> Report:
     return report
 
 
-def analyze_source(source: str, filename: str = "<string>",
-                   analyzers=ANALYZERS) -> Report:
-    """Run the requested perflint passes over one source string."""
-    from repro.analysis.context import AnalysisContext
-
-    return analyze_context(AnalysisContext(source, filename=filename),
-                           analyzers=analyzers)
-
-
-def analyze_file(path, analyzers=ANALYZERS) -> Report:
-    path = Path(path)
-    return analyze_source(path.read_text(), filename=str(path),
-                          analyzers=analyzers)
-
-
-def analyze_paths(paths, analyzers=ANALYZERS) -> Report:
-    """Analyze files and/or directories (recursing into ``*.py``); a file
-    named by two overlapping paths is analyzed once."""
-    from repro.analysis.driver import collect_files
-
-    report = Report()
-    for f in collect_files(paths):
-        report.extend(analyze_file(f, analyzers=analyzers).findings)
-    return report
-
-
 __all__ = [
-    "ANALYZERS",
     "Report",
     "AbstractArray",
     "AbstractModule",
     "PlanSite",
     "LAB_COST_ENVELOPE_USD",
     "analyze_context",
-    "analyze_source",
-    "analyze_file",
-    "analyze_paths",
     "perf_pass",
     "shape_pass",
     "cost_pass",

@@ -8,11 +8,12 @@ or nondeterministically.
 
 Four cooperating passes, all reporting the same :class:`Finding` type:
 
-* :mod:`repro.sanitize.astlint` — static AST linter for ``@cuda.jit``
-  kernels (``SAN-OOB``, ``SAN-SHARED-RACE``, ``SAN-BARRIER-DIV``,
-  ``SAN-UNCOALESCED``, ``SAN-BANK-CONFLICT``, ``SAN-STREAM-HAZARD``);
-  every kernel rule is the abstract interpreter's
-  (:mod:`repro.analysis.absint`).
+* :mod:`repro.sanitize.astlint` — the ``kernel`` family of the
+  :mod:`repro.analysis` driver (``SAN-OOB``, ``SAN-SHARED-RACE``,
+  ``SAN-BARRIER-DIV``, ``SAN-UNCOALESCED``, ``SAN-BANK-CONFLICT``,
+  ``SAN-STREAM-HAZARD``); every kernel rule is the abstract
+  interpreter's (:mod:`repro.analysis.absint`).  ``lint_kernel`` runs a
+  live kernel's source through the driver.
 * :mod:`repro.sanitize.dynamic` — shadow-memory race detector running on
   the simulator's own executor (``SAN-DYN-WW``, ``SAN-DYN-RW``).
 * :mod:`repro.sanitize.streamcheck` — exact cross-stream hazard check on
@@ -20,10 +21,12 @@ Four cooperating passes, all reporting the same :class:`Finding` type:
 * :mod:`repro.sanitize.collcheck` — collective preconditions and
   blocking-ring deadlock simulation (``SAN-COLL-*``).
 
-CLI: ``python -m repro.sanitize <paths> [--format json]``.  The same
-entry point dispatches the :mod:`repro.perflint` workflow analyzers
-(host-side perf anti-patterns, pre-flight plan cost, IAM least
-privilege) via ``--analyzers kernel,perf,cost,iam``.  Every rule id
+Static analysis goes through the :mod:`repro.analysis` driver only:
+``python -m repro.analysis <paths> [--format json]`` on the command
+line (``python -m repro.sanitize`` still runs it for now), and
+``repro.analysis.analyze_source(src, name, analyzers=("kernel",))`` or
+``analyze_paths`` from Python; ``--analyzers kernel,perf,cost,iam``
+adds the :mod:`repro.perflint` workflow analyzers.  Every rule id
 lives in one registry, :mod:`repro.analysis.rules`; ``RULES``, ``Rule``
 and ``make_finding`` are re-exported here.  Rule-by-rule documentation
 with minimal offending kernels lives in ``docs/sanitizer.md``; the
@@ -31,12 +34,7 @@ workflow rules live in ``docs/perflint.md``.
 """
 
 from repro.analysis.rules import RULES, Rule, make_finding
-from repro.sanitize.astlint import (
-    lint_file,
-    lint_kernel,
-    lint_paths,
-    lint_source,
-)
+from repro.sanitize.astlint import lint_kernel
 from repro.sanitize.collcheck import (
     check_collective,
     check_ring_allreduce,
@@ -54,9 +52,6 @@ __all__ = [
     "Rule",
     "RULES",
     "make_finding",
-    "lint_source",
-    "lint_file",
-    "lint_paths",
     "lint_kernel",
     "RaceDetector",
     "check_launch",

@@ -1,7 +1,6 @@
-"""Entry point: ``python -m repro.sanitize <paths>``."""
+"""``python -m repro.sanitize`` — runs ``python -m repro.analysis``
+(:mod:`repro.analysis.cli`); kept for one more round."""
 
-import sys
+from repro.analysis.cli import main
 
-from repro.sanitize.cli import main
-
-sys.exit(main())
+raise SystemExit(main())

@@ -29,15 +29,17 @@ path (see ``docs/sanitizer.md``): SAN-OOB and SAN-BARRIER-DIV are its
 proofs, SAN-UNCOALESCED and SAN-BANK-CONFLICT read the lane stride of
 its affine forms, and SAN-SHARED-RACE is its phase rule over the
 canonical unrolled schedule.  This module adds the host-side stream
-scan and the entry points.
+scan.  Source reaches it only through the :mod:`repro.analysis` driver
+(``analyze_source(src, name, analyzers=("kernel",))``, the CLI), which
+also reports unparsable files and applies suppressions;
+:func:`lint_kernel` finds a live kernel's source and hands it there.
 """
 
 from __future__ import annotations
 
 import ast
-from pathlib import Path
 
-from repro.analysis.context import AnalysisContext, _is_kernel_def
+from repro.analysis.context import _is_kernel_def
 from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
 
@@ -125,8 +127,9 @@ class _StreamScan:
 
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
-    shared :class:`repro.analysis.context.AnalysisContext` — the parse
-    already happened; this pass reads the shared ``ctx.nodes``.
+    parsed :class:`repro.analysis.context.AnalysisContext` — the
+    driver's ``kernel`` family; this pass reads the shared
+    ``ctx.nodes``.
 
     Every kernel rule is the abstract interpreter's
     (:func:`repro.analysis.absint.absint_context`, cached on the
@@ -137,12 +140,6 @@ def lint_context(ctx) -> Report:
 
     report = Report()
     filename = ctx.filename
-    if ctx.tree is None:
-        exc = ctx.syntax_error
-        report.add(make_finding(
-            "SAN-SYNTAX", f"syntax error: {exc.msg}", file=filename,
-            line=(exc.lineno or 0) + ctx.line_offset))
-        return report
     report.extend(f for f in absint_context(ctx).report.findings
                   if f.rule.startswith("SAN-"))
     cuda_names = ctx.cuda_names
@@ -156,37 +153,17 @@ def lint_context(ctx) -> Report:
     return report
 
 
-def lint_source(source: str, filename: str = "<string>",
-                line_offset: int = 0) -> Report:
-    """Lint a source string; ``line_offset`` shifts reported lines for
-    snippets extracted from a larger file."""
-    return lint_context(AnalysisContext(source, filename=filename,
-                                        line_offset=line_offset))
-
-
-def lint_file(path: str | Path) -> Report:
-    path = Path(path)
-    return lint_source(path.read_text(), filename=str(path))
-
-
-def lint_paths(paths) -> Report:
-    """Lint files and/or directories (recursing into ``*.py``); a file
-    named by two overlapping paths is linted once."""
-    from repro.analysis.driver import collect_files
-
-    report = Report()
-    for f in collect_files(paths):
-        report.extend(lint_file(f).findings)
-    return report
-
-
 def lint_kernel(kernel) -> Report:
     """Lint a live kernel: a :class:`repro.jit.cuda.CudaKernel`, a plain
-    function, or a source string."""
+    function, or a source string.  Its source runs through the driver's
+    ``kernel`` family at the kernel's own lines, so suppressions and
+    de-duplication are the CLI's."""
     import inspect
 
+    from repro.analysis.driver import analyze_source
+
     if isinstance(kernel, str):
-        return lint_source(kernel)
+        return analyze_source(kernel, analyzers=("kernel",))
     fn = getattr(kernel, "fn", kernel)
     try:
         lines, start = inspect.getsourcelines(fn)
@@ -194,5 +171,5 @@ def lint_kernel(kernel) -> Report:
     except (OSError, TypeError):
         raise ValueError(
             f"cannot retrieve source for {fn!r}; pass the source string")
-    return lint_source("".join(lines), filename=filename,
-                       line_offset=start - 1)
+    return analyze_source("".join(lines), filename, analyzers=("kernel",),
+                          line_offset=start - 1)

@@ -9,7 +9,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-from repro.sanitize.cli import main
+from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
 INTERPROC = Path(__file__).resolve().parent / "fixtures_interproc"
@@ -130,16 +130,32 @@ class TestDeterministicOutput:
             outputs.add(capsys.readouterr().out)
         assert len(outputs) == 1
 
+    #: one input per family: a fixture directory and a file in it
+    OVERLAPS = (
+        ("kernel", REPO / "tests" / "sanitize" / "fixtures_kernel",
+         "same_named.py"),
+        ("perf,cost,iam", REPO / "tests" / "perflint" / "fixtures",
+         "bad_workflow.py"),
+        ("mem", REPO / "tests" / "memcheck" / "fixtures",
+         "leaky_workflow.py"),
+        ("det", FIXTURES, "det_unordered_export.py"),
+    )
+
     def test_overlapping_paths_report_each_finding_once(self, capsys):
-        single = str(FIXTURES / "det_unordered_export.py")
-        main(["--analyzers", "det", "--format", "json", single])
-        once = json.loads(capsys.readouterr().out)
-        main(["--analyzers", "det", "--format", "json",
-              str(FIXTURES), single, str(FIXTURES)])
-        merged = json.loads(capsys.readouterr().out)
-        rules = [f["rule"] for f in merged["findings"]]
-        assert rules.count("DET-UNORDERED-ITER") == \
-            len(once["findings"]) == 1
+        for family, directory, name in self.OVERLAPS:
+            single = str(directory / name)
+            main(["--analyzers", family, "--format", "json", single])
+            alone = json.loads(capsys.readouterr().out)["findings"]
+            main(["--analyzers", family, "--format", "json",
+                  str(directory)])
+            once = capsys.readouterr().out
+            main(["--analyzers", family, "--format", "json",
+                  str(directory), single, str(directory)])
+            merged = capsys.readouterr().out
+            assert merged == once, family
+            findings = json.loads(merged)["findings"]
+            assert alone, family
+            assert all(findings.count(f) == 1 for f in alone), family
 
     def test_findings_sorted_by_file_line_rule(self, capsys):
         main(["--analyzers", "det", "--format", "json", str(FIXTURES)])

@@ -89,7 +89,8 @@ class TestSingleWalk:
 
 
 @pytest.mark.parametrize("package", ["repro.analysis", "repro.sanitize",
-                                     "repro.perflint", "repro.memcheck"])
+                                     "repro.perflint", "repro.memcheck",
+                                     "repro.analysis.cli"])
 def test_each_analyzer_package_imports_first(package):
     """The families import ``module_nodes`` from the framework, so any
     of them can be the first analyzer module a process imports."""
@@ -138,6 +139,29 @@ class TestSuppressions:
         assert ctx.is_suppressed("MEM-LEAK", 1)
         assert ctx.is_suppressed("PERF-SHAPE", 1)
         assert not ctx.is_suppressed("MEM-UAF", 1)
+
+    def test_bare_noqa_speaks_for_mem_rules_only(self):
+        # ruff reads the same comment, so it must not silence SAN/DET
+        ctx = AnalysisContext("x = 1  # noqa\n", "f.py")
+        assert ctx.is_suppressed("MEM-LEAK", 1)
+        assert ctx.is_suppressed("MEM-UAF", 1)
+        assert not ctx.is_suppressed("SAN-OOB", 1)
+        assert not ctx.is_suppressed("DET-WALLCLOCK", 1)
+
+    def test_noqa_named_rules_and_case(self):
+        ctx = AnalysisContext("x = 1  # noqa: mem-leak, BLE001\n", "f.py")
+        assert ctx.is_suppressed("MEM-LEAK", 1)
+        assert not ctx.is_suppressed("MEM-UAF", 1)
+        assert not ctx.is_suppressed("BLE001", 1)
+
+    def test_both_spellings_read_offset_lines(self):
+        ctx = AnalysisContext(
+            "a = 1  # noqa: MEM-LEAK\nb = 2  # repro: disable=PERF-SHAPE\n",
+            "f.py", line_offset=100)
+        assert ctx.is_suppressed("MEM-LEAK", 101)
+        assert not ctx.is_suppressed("MEM-LEAK", 1)
+        assert ctx.is_suppressed("PERF-SHAPE", 102)
+        assert not ctx.is_suppressed("PERF-SHAPE", 2)
 
 
 class TestCollectFiles:

@@ -4,9 +4,8 @@ and the GradeBook auto-feedback hook."""
 import json
 from pathlib import Path
 
+from repro.analysis.cli import main
 from repro.course.grading import GradeBook
-from repro.memcheck import analyze_paths
-from repro.sanitize.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURE = Path(__file__).parent / "fixtures" / "leaky_workflow.py"
@@ -76,12 +75,3 @@ class TestGradingHook:
             "ada", "lab7", FIXTURE, analyzers=("perf",))
         assert not any("MEM-" in line for line in sub.feedback)
 
-
-class TestAnalyzePaths:
-    def test_overlapping_paths_analyze_each_file_once(self):
-        once = analyze_paths([FIXTURE.parent])
-        assert once.findings
-        assert analyze_paths([FIXTURE.parent, FIXTURE]).findings \
-            == once.findings
-        assert analyze_paths([FIXTURE.parent, FIXTURE.parent]).findings \
-            == once.findings

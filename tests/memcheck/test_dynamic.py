@@ -6,9 +6,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from repro.analysis import analyze_paths
 from repro.errors import OutOfMemoryError
 from repro.gpu import make_system
-from repro.memcheck import analyze_file
 
 FIXTURE = Path(__file__).parent / "fixtures" / "leaky_workflow.py"
 
@@ -21,7 +21,7 @@ def _run_fixture(system):
 
 class TestLeakyFixtureBothHalves:
     def test_static_pass_flags_the_loop(self):
-        rules = {f.rule for f in analyze_file(FIXTURE).findings}
+        rules = {f.rule for f in analyze_paths([FIXTURE], analyzers=("mem",)).findings}
         assert "MEM-LEAK" in rules
 
     def test_dynamic_ledger_reports_the_same_leak(self, system1):

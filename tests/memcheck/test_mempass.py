@@ -1,12 +1,14 @@
 """MEM-* static liveness rules: leaks, UAF, churn, pinned staging,
 suppression, and the no-false-positive discipline."""
 
-from repro.memcheck import analyze_source
+from repro.analysis import analyze_source
+
+MEM = ("mem",)
 
 
 def _rules(source: str) -> dict[str, list[int]]:
     out: dict[str, list[int]] = {}
-    for f in analyze_source(source).findings:
+    for f in analyze_source(source, analyzers=MEM).findings:
         out.setdefault(f.rule, []).append(f.line)
     return out
 
@@ -29,7 +31,7 @@ from repro.gpu import default_system
 dev = default_system().device(0)
 for step in range(100):
     buf = dev.alloc(xp.zeros((1024, 1024)))
-''').findings if f.rule == "MEM-LEAK"]
+''', analyzers=MEM).findings if f.rule == "MEM-LEAK"]
         assert "every iteration leaks" in finding.message
 
     def test_rebind_without_free_leaks(self):
@@ -112,7 +114,7 @@ x = a.data()
 '''
 
     def test_use_after_free_is_error(self):
-        (finding,) = analyze_source(self.SOURCE).findings
+        (finding,) = analyze_source(self.SOURCE, analyzers=MEM).findings
         assert finding.rule == "MEM-UAF"
         assert finding.line == 7
         assert finding.severity.name == "ERROR"
@@ -236,5 +238,5 @@ a.free()
 ''') == {}
 
     def test_syntax_error_reported_not_crashed(self):
-        (finding,) = analyze_source("def broken(:\n").findings
+        (finding,) = analyze_source("def broken(:\n", analyzers=MEM).findings
         assert finding.rule == "SAN-SYNTAX"

@@ -7,13 +7,9 @@ The ISSUE acceptance shape: the Algorithm-1-scale workflow flags on a
 
 import pytest
 
+from repro.analysis import analyze_source
 from repro.cloud.pricing import get_instance_type
-from repro.memcheck import (
-    analyze_source,
-    preflight,
-    right_size,
-    usable_gpu_bytes,
-)
+from repro.memcheck import preflight, right_size, usable_gpu_bytes
 
 # ~18.3 GiB working set: over any 16 GB card, under an A100's 40 GB
 BIG_WORKFLOW = '''\
@@ -37,7 +33,7 @@ y = (x * 2.0).sum()
 
 
 def _peak_findings(source):
-    return [f for f in analyze_source(source).findings
+    return [f for f in analyze_source(source, analyzers=("mem",)).findings
             if f.rule == "MEM-PEAK-OOM"]
 
 

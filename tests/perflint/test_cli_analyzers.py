@@ -1,12 +1,11 @@
-"""`python -m repro.sanitize --analyzers ...`: dispatch, reporters, gate."""
+"""`python -m repro.analysis --analyzers ...`: dispatch, reporters, gate."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.perflint import analyze_paths
-from repro.sanitize.cli import main
+from repro.analysis.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_workflow.py"
@@ -106,7 +105,7 @@ class TestAcceptance:
         # the CI gate: examples/ and the library itself lint clean under
         # every family
         proc = subprocess.run(
-            [sys.executable, "-m", "repro.sanitize",
+            [sys.executable, "-m", "repro.analysis",
              "--analyzers", "kernel,perf,cost,iam",
              "examples/", "src/repro/"],
             cwd=REPO, capture_output=True, text=True,
@@ -115,12 +114,3 @@ class TestAcceptance:
         assert proc.returncode == 0, proc.stdout + proc.stderr
         assert "no issues found" in proc.stdout
 
-
-class TestAnalyzePaths:
-    def test_overlapping_paths_analyze_each_file_once(self):
-        once = analyze_paths([FIXTURE.parent])
-        assert once.findings
-        assert analyze_paths([FIXTURE.parent, FIXTURE]).findings \
-            == once.findings
-        assert analyze_paths([FIXTURE.parent, FIXTURE.parent]).findings \
-            == once.findings

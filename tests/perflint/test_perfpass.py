@@ -2,7 +2,7 @@
 
 import ast
 
-from repro.perflint import analyze_source
+from repro.analysis import analyze_source
 from repro.perflint.perfpass import perf_pass
 
 

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from repro.analysis.driver import analyze_source
-from repro.sanitize import lint_file, lint_kernel, lint_paths, lint_source
+from repro.analysis import analyze_paths, analyze_source
+from repro.sanitize import lint_kernel
 
+KERNEL = ("kernel",)
 KERNEL_FIXTURES = Path(__file__).resolve().parent / "fixtures_kernel"
 
 # One dedicated fixture kernel per rule id.  `line` is the 1-based line
@@ -112,7 +113,7 @@ def test_rule_fires_with_file_and_line(rule, tmp_path):
     path = tmp_path / f"{rule.lower().replace('-', '_')}.py"
     path.write_text(fixture["source"])
 
-    report = lint_file(path)
+    report = analyze_paths([path], analyzers=KERNEL)
     matches = [f for f in report.findings if f.rule == rule]
     assert matches, f"{rule} did not fire:\n{report.render_text()}"
     finding = matches[0]
@@ -134,13 +135,13 @@ def test_rule_fires_with_file_and_line(rule, tmp_path):
 def test_every_finding_has_hint(rule, tmp_path):
     path = tmp_path / "k.py"
     path.write_text(FIXTURES[rule]["source"])
-    for f in lint_file(path).findings:
+    for f in analyze_paths([path], analyzers=KERNEL).findings:
         assert f.hint
 
 
 class TestCleanKernels:
     def test_guarded_saxpy_is_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -148,11 +149,11 @@ class TestCleanKernels:
                 i = cuda.grid(1)
                 if i < out.size:
                     out[i] = a * x[i] + y[i]
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_stencil_with_range_guard_is_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -160,13 +161,13 @@ class TestCleanKernels:
                 i, j = cuda.grid(2)
                 if 1 <= i < img.shape[0] - 1 and 1 <= j < img.shape[1] - 1:
                     out[i, j] = (img[i, j] + img[i - 1, j]) / 2.0
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_early_exit_guard_is_clean(self):
         # the guard is inverted: threads past the bound return, so the
         # subscripts below are covered even without an enclosing `if`
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -175,14 +176,14 @@ class TestCleanKernels:
                 if i >= out.size:
                     return
                 out[i] = a * x[i] + y[i]
-        '''))
+        '''), analyzers=KERNEL)
         assert not [f for f in report.findings
                     if f.rule == "SAN-OOB"], report.render_text()
 
     def test_early_exit_guard_does_not_leak_into_siblings(self):
         # an early-exit check guards *subsequent* statements only; an
         # access before it is still unguarded
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -191,13 +192,13 @@ class TestCleanKernels:
                 out[i] = x[i]
                 if i >= out.size:
                     return
-        '''))
+        '''), analyzers=KERNEL)
         assert [f for f in report.findings if f.rule == "SAN-OOB"]
 
     def test_early_exit_with_else_branch_does_not_guard(self):
         # with an else arm the statement is not an early exit — both
         # arms fall through, so nothing below is guarded
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -208,11 +209,11 @@ class TestCleanKernels:
                 else:
                     j = 1
                 out[i] = x[i] + j
-        '''))
+        '''), analyzers=KERNEL)
         assert [f for f in report.findings if f.rule == "SAN-OOB"]
 
     def test_grid_stride_loop_is_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -221,11 +222,11 @@ class TestCleanKernels:
                 step = cuda.gridsize(1)
                 for i in range(start, out.size, step):
                     out[i] += 1.0
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_proper_tree_reduction_is_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             import numpy as np
             from repro.jit import cuda
 
@@ -244,11 +245,11 @@ class TestCleanKernels:
                     stride //= 2
                 if tx == 0:
                     partials[cuda.blockIdx.x] = tile[0]
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_event_fenced_streams_are_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.gpu.stream import Event
             from repro.jit import cuda
 
@@ -260,11 +261,11 @@ class TestCleanKernels:
                 ev = Event().record(s1)
                 s2.wait_for(ev)
                 kernel[32, 64, s2](x)
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_distinct_buffers_on_two_streams_are_clean(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             def independent(kernel):
@@ -274,12 +275,12 @@ class TestCleanKernels:
                 s2 = cuda.stream()
                 kernel[32, 64, s1](x)
                 kernel[32, 64, s2](y)
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_odd_shared_stride_has_no_bank_conflict(self):
         # padding to an odd stride is the canonical fix: gcd(33, 32) == 1
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -290,11 +291,11 @@ class TestCleanKernels:
                 i = cuda.grid(1)
                 if i < out.size:
                     out[i] = 0.0
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
 
     def test_race_cleared_by_syncthreads(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -307,19 +308,8 @@ class TestCleanKernels:
                 cuda.syncthreads()
                 if i < v.size:
                     out[i] = tile[63 - tx]
-        '''))
+        '''), analyzers=KERNEL)
         assert report.ok, report.render_text()
-
-
-class TestLintPaths:
-    def test_overlapping_paths_lint_each_file_once(self, tmp_path):
-        pkg = tmp_path / "pkg"
-        pkg.mkdir()
-        kernel = pkg / "k.py"
-        kernel.write_text(FIXTURES["SAN-OOB"]["source"])
-        once = lint_paths([pkg])
-        assert [f.rule for f in once.findings] == ["SAN-OOB", "SAN-OOB"]
-        assert lint_paths([pkg, kernel]).findings == once.findings
 
 
 class TestLintKernelObject:
@@ -344,7 +334,7 @@ class TestLintKernelObject:
         assert any(f.rule == "SAN-OOB" for f in report.findings)
 
     def test_missing_sync_in_loop_detected(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             import numpy as np
             from repro.jit import cuda
 
@@ -362,7 +352,7 @@ class TestLintKernelObject:
                     stride //= 2
                 if tx == 0:
                     partials[cuda.blockIdx.x] = tile[0]
-        '''))
+        '''), analyzers=KERNEL)
         assert any(f.rule == "SAN-SHARED-RACE" for f in report.findings), \
             report.render_text()
 
@@ -380,7 +370,7 @@ class TestOneEngine:
             == [fixture["line"]]
 
     def test_lane_stride_follows_a_grid_stride_loop(self):
-        report = lint_source(textwrap.dedent('''
+        report = analyze_source(textwrap.dedent('''
             from repro.jit import cuda
 
             @cuda.jit
@@ -389,14 +379,15 @@ class TestOneEngine:
                 step = cuda.gridsize(1)
                 for i in range(start, out.size, step):
                     out[i] = x[i * 2]
-        '''))
+        '''), analyzers=KERNEL)
         assert [(f.rule, f.line) for f in report.findings] == [
             ("SAN-UNCOALESCED", 9)]
 
     def test_barrier_in_a_same_file_helper_closes_the_phase(self):
         # directly or through a chain of same-file defs; a barrier
         # passed in as an argument is out of sight
-        report = lint_file(KERNEL_FIXTURES / "helper_barrier.py")
+        report = analyze_paths([KERNEL_FIXTURES / "helper_barrier.py"],
+                               analyzers=KERNEL)
         assert [(f.line, f.context) for f in report.findings
                 if f.rule == "SAN-SHARED-RACE"] == [
                     (42, "reverse_via_argument")]
@@ -410,5 +401,6 @@ class TestOneEngine:
     ])
     def test_lane_stride_sees_through_temporaries_and_offsets(
             self, fixture, rule, lines):
-        report = lint_file(KERNEL_FIXTURES / fixture)
+        report = analyze_paths([KERNEL_FIXTURES / fixture],
+                               analyzers=KERNEL)
         assert [f.line for f in report.findings if f.rule == rule] == lines

@@ -1,11 +1,12 @@
-"""The ``python -m repro.sanitize`` entry point: reporters + exit codes."""
+"""The analyzer CLI's kernel reporters and exit codes, and the
+``python -m repro.sanitize`` entry point that still runs it."""
 
 import json
 import subprocess
 import sys
 from pathlib import Path
 
-from repro.sanitize.cli import main
+from repro.analysis.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 

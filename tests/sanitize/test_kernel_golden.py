@@ -5,7 +5,7 @@ a change to the kernel rules could move: two kernels with one name, a
 barrier reached through a helper, lane strides through temporaries and
 constant offsets, launch shapes the abstract interpreter rejects, and
 ``shift_sum``, the documented SAN-SHARED-RACE false negative.  The
-report of ``python -m repro.sanitize --analyzers kernel,absint --format
+report of ``python -m repro.analysis --analyzers kernel,absint --format
 json tests/sanitize/fixtures_kernel``, run from the repo root, is
 committed as ``golden/kernel_findings.json``.  After an intended
 findings change, regenerate it with::
@@ -20,7 +20,7 @@ import io
 import os
 from pathlib import Path
 
-from repro.sanitize.cli import main
+from repro.analysis.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
 FIXTURES = "tests/sanitize/fixtures_kernel"
