@@ -17,8 +17,8 @@ Two cooperating domains, joined pointwise in :class:`AbsVal`:
 
 Branch knowledge is carried as a set of affine **constraints**, each an
 :class:`Affine` ``f`` asserting ``f ≤ 0`` on the current path;
-:func:`entails_le_zero` answers "is ``g ≤ 0`` provable?" by constant
-difference against any known fact.
+:func:`entails_le_zero` answers "is ``g ≤ 0`` provable?" by a constant
+difference against a positive multiple of any known fact.
 
 Taint is a four-point lattice (:data:`T_NONE` < :data:`T_BLOCK` <
 :data:`T_THREAD` < :data:`T_GLOBAL`) *derived from the affine atoms*
@@ -238,13 +238,22 @@ def affine_taint(form: Affine) -> int:
 def entails_le_zero(g: Affine, constraints, interval_of=None) -> bool:
     """Is ``g ≤ 0`` provable from the path constraints (each ``f ≤ 0``)
     or from atom ranges (``interval_of`` maps an :class:`Affine` to its
-    :class:`Interval`)?"""
+    :class:`Interval`)?
+
+    A constraint ``f`` proves it when ``g − k·f`` is a constant ``≤ 0``
+    for the positive integer ``k`` that cancels ``g``'s first atom:
+    ``k·f ≤ 0`` follows from ``f ≤ 0``, so ``i ≤ n − 1`` proves
+    ``2i ≤ 2n − 1`` whatever ``n`` is."""
     if g.is_const:
         return g.const <= 0
     if interval_of is not None and interval_of(g).hi <= 0:
         return True
+    atom, coeff = g.coeffs[0]
     for f in constraints:
-        d = g - f
+        fc = next((c for a, c in f.coeffs if a == atom), 0)
+        if not fc or coeff % fc or coeff // fc <= 0:
+            continue
+        d = g - f.scale(coeff // fc)
         if d.is_const and d.const <= 0:
             return True
     return False

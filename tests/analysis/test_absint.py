@@ -6,7 +6,7 @@ reporting the interpreter's SAN-OOB / SAN-BARRIER-DIV proofs."""
 
 from pathlib import Path
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from repro.analysis.absint import (
     absint_context,
@@ -459,7 +459,10 @@ _BODIES = {
     "strided_own": "    if i < x.size:\n        x[i * 4] = 0.0\n",
 }
 
-_LAUNCHES = ("none", "literal", "opaque", "kernel-valued")
+_LAUNCHES = ("none", "literal", "symbolic", "opaque", "kernel-valued")
+
+#: launch forms that size every array, with literal or symbolic sizes
+_SIZED = ("literal", "symbolic")
 
 
 def _kernel_file(body: str, launch: str, n: int, grid: int, block: int,
@@ -473,6 +476,14 @@ def _kernel_file(body: str, launch: str, n: int, grid: int, block: int,
                 "dtype=np.float32))\n"
                 f"    out = cuda.device_array({n})\n"
                 f"    k[{grid}, {block}](x, out, 0, {n})\n")
+    elif launch == "symbolic":
+        x_len = "n" if x_size == n else "4 * n"
+        src += ("\n\ndef main(n):\n"
+                f"    x = cuda.to_device(np.ones({x_len}, "
+                "dtype=np.float32))\n"
+                "    out = cuda.device_array(n)\n"
+                f"    k[(n + {block} - 1) // {block}, {block}]"
+                "(x, out, 0, n)\n")
     elif launch == "opaque":
         src += ("\n\ndef main(x, out, n, blocks, threads):\n"
                 "    k[blocks, threads](x, out, 0, n)\n")
@@ -495,6 +506,11 @@ class TestKernelFamilyTruth:
            block=st.sampled_from((32, 64, 128, 256, 512)),
            extra_blocks=st.integers(-2, 2),
            wide_x=st.booleans())
+    # the symbolic sizes of a strided read, which the draw may miss
+    @example(shape="strided", launch="symbolic", n=1000, block=128,
+             extra_blocks=0, wide_x=True)
+    @example(shape="strided", launch="symbolic", n=1000, block=128,
+             extra_blocks=0, wide_x=False)
     def test_san_oob_exactly_when_the_launch_overruns(
             self, shape, launch, n, block, extra_blocks, wide_x):
         grid = max(1, -(-n // block) + extra_blocks)
@@ -508,9 +524,11 @@ class TestKernelFamilyTruth:
             # with no literal launch the grid is unbounded
             expected = launch != "literal" or threads > n
         elif shape == "strided":
-            # x may be any multiple of out unless a launch sizes it
+            # x may be any multiple of out unless a launch sizes it; a
+            # symbolic size overruns for some n unless x is 4n long
             last = min(n, threads) - 1
-            expected = launch == "literal" and 4 * last > x_size - 1
+            expected = (launch == "literal" and 4 * last > x_size - 1
+                        or launch == "symbolic" and x_size == n)
         elif shape == "strided_own":
             # the guard bounds i by x's own extent, which 4 * i passes
             last = min(n, threads) - 1
@@ -522,7 +540,7 @@ class TestKernelFamilyTruth:
         assert flagged == expected, src
         if shape == "strided":
             kc = absint_source(src, "k.py").classes[0]
-            want = ("unknown" if launch != "literal"
+            want = ("unknown" if launch not in _SIZED
                     else "oob" if expected else "proven_safe")
             assert kc.oob == want, src
 
