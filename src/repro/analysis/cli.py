@@ -23,7 +23,7 @@ from pathlib import Path
 from repro.analysis.driver import (
     ALL_ANALYZERS,
     KNOWN_ANALYZERS,
-    load_contexts,
+    iter_contexts,
     run_paths,
 )
 from repro.analysis.pipeline import Baseline, fingerprint_report
@@ -115,7 +115,8 @@ def main(argv: list[str] | None = None) -> int:
     if args.call_graph:
         from repro.analysis.callgraph import build_call_graph
 
-        graph = build_call_graph(load_contexts(args.paths))
+        graph = build_call_graph(
+            {ctx.filename: ctx for ctx in iter_contexts(args.paths)})
         print(graph.to_dot() if args.call_graph == "dot"
               else graph.render_json())
         return 0
@@ -124,7 +125,7 @@ def main(argv: list[str] | None = None) -> int:
         from repro.analysis.kernelclass import render_classes_json
 
         classes = []
-        for ctx in load_contexts(args.paths).values():
+        for ctx in iter_contexts(args.paths):
             if ctx.ok:
                 classes.extend(absint_context(ctx).classes)
         print(render_classes_json(classes))

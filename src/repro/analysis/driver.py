@@ -120,14 +120,11 @@ def collect_files(paths) -> list[Path]:
     return out
 
 
-def load_contexts(paths) -> dict[str, AnalysisContext]:
+def iter_contexts(paths):
     """One context per unique file under ``paths``
-    (:func:`collect_files`), keyed by its display path."""
-    contexts: dict[str, AnalysisContext] = {}
+    (:func:`collect_files`), each parsed when it is reached."""
     for f in collect_files(paths):
-        ctx = AnalysisContext.from_file(f)
-        contexts[ctx.filename] = ctx
-    return contexts
+        yield AnalysisContext.from_file(f)
 
 
 def _sort_key(f: Finding):
@@ -169,8 +166,9 @@ def run_paths(paths, analyzers=KNOWN_ANALYZERS, *,
     are byte-identical either way.
     """
     report = Report()
-    contexts = load_contexts(paths)
-    for ctx in contexts.values():
+    contexts: dict[str, AnalysisContext] = {}
+    for ctx in iter_contexts(paths):
+        contexts[ctx.filename] = ctx
         report.extend(analyze_context(ctx, analyzers=analyzers).findings)
     graph = None
     if interprocedural:
@@ -203,6 +201,6 @@ __all__ = [
     "analyze_source",
     "analyze_paths",
     "collect_files",
-    "load_contexts",
+    "iter_contexts",
     "run_paths",
 ]
