@@ -4,10 +4,12 @@ and the GradeBook auto-feedback hook."""
 import json
 from pathlib import Path
 
+from repro.analysis import analyze_paths
 from repro.analysis.cli import main
 from repro.course.grading import GradeBook
 
 REPO = Path(__file__).resolve().parents[2]
+FAMILY = ("mem",)
 FIXTURE = Path(__file__).parent / "fixtures" / "leaky_workflow.py"
 
 
@@ -75,3 +77,12 @@ class TestGradingHook:
             "ada", "lab7", FIXTURE, analyzers=("perf",))
         assert not any("MEM-" in line for line in sub.feedback)
 
+
+class TestAnalyzePaths:
+    def test_overlapping_paths_analyze_each_file_once(self):
+        once = analyze_paths([FIXTURE.parent], analyzers=FAMILY)
+        assert once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE],
+                             analyzers=FAMILY).findings == once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE.parent],
+                             analyzers=FAMILY).findings == once.findings

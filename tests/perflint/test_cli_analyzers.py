@@ -5,9 +5,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+from repro.analysis import analyze_paths
 from repro.analysis.cli import main
 
 REPO = Path(__file__).resolve().parents[2]
+FAMILY = ("perf", "cost", "iam")
 FIXTURE = Path(__file__).parent / "fixtures" / "bad_workflow.py"
 
 
@@ -98,6 +100,16 @@ class TestFixtureFindings:
         _, findings = _json_findings(
             capsys, ["--analyzers", "all", "--format", "json", str(path)])
         assert [f["rule"] for f in findings] == ["SAN-SYNTAX"]
+
+
+class TestAnalyzePaths:
+    def test_overlapping_paths_analyze_each_file_once(self):
+        once = analyze_paths([FIXTURE.parent], analyzers=FAMILY)
+        assert once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE],
+                             analyzers=FAMILY).findings == once.findings
+        assert analyze_paths([FIXTURE.parent, FIXTURE.parent],
+                             analyzers=FAMILY).findings == once.findings
 
 
 class TestAcceptance:

@@ -312,6 +312,18 @@ class TestCleanKernels:
         assert report.ok, report.render_text()
 
 
+class TestLintPaths:
+    def test_overlapping_paths_lint_each_file_once(self, tmp_path):
+        pkg = tmp_path / "pkg"
+        pkg.mkdir()
+        kernel = pkg / "k.py"
+        kernel.write_text(FIXTURES["SAN-OOB"]["source"])
+        once = analyze_paths([pkg], analyzers=KERNEL)
+        assert [f.rule for f in once.findings] == ["SAN-OOB", "SAN-OOB"]
+        assert analyze_paths([pkg, kernel], analyzers=KERNEL).findings \
+            == once.findings
+
+
 class TestLintKernelObject:
     def test_lint_live_kernel_reports_real_file_and_line(self):
         from repro.jit import cuda
