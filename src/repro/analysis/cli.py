@@ -8,7 +8,6 @@ Every requested family runs off one shared parse per file (the
 (``# repro: disable=RULE``; ``# noqa`` for MEM-* rules), optional
 ``.reprolint-baseline.json`` filtering (CI fails only on findings not
 in the baseline), and SARIF 2.1.0 output for code-scanning UIs.
-``python -m repro.sanitize`` still runs this module.
 
 Exit codes: 0 clean, 1 findings, 2 usage error (mirroring ruff/flake8 so
 the CI lint session can gate on it).
@@ -63,12 +62,14 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--call-graph", choices=("dot", "json"),
                         default=None, metavar="FORMAT",
                         help="print the resolved call graph (dot or "
-                             "json) instead of analyzing, and exit 0")
+                             "json) instead of analyzing; exit 1 if a "
+                             "file does not parse, else 0")
     parser.add_argument("--kernel-classes", choices=("json",),
                         default=None, metavar="FORMAT",
                         help="print the abstract interpreter's kernel "
                              "classification (KernelClass JSON) instead "
-                             "of analyzing, and exit 0")
+                             "of analyzing; exit 1 if a file does not "
+                             "parse, else 0")
     parser.add_argument("--baseline", metavar="PATH", default=None,
                         help="accepted-findings ledger (JSON); only "
                              "findings whose fingerprint is not in the "
@@ -97,6 +98,17 @@ def _parse_analyzers(spec: str) -> "tuple[list[str], list[str]]":
     return names, unknown
 
 
+def _name_unparsed(contexts) -> int:
+    """One stderr line per context that did not parse (the artifact
+    modes leave such a file out); 1 if there was one, else 0."""
+    broken = [ctx for ctx in contexts if not ctx.ok]
+    for ctx in broken:
+        exc = ctx.syntax_error
+        print(f"repro.analysis: {ctx.filename}:{exc.lineno or 0}: "
+              f"syntax error: {exc.msg}", file=sys.stderr)
+    return 1 if broken else 0
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     analyzers, unknown = _parse_analyzers(args.analyzers)
@@ -115,21 +127,24 @@ def main(argv: list[str] | None = None) -> int:
     if args.call_graph:
         from repro.analysis.callgraph import build_call_graph
 
-        graph = build_call_graph(
-            {ctx.filename: ctx for ctx in iter_contexts(args.paths)})
+        contexts = list(iter_contexts(args.paths))
+        graph = build_call_graph({ctx.filename: ctx for ctx in contexts})
         print(graph.to_dot() if args.call_graph == "dot"
               else graph.render_json())
-        return 0
+        return _name_unparsed(contexts)
     if args.kernel_classes:
         from repro.analysis.absint import absint_context
         from repro.analysis.kernelclass import render_classes_json
 
         classes = []
+        unparsed = []
         for ctx in iter_contexts(args.paths):
             if ctx.ok:
                 classes.extend(absint_context(ctx).classes)
+            else:
+                unparsed.append(ctx)
         print(render_classes_json(classes))
-        return 0
+        return _name_unparsed(unparsed)
     # one parse per file, every family on the shared context; findings
     # come back deduplicated (overlapping paths analyze a file once)
     # and in deterministic (file, line, severity, rule) order

@@ -99,13 +99,19 @@ def is_sync(stmt, cuda_names) -> bool:
             and func.value.id in cuda_names)
 
 
+#: rule ids joined by commas (``SAN-OOB``, ``mem-leak``, ruff's
+#: ``A001``); the list ends at the first word that is not one, so prose
+#: after it (``# noqa: MEM-LEAK - demo``) names no rule, and a ``=`` or
+#: ``:`` with no id after it names none at all
+_RULE_LIST = r"(?P<rules>(?:\w+(?:-\w+)*(?:\s*,\s*\w+(?:-\w+)*)*)?)"
+
 #: ``# repro: disable=RULE-A,RULE-B`` (or bare ``# repro: disable``)
-_DISABLE_RE = re.compile(
-    r"#\s*repro:\s*disable(?:\s*=\s*(?P<rules>[A-Za-z0-9_\-,\s]+))?")
+_DISABLE_RE = re.compile(r"#\s*repro:\s*disable(?:\s*=\s*" + _RULE_LIST
+                         + ")?")
 
 #: memcheck's legacy ``# noqa`` / ``# noqa: MEM-LEAK``; it speaks for
 #: MEM-* rules only, since ruff reads the same comment (``# noqa: A001``)
-_NOQA_RE = re.compile(r"#\s*noqa(?::\s*(?P<rules>[A-Z0-9,\-\s]+))?",
+_NOQA_RE = re.compile(r"#\s*noqa(?::\s*" + _RULE_LIST + ")?",
                       re.IGNORECASE)
 
 

@@ -183,7 +183,7 @@ class VirtualGpu:
         exhaustion; allocation itself is host-side and instantaneous."""
         allocation = self.memory.allocate(
             array.nbytes, tag=tag or "device.alloc")
-        return DeviceBuffer(self, array, tag=tag, allocation=allocation)
+        return DeviceBuffer(self, array, allocation, tag=tag)
 
     def leak_report(self) -> LeakReport:
         """What is still resident in this device's pool, grouped by tag

@@ -8,10 +8,10 @@ time.  This module models the *capacity* side; the *time* side lives in
 
 The pool is a simple counting allocator (no fragmentation model): CUDA's
 caching allocators make fragmentation largely invisible at lab scale, and a
-counting model keeps OOM behaviour exactly reproducible.  On top of the
-raw byte counting sits a tracked-allocation ledger (:class:`Allocation`):
-every tracked allocation carries a tag and the call site that made it, the
-pool keeps per-tag live totals and a high-water-mark breakdown, and
+counting model keeps OOM behaviour exactly reproducible.  Every byte is
+counted through a tracked-allocation ledger (:class:`Allocation`): each
+allocation carries a tag and the call site that made it, the pool keeps
+per-tag live totals and a high-water-mark breakdown, and
 :meth:`MemoryPool.leak_report` renders what is still resident — the
 ``compute-sanitizer --leak-check full`` view of the pool.  The static
 counterpart of this ledger is :mod:`repro.memcheck`.
@@ -87,9 +87,10 @@ class Allocation:
     """One tracked reservation in a :class:`MemoryPool` ledger.
 
     ``pages`` records which slots of the pool's page-occupancy map the
-    allocation holds (empty when the map could not place it, which only
-    happens when untracked :meth:`MemoryPool.reserve` bytes crowd the
-    map); it exists for fragmentation statistics, not correctness.
+    allocation holds; it exists for fragmentation statistics, not
+    correctness.  It is empty when the map could not place the
+    allocation: a sub-page allocation rounds up to a whole page, so the
+    map can run out of free pages while the pool still has bytes.
     """
 
     __slots__ = ("alloc_id", "nbytes", "tag", "site", "freed", "pages")
@@ -121,7 +122,7 @@ class DeviceBuffer:
                  "allocation")
 
     def __init__(self, device: "VirtualGpu", array: np.ndarray,
-                 tag: str = "", allocation: Allocation | None = None) -> None:
+                 allocation: Allocation, tag: str = "") -> None:
         self.buffer_id = next(_buffer_ids)
         self.device = device
         self.array = array
@@ -142,15 +143,8 @@ class DeviceBuffer:
     def free(self) -> None:
         """Release the buffer back to its pool (idempotent; repeat frees
         are counted as double-free attempts in the pool stats)."""
-        if self.freed:
-            if self.allocation is not None:
-                self.device.memory.free(self.allocation)
-            return
         self.freed = True
-        if self.allocation is not None:
-            self.device.memory.free(self.allocation)
-        else:
-            self.device.memory.release(self.nbytes)
+        self.device.memory.free(self.allocation)
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         state = "freed" if self.freed else f"{self.nbytes} B"
@@ -250,9 +244,10 @@ class FragmentationStats:
     * ``page_utilization`` — live bytes over the capacity of the pages
       holding them: internal fragmentation from partial last pages.
 
-    ``unmapped_bytes`` counts raw :meth:`MemoryPool.reserve` bytes that
-    live outside the page map (they are still byte-accounted; they just
-    carry no address).
+    ``unmapped_bytes`` counts live allocations the page map could not
+    place (a sub-page allocation rounds up to a whole page, so the map
+    can fill before the bytes run out); they are still byte-accounted,
+    they just carry no address.
     """
 
     total_bytes: int
@@ -287,17 +282,11 @@ class MemoryPool:
     context (real CUDA contexts eat a few hundred MB), so a "16 GB" card
     never actually grants 16 GB — an effect students discover in Lab 1.
 
-    Two planes of accounting: :meth:`reserve`/:meth:`release` are the raw
-    byte counters (kept for direct callers), while :meth:`allocate` /
-    :meth:`free` additionally record *who* holds the bytes — a tag, the
-    allocation site, and a per-tag live total that feeds
-    :meth:`top_consumers`, :meth:`leak_report`, and the enriched
-    :class:`~repro.errors.OutOfMemoryError` messages.
+    :meth:`allocate` and :meth:`free` count the bytes and record *who*
+    holds them — a tag, the allocation site, and a per-tag live total
+    that feeds :meth:`top_consumers`, :meth:`leak_report`, and the
+    enriched :class:`~repro.errors.OutOfMemoryError` messages.
     """
-
-    #: class-level switch for allocation-site stack capture (a frame walk
-    #: per tracked allocation; benchmarks may turn it off)
-    capture_sites = True
 
     def __init__(self, total_bytes: int,
                  reserve_fraction: float = DEFAULT_RESERVE_FRACTION,
@@ -327,7 +316,7 @@ class MemoryPool:
         self._page_used = bytearray(self._page_count)
         self._free_page_hint = 0
 
-    # -- raw byte accounting ----------------------------------------------
+    # -- capacity ---------------------------------------------------------
 
     def can_allocate(self, nbytes: int) -> bool:
         """Whether an allocation of ``nbytes`` would currently succeed."""
@@ -338,14 +327,17 @@ class MemoryPool:
         """Bytes currently grantable (capacity minus everything held)."""
         return self.total_bytes - self.used_bytes
 
-    def reserve(self, nbytes: int) -> None:
-        """Account for an allocation, raising :class:`OutOfMemoryError`
-        exactly the way ``cudaMalloc`` would.  Untracked: the bytes count
-        but carry no tag; prefer :meth:`allocate` for attributable
-        reservations."""
-        self._reserve(int(nbytes), tag=None)
+    # -- tracked-allocation ledger ----------------------------------------
 
-    def _reserve(self, nbytes: int, tag: str | None) -> None:
+    def allocate(self, nbytes: int, tag: str = "",
+                 site: str | None = None) -> Allocation:
+        """Reserve ``nbytes`` with attribution: the returned
+        :class:`Allocation` carries ``tag`` and the capturing call site,
+        appears in :meth:`leak_report` until freed, and feeds the per-tag
+        totals that OOM messages and :meth:`top_consumers` render.
+        Raises :class:`OutOfMemoryError` exactly the way ``cudaMalloc``
+        would."""
+        nbytes = int(nbytes)
         if nbytes < 0:
             raise ValueError("cannot allocate negative bytes")
         if not self.can_allocate(nbytes):
@@ -355,44 +347,20 @@ class MemoryPool:
                 total=self.total_bytes,
                 detail=self._oom_detail(),
             )
-        if tag is not None:
-            self._tag_bytes[tag] = self._tag_bytes.get(tag, 0) + nbytes
-            self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
+        tag = tag or "untagged"
+        if site is None:
+            site = _capture_site()
+        self._tag_bytes[tag] = self._tag_bytes.get(tag, 0) + nbytes
+        self._tag_counts[tag] = self._tag_counts.get(tag, 0) + 1
         self.used_bytes += nbytes
         self.alloc_count += 1
         if self.used_bytes > self.peak_bytes:
             self.peak_bytes = self.used_bytes
-            # who held what at the high-water mark (tracked bytes only)
+            # who held what at the high-water mark
             self.peak_breakdown = {
                 t: b for t, b in self._tag_bytes.items() if b > 0}
-
-    def release(self, nbytes: int) -> None:
-        """Return ``nbytes`` to the pool."""
-        nbytes = int(nbytes)
-        if nbytes < 0:
-            raise ValueError("cannot free negative bytes")
-        if nbytes > self.used_bytes:
-            raise DeviceError(
-                f"double free detected: releasing {nbytes} B with only "
-                f"{self.used_bytes} B outstanding"
-            )
-        self.used_bytes -= nbytes
-        self.free_count += 1
-
-    # -- tracked-allocation ledger ----------------------------------------
-
-    def allocate(self, nbytes: int, tag: str = "",
-                 site: str | None = None) -> Allocation:
-        """Reserve ``nbytes`` with attribution: the returned
-        :class:`Allocation` carries ``tag`` and the capturing call site,
-        appears in :meth:`leak_report` until freed, and feeds the per-tag
-        totals that OOM messages and :meth:`top_consumers` render."""
-        tag = tag or "untagged"
-        if site is None and MemoryPool.capture_sites:
-            site = _capture_site()
-        self._reserve(int(nbytes), tag=tag)
-        alloc = Allocation(int(nbytes), tag, site or "")
-        alloc.pages = self._place_pages(alloc.nbytes)
+        alloc = Allocation(nbytes, tag, site)
+        alloc.pages = self._place_pages(nbytes)
         self._live[alloc.alloc_id] = alloc
         return alloc
 
@@ -411,7 +379,8 @@ class MemoryPool:
             self._tag_bytes.get(allocation.tag, 0) - allocation.nbytes)
         self._tag_counts[allocation.tag] = (
             self._tag_counts.get(allocation.tag, 0) - 1)
-        self.release(allocation.nbytes)
+        self.used_bytes -= allocation.nbytes
+        self.free_count += 1
         return True
 
     @property
@@ -471,8 +440,8 @@ class MemoryPool:
         Prefers a contiguous run starting at the lowest free index (what a
         segment allocator would hand out); falls back to scattering across
         whatever holes exist.  Returns ``()`` when the map has fewer free
-        slots than needed — possible only when untracked :meth:`reserve`
-        bytes hold capacity that owns no pages.
+        slots than needed — possible because a sub-page allocation rounds
+        up to a whole page, so the map can fill before the bytes do.
         """
         if nbytes <= 0:
             return ()
@@ -507,7 +476,7 @@ class MemoryPool:
     def check_invariants(self) -> None:
         """Raise :class:`DeviceError` naming the first broken invariant:
         the per-tag totals equal a recount of the live ledger, tracked
-        bytes ≤ ``used_bytes`` ≤ ``total_bytes``, the page map flags
+        bytes = ``used_bytes`` ≤ ``total_bytes``, the page map flags
         exactly the live allocations' slots (none held twice), and the
         placement hint sits at or below the lowest free slot."""
         tag_bytes: dict[str, int] = {}
@@ -532,7 +501,7 @@ class MemoryPool:
                 f"per-tag totals {kept_bytes} / {kept_counts} differ from "
                 f"the live ledger's {tag_bytes} / {tag_counts}")
         tracked = sum(tag_bytes.values())
-        if not tracked <= self.used_bytes <= self.total_bytes:
+        if not tracked == self.used_bytes <= self.total_bytes:
             raise DeviceError(
                 f"byte accounting out of order: {tracked} B tracked, "
                 f"{self.used_bytes} B used, {self.total_bytes} B total")
@@ -570,9 +539,6 @@ class MemoryPool:
                 live_bytes += alloc.nbytes
             else:
                 unmapped += alloc.nbytes
-        # raw reserve() bytes never enter the map either
-        tracked = live_bytes + unmapped
-        unmapped += max(0, self.used_bytes - tracked)
         held_capacity = held_pages * self.page_bytes
         page_util = live_bytes / held_capacity if held_capacity else 1.0
         ext_frag = 1.0 - longest / free_pages if free_pages else 0.0

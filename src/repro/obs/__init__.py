@@ -23,8 +23,9 @@ from repro.obs.scenario import (ScenarioResult, run_overload_scenario,
 from repro.obs.slo import (MS_PER_HOUR, OBS_NAMESPACE, AlertTransition,
                            BurnRateRule, SloMonitor, SloObjective,
                            default_rules)
-from repro.obs.waterfall import (WaterfallIndex, render_request_waterfall,
-                                 render_tree)
+from repro.telemetry.waterfall import (WaterfallIndex,
+                                       render_request_waterfall,
+                                       render_tree)
 
 __all__ = [
     "DEFAULT_STREAM_CAP",

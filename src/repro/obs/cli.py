@@ -25,8 +25,8 @@ from repro.obs.scenario import (
     run_overload_scenario,
     write_artifacts,
 )
-from repro.obs.waterfall import render_request_waterfall
 from repro.telemetry import read_jsonl
+from repro.telemetry.waterfall import render_request_waterfall
 
 
 def build_parser() -> argparse.ArgumentParser:

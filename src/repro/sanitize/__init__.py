@@ -23,9 +23,9 @@ Four cooperating passes, all reporting the same :class:`Finding` type:
 
 Static analysis goes through the :mod:`repro.analysis` driver only:
 ``python -m repro.analysis <paths> [--format json]`` on the command
-line (``python -m repro.sanitize`` still runs it for now), and
-``repro.analysis.analyze_source(src, name, analyzers=("kernel",))`` or
-``analyze_paths`` from Python; ``--analyzers kernel,perf,cost,iam``
+line, and ``repro.analysis.analyze_source(src, name,
+analyzers=("kernel",))`` or ``analyze_paths`` from Python;
+``--analyzers kernel,perf,cost,iam``
 adds the :mod:`repro.perflint` workflow analyzers.  Every rule id
 lives in one registry, :mod:`repro.analysis.rules`; ``RULES``, ``Rule``
 and ``make_finding`` are re-exported here.  Rule-by-rule documentation

@@ -120,8 +120,8 @@ class Report:
 
     def summary_line(self) -> str:
         if self.ok:
-            return "repro.sanitize: no issues found"
-        return (f"repro.sanitize: {len(self.findings)} finding(s) "
+            return "repro.analysis: no issues found"
+        return (f"repro.analysis: {len(self.findings)} finding(s) "
                 f"({self.count(Severity.ERROR)} error, "
                 f"{self.count(Severity.WARNING)} warning, "
                 f"{self.count(Severity.NOTE)} note)")

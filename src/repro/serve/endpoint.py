@@ -163,7 +163,7 @@ class Endpoint:
         self.state = EndpointState.IN_SERVICE
         self.name = config.name
         self.tags = dict(config.tags)
-        self.replicas: list[Replica] = []
+        self.replicas: list[Replica] = []    # live, in launch order
         self._replica_ids = itertools.count(0)
         self.instance_ids: set[str] = set()   # every instance ever launched
         self.interrupted_replicas = 0
@@ -190,11 +190,6 @@ class Endpoint:
     def provisioning(self) -> list[Replica]:
         return [r for r in self.replicas
                 if r.state is ReplicaState.PROVISIONING]
-
-    def active(self) -> list[Replica]:
-        """Replicas still doing or about to do work (not terminated)."""
-        return [r for r in self.replicas
-                if r.state is not ReplicaState.TERMINATED]
 
     # -- lifecycle --------------------------------------------------------
 
@@ -224,9 +219,12 @@ class Endpoint:
         return replica
 
     def terminate_replica(self, replica: Replica) -> None:
+        """Terminate the replica's instance and drop it from
+        :attr:`replicas` (billing reads :attr:`instance_ids`)."""
         if replica.state is ReplicaState.TERMINATED:
             return
         replica.state = ReplicaState.TERMINATED
+        self.replicas.remove(replica)
         self.session.ec2.terminate(replica.instance.instance_id)
         telemetry.add_event("endpoint.terminate_replica",
                             endpoint=self.name,
@@ -244,7 +242,7 @@ class Endpoint:
             return
         with telemetry.span("sagemaker.DeleteEndpoint", kind="cloud",
                             attributes={"endpoint": self.name}):
-            for replica in self.replicas:
+            for replica in list(self.replicas):
                 self.terminate_replica(replica)
             self.state = EndpointState.DELETED
             self.session.sagemaker.deregister_endpoint(self.name)

@@ -493,7 +493,7 @@ class EndpointSimulation:
         ep = self.endpoint
         replica = next((r for r in ep.replicas
                         if r.replica_id == replica_id), None)
-        if replica is None or replica.state is ReplicaState.TERMINATED:
+        if replica is None:
             return
         self._advance_cloud()
         self.policy.on_interrupt(replica)

@@ -2,8 +2,9 @@
 
 Subcommands over a JSONL export (:func:`repro.telemetry.export.write_jsonl`):
 
-* ``waterfall`` — the indented gantt view: every span as a bar on a
-  shared time axis, children nested under parents;
+* ``waterfall`` — the indented gantt view
+  (:func:`repro.telemetry.waterfall.render_gantt`): every span as a bar
+  on a shared time axis, children nested under parents;
 * ``summary`` — per-(name, kind) aggregate table plus the exported
   metrics snapshot;
 * ``critical-path`` — the longest dependency chain through the trace.
@@ -20,57 +21,7 @@ from typing import Sequence
 from repro.telemetry.critical_path import critical_path
 from repro.telemetry.export import read_jsonl
 from repro.telemetry.span import TelemetrySpan
-
-BAR_WIDTH = 40
-
-
-def _depths(spans: list[TelemetrySpan]) -> dict[str, int]:
-    by_id = {s.span_id: s for s in spans}
-    depths: dict[str, int] = {}
-
-    def depth(s: TelemetrySpan) -> int:
-        if s.span_id in depths:
-            return depths[s.span_id]
-        parent = by_id.get(s.parent_id) if s.parent_id else None
-        d = 0 if parent is None else depth(parent) + 1
-        depths[s.span_id] = d
-        return d
-
-    for s in spans:
-        depth(s)
-    return depths
-
-
-def render_waterfall(spans: list[TelemetrySpan], width: int = BAR_WIDTH
-                     ) -> str:
-    """The indented-bars view of one or more traces."""
-    if not spans:
-        return "(empty trace)"
-    lines: list[str] = []
-    trace_order: dict[str, None] = {}
-    for s in spans:
-        trace_order.setdefault(s.trace_id, None)
-    for trace_id in trace_order:
-        trace = [s for s in spans if s.trace_id == trace_id]
-        t0 = min(s.start_ns for s in trace)
-        t1 = max((s.end_ns for s in trace if s.ended),
-                 default=t0 + 1)
-        extent = max(t1 - t0, 1)
-        depths = _depths(trace)
-        lines.append(f"trace {trace_id}  "
-                     f"({len(trace)} spans, {extent / 1e6:.3f} ms)")
-        for s in sorted(trace, key=lambda s: (s.start_ns,
-                                              depths[s.span_id])):
-            end = s.end_ns if s.ended else t1
-            lo = round((s.start_ns - t0) / extent * width)
-            hi = max(round((end - t0) / extent * width), lo + 1)
-            bar = " " * lo + "#" * (hi - lo) + " " * (width - hi)
-            label = "  " * depths[s.span_id] + s.name
-            flag = " !" if s.status == "error" else ""
-            lines.append(f"{label[:34]:<34} {s.kind:<10} |{bar}| "
-                         f"{(end - s.start_ns) / 1e6:>9.3f} ms{flag}")
-        lines.append("")
-    return "\n".join(lines).rstrip()
+from repro.telemetry.waterfall import render_gantt
 
 
 def render_summary(spans: list[TelemetrySpan], metrics: dict) -> str:
@@ -115,7 +66,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.trace is not None:
         spans = [s for s in spans if s.trace_id == args.trace]
     if args.command == "waterfall":
-        print(render_waterfall(spans))
+        print(render_gantt(spans))
     elif args.command == "summary":
         print(render_summary(spans, metrics))
     else:

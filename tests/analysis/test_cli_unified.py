@@ -9,6 +9,8 @@ import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 from repro.analysis.cli import main
 
 FIXTURES = Path(__file__).resolve().parent / "fixtures"
@@ -287,3 +289,36 @@ class TestInterproceduralCli:
         assert proc.returncode == 1, proc.stderr
         findings = json.loads(proc.stdout)["findings"]
         assert any(f.get("chain") for f in findings)
+
+
+
+class TestArtifactModesNameUnparsedFiles:
+    """``--kernel-classes`` and ``--call-graph`` leave a file that does
+    not parse out of the artifact; they name it on stderr and exit 1,
+    while the files that parse print as they would alone."""
+
+    KERNEL = ("from repro.jit import cuda\n\n\n@cuda.jit\n"
+              "def saxpy(a, x, y, out):\n    i = cuda.grid(1)\n"
+              "    if i < out.size:\n        out[i] = a * x[i] + y[i]\n")
+    BROKEN = "x = 1\n\ndef broken(:\n    pass\n"
+
+    @pytest.mark.parametrize("mode", [["--kernel-classes", "json"],
+                                      ["--call-graph", "json"],
+                                      ["--call-graph", "dot"]])
+    def test_unparsed_file_is_named_and_fails(self, mode, tmp_path,
+                                              capsys, monkeypatch):
+        for tree in ("good", "mixed"):
+            (tmp_path / tree).mkdir()
+            (tmp_path / tree / "k.py").write_text(self.KERNEL)
+        (tmp_path / "mixed" / "b.py").write_text(self.BROKEN)
+        with pytest.raises(SyntaxError) as exc:
+            compile(self.BROKEN, "b.py", "exec")
+        monkeypatch.chdir(tmp_path)
+        assert main([*mode, "good"]) == 0
+        alone = capsys.readouterr()
+        assert alone.err == ""
+        assert main([*mode, "mixed"]) == 1
+        out, err = capsys.readouterr()
+        assert out == alone.out.replace("good", "mixed")
+        assert err == (f"repro.analysis: mixed/b.py:3: syntax error: "
+                       f"{exc.value.msg}\n")

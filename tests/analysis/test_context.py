@@ -163,6 +163,29 @@ class TestSuppressions:
         assert ctx.is_suppressed("PERF-SHAPE", 102)
         assert not ctx.is_suppressed("PERF-SHAPE", 2)
 
+    def test_prose_after_one_id_ends_the_list(self):
+        ctx = AnalysisContext(
+            "x = 1  # repro: disable=DET-WALLCLOCK kept on purpose\n",
+            "f.py")
+        assert ctx.suppressions == {1: {"DET-WALLCLOCK"}}
+        assert ctx.is_suppressed("DET-WALLCLOCK", 1)
+        assert not ctx.is_suppressed("DET-UNSEEDED-RNG", 1)
+
+    def test_prose_after_two_ids_ends_the_list(self):
+        ctx = AnalysisContext(
+            "x = 1  # repro: disable=SAN-OOB, mem-leak as the lab wants\n",
+            "f.py")
+        assert ctx.suppressions == {1: {"SAN-OOB", "MEM-LEAK"}}
+        assert ctx.is_suppressed("SAN-OOB", 1)
+        assert ctx.is_suppressed("MEM-LEAK", 1)
+        assert not ctx.is_suppressed("MEM-UAF", 1)
+
+    def test_dash_tail_after_a_noqa_id(self):
+        ctx = AnalysisContext("x = 1  # noqa: MEM-LEAK - demo\n", "f.py")
+        assert ctx.noqa == {1: {"MEM-LEAK"}}
+        assert ctx.is_suppressed("MEM-LEAK", 1)
+        assert not ctx.is_suppressed("MEM-UAF", 1)
+
 
 class TestCollectFiles:
     def test_overlapping_paths_dedupe(self, tmp_path):

@@ -3,10 +3,13 @@ off (the default), every family's report over the fixture corpora is
 byte-identical to the golden capture taken before the layer landed.
 
 Regenerate ``golden/intra_reports.json`` only for an intentional
-intra-procedural rule change — never to absorb interprocedural drift.
+intra-procedural rule change — never to absorb interprocedural drift::
+
+    PYTHONPATH=src python tests/analysis/test_regression_intra.py
 """
 
 import json
+import os
 from pathlib import Path
 
 import pytest
@@ -52,3 +55,19 @@ def test_interproc_mode_only_appends(suite, golden, monkeypatch):
     for f in json.loads(golden[suite]["json"])["findings"]:
         assert (f["rule"], f["file"], f["line"], f["message"]) \
             in rendered
+
+
+def regenerate() -> None:
+    os.chdir(REPO)
+    reports = {}
+    for suite in sorted(TARGETS):
+        report = run_paths([TARGETS[suite]],
+                           analyzers=KNOWN_ANALYZERS).report
+        reports[suite] = {"json": report.render_json(),
+                          "text": report.render_text()}
+    GOLDEN.write_text(json.dumps(reports, indent=2) + "\n")
+    print(f"wrote {GOLDEN.relative_to(REPO)}")
+
+
+if __name__ == "__main__":
+    regenerate()

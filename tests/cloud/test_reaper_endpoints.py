@@ -24,13 +24,15 @@ def make_endpoint(session, name="ep", **overrides):
 class TestIdleEndpoints:
     def test_idle_endpoint_is_deleted(self, session):
         ep = make_endpoint(session)
+        fleet = list(ep.replicas)
         session.advance_hours(3.0)
         report = session.reaper.sweep()
         assert report.reaped_endpoints == [ep.name]
         assert ep.state is EndpointState.DELETED
         assert ep.name not in session.sagemaker.endpoints
+        assert ep.replicas == []
         assert all(r.instance.state is InstanceState.TERMINATED
-                   for r in ep.replicas)
+                   for r in fleet)
 
     def test_active_endpoint_survives(self, session):
         ep = make_endpoint(session)

@@ -10,16 +10,16 @@ from repro.gpu.memory import MemoryPool
 class TestMemoryPool:
     def test_reserve_and_release(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(400)
+        alloc = pool.allocate(400)
         assert pool.used_bytes == 400
-        pool.release(400)
+        pool.free(alloc)
         assert pool.used_bytes == 0
 
     def test_oom_raises_with_numbers(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(900)
+        pool.allocate(900)
         with pytest.raises(OutOfMemoryError) as exc:
-            pool.reserve(200)
+            pool.allocate(200)
         assert exc.value.requested == 200
         assert exc.value.free == 100
 
@@ -29,21 +29,13 @@ class TestMemoryPool:
 
     def test_peak_tracking(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(600)
-        pool.release(600)
-        pool.reserve(100)
+        pool.free(pool.allocate(600))
+        pool.allocate(100)
         assert pool.stats().peak_bytes == 600
-
-    def test_double_free_detected(self):
-        pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(100)
-        pool.release(100)
-        with pytest.raises(DeviceError, match="double free"):
-            pool.release(1)
 
     def test_stats_utilization(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(250)
+        pool.allocate(250)
         assert pool.stats().utilization == pytest.approx(0.25)
 
     def test_can_allocate(self):
@@ -101,18 +93,20 @@ class TestPoolEdgeCases:
         pool = MemoryPool(1000, reserve_fraction=0.999999)
         assert pool.total_bytes == 0
         with pytest.raises(OutOfMemoryError):
-            pool.reserve(1)
+            pool.allocate(1)
 
     def test_zero_byte_reserve_is_a_noop(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
-        pool.reserve(0)
+        alloc = pool.allocate(0)
         assert pool.used_bytes == 0
+        assert alloc.pages == ()
         assert pool.stats().alloc_count == 1    # still counted as an op
 
     def test_negative_reserve_rejected(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
         with pytest.raises(ValueError, match="negative"):
-            pool.reserve(-1)
+            pool.allocate(-1)
+        assert pool.stats().alloc_count == 0
 
     def test_peak_across_interleaved_alloc_free(self):
         pool = MemoryPool(1000, reserve_fraction=0.0)
@@ -206,7 +200,6 @@ class TestAllocationLedger:
         pool = MemoryPool(1000, reserve_fraction=0.0, stats_page_bytes=100)
         pool.allocate(200, tag="x")
         second = pool.allocate(150, tag="y")
-        pool.reserve(50)
         pool.check_invariants()
         corrupt(pool, second)
         with pytest.raises(DeviceError, match=message):
@@ -308,16 +301,32 @@ class TestFragmentationStats:
         c = pool.allocate(100, tag="c")
         assert c.pages == (0,)  # lands back in the hole, not at the end
 
-    def test_untracked_reserve_counts_as_unmapped(self):
+    def test_allocation_a_full_map_cannot_place_is_unmapped(self):
         pool = self._pool()
-        pool.reserve(300)
+        # eight sub-page allocations round up to all eight pages while
+        # holding 400 of the 800 bytes
+        smalls = [pool.allocate(50, tag=f"s{i}") for i in range(8)]
+        assert [a.pages for a in smalls] == [(k,) for k in range(8)]
+        late = pool.allocate(300, tag="late")
+        assert late.pages == ()
+        frag = pool.fragmentation()
+        assert frag.unmapped_bytes == 300
+        assert frag.free_bytes == 100
+        assert frag.free_pages == 0
+        assert frag.largest_free_block_bytes == 0
+        pool.check_invariants()
+        for alloc in smalls:
+            pool.free(alloc)
         frag = pool.fragmentation()
         assert frag.unmapped_bytes == 300
         assert frag.free_bytes == 500
-        # the page map is untouched by raw reserves...
+        # the unmapped bytes hold no pages...
         assert frag.free_pages == 8
         # ...so the largest block is clamped to actually-grantable bytes
         assert frag.largest_free_block_bytes == 500
+        pool.free(late)
+        assert pool.fragmentation().unmapped_bytes == 0
+        pool.check_invariants()
 
     def test_scattered_fallback_when_no_contiguous_run(self):
         pool = self._pool()

@@ -1,17 +1,18 @@
 """Stateful property test: the MemoryPool ledger and its page map.
 
 A hypothesis state machine allocates (single-page, multi-page and, once
-frees have punched holes, scattered), frees, double-frees, and takes and
-returns raw untracked bytes.  After every step the pool passes its own
-:meth:`~repro.gpu.memory.MemoryPool.check_invariants`, and every tracked
-placement equals a brute-force first-fit over a page map the test keeps
-itself.  Releasing everything drains the pool to zero.
+frees have punched holes, scattered), frees and double-frees.  After
+every step the pool passes its own
+:meth:`~repro.gpu.memory.MemoryPool.check_invariants`, its used bytes
+equal the live allocations' bytes, and every placement equals a
+brute-force first-fit over a page map the test keeps itself.  Freeing
+everything drains the pool to zero.
 """
 
 import pytest
 from hypothesis import settings, strategies as st
 from hypothesis.stateful import (Bundle, RuleBasedStateMachine, consumes,
-                                 invariant, multiple, precondition, rule)
+                                 invariant, multiple, rule)
 
 from repro.errors import OutOfMemoryError
 from repro.gpu.memory import MemoryPool
@@ -40,7 +41,6 @@ class PoolMachine(RuleBasedStateMachine):
                                stats_page_bytes=PAGE_BYTES)
         self.used = [False] * PAGES        # the test's own page map
         self.held = {}                     # alloc_id -> live allocation
-        self.raw: list[int] = []           # untracked reserve() amounts
         self.double_frees = 0
 
     def _allocate(self, nbytes):
@@ -85,31 +85,20 @@ class PoolMachine(RuleBasedStateMachine):
         assert not self.pool.free(alloc)
         self.double_frees += 1
 
-    @rule(nbytes=st.integers(0, 3 * PAGE_BYTES))
-    def reserve(self, nbytes):
-        if self.pool.can_allocate(nbytes):
-            self.pool.reserve(nbytes)
-            self.raw.append(nbytes)
-
-    @precondition(lambda self: self.raw)
-    @rule()
-    def release(self):
-        self.pool.release(self.raw.pop())
-
     @invariant()
     def ledger_matches_the_model(self):
         self.pool.check_invariants()
         tracked = sum(a.nbytes for a in self.held.values())
-        assert self.pool.used_bytes == tracked + sum(self.raw)
+        assert self.pool.used_bytes == tracked
         assert self.pool.double_free_count == self.double_frees
         frag = self.pool.fragmentation()
         assert frag.free_pages == self.used.count(False)
+        assert frag.unmapped_bytes == sum(
+            a.nbytes for a in self.held.values() if not a.pages)
 
     def teardown(self):
         for alloc in self.held.values():
             assert self.pool.free(alloc)
-        for nbytes in self.raw:
-            self.pool.release(nbytes)
         self.pool.check_invariants()
         assert self.pool.used_bytes == 0
         assert self.pool.live_allocations == 0

@@ -10,7 +10,7 @@ import pytest
 
 from repro.obs.cli import main as cli_main
 from repro.obs.scenario import run_llm_scenario
-from repro.obs.waterfall import WaterfallIndex, render_request_waterfall
+from repro.telemetry.waterfall import WaterfallIndex, render_request_waterfall
 
 
 @pytest.fixture(scope="module")

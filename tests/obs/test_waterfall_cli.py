@@ -17,7 +17,7 @@ import pytest
 
 from repro.obs.cli import main as cli_main
 from repro.obs.scenario import run_overload_scenario, write_artifacts
-from repro.obs.waterfall import WaterfallIndex, render_request_waterfall
+from repro.telemetry.waterfall import WaterfallIndex, render_request_waterfall
 from repro.serve.request import OUTCOME_COMPLETED
 
 

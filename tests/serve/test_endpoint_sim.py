@@ -198,7 +198,7 @@ class TestRouting:
 
     def test_no_serving_replicas_is_an_error(self, make_endpoint, backend):
         ep = make_endpoint()
-        for r in ep.replicas:
+        for r in list(ep.replicas):
             ep.terminate_replica(r)
         with pytest.raises(ReproError):
             run_sim(ep, backend, constant_trace(10.0, 50.0, QUERIES))
@@ -312,13 +312,18 @@ class TestReplicaLifecycle:
     def test_terminated_replica_instances_stop(self, make_endpoint,
                                                backend, session):
         ep = make_endpoint(initial_replicas=2)
+        fleet = list(ep.replicas)
         run_sim(ep, backend, constant_trace(50.0, 100.0, QUERIES))
         ep.delete()
-        assert all(r.state is ReplicaState.TERMINATED for r in ep.replicas)
+        assert ep.replicas == []
+        assert all(r.state is ReplicaState.TERMINATED for r in fleet)
         assert session.sagemaker.endpoints.get(ep.name) is None
 
     def test_delete_is_idempotent(self, make_endpoint, backend):
         ep = make_endpoint()
+        fleet = list(ep.replicas)
         ep.delete()
         ep.delete()
-        assert all(r.state is ReplicaState.TERMINATED for r in ep.replicas)
+        assert ep.replicas == []
+        assert fleet and all(r.state is ReplicaState.TERMINATED
+                             for r in fleet)

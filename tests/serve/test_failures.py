@@ -16,6 +16,7 @@ class TestSpotInterruption:
     def test_mid_flight_interruption_loses_nothing(self, make_endpoint,
                                                    backend, session):
         ep = make_endpoint(initial_replicas=2, spot=True)
+        victim = ep.replicas[0]
         sim = EndpointSimulation(ep, backend)
         # t=15 ms: both replicas are mid-batch (service takes >= 5 ms)
         report = sim.run(constant_trace(400.0, 200.0, QUERIES),
@@ -25,19 +26,41 @@ class TestSpotInterruption:
                 == report.submitted)
         assert report.completed == report.submitted   # survivors absorb it
         # the victim's instance really terminated (billing stops)
-        victim = ep.replicas[0]
+        assert victim not in ep.replicas
         assert victim.state is ReplicaState.TERMINATED
         assert victim.instance.state is InstanceState.TERMINATED
 
     def test_replacement_replica_launches(self, make_endpoint, backend):
         ep = make_endpoint(initial_replicas=2, spot=True,
                            provision_delay_ms=20.0)
+        first = list(ep.replicas)
         EndpointSimulation(ep, backend).run(
             constant_trace(400.0, 200.0, QUERIES),
             interruptions=[(15.0, 0)])
-        assert len(ep.replicas) == 3
+        assert first[0].state is ReplicaState.TERMINATED
+        assert ep.replicas[0] is first[1]
+        assert len(ep.replicas) == 2
+        assert ep.replicas[-1].replica_id == 2
         assert ep.replicas[-1].state is ReplicaState.IN_SERVICE
         assert ep.replicas[-1].queries_served > 0
+        assert len(ep.instance_ids) == 3        # billing still sees all
+
+    def test_interrupted_replicas_leave_the_fleet_list(self, make_endpoint,
+                                                       backend):
+        # k reclaims of a fixed fleet of n: each victim is replaced, and
+        # only the n live replicas stay on the list the loop scans
+        n, k = 2, 5
+        ep = make_endpoint(initial_replicas=n, min_replicas=n,
+                           max_replicas=n, spot=True,
+                           provision_delay_ms=5.0)
+        report = EndpointSimulation(ep, backend).run(
+            constant_trace(200.0, 400.0, QUERIES),
+            interruptions=[(20.0 + 60.0 * j, j) for j in range(k)])
+        assert report.interrupted_replicas == k
+        assert report.completed == report.submitted
+        assert len(ep.replicas) == n
+        assert all(r.state is ReplicaState.IN_SERVICE for r in ep.replicas)
+        assert len(ep.instance_ids) == n + k
 
     def test_no_request_double_counted(self, make_endpoint, backend):
         ep = make_endpoint(initial_replicas=2, spot=True)
@@ -80,6 +103,7 @@ class TestGracefulDrain:
         # while the queue still holds work: the drained replica must
         # finish its backlog, not drop it
         ep = make_endpoint(initial_replicas=2, min_replicas=1)
+        fleet = list(ep.replicas)
         autoscaler = Autoscaler(
             TargetTrackingPolicy(metric="QueueDepthPerReplica",
                                  target=1e6, scale_in_cooldown_ms=0.0,
@@ -91,9 +115,10 @@ class TestGracefulDrain:
             constant_trace(600.0, 150.0, QUERIES))
         assert report.completed == report.submitted
         assert report.shed == report.expired == 0
-        terminated = [r for r in ep.replicas
+        terminated = [r for r in fleet
                       if r.state is ReplicaState.TERMINATED]
         assert terminated, "scale-in never released a replica"
+        assert not any(r in ep.replicas for r in terminated)
         assert all(r.queries_served > 0 for r in terminated)
 
     def test_draining_replica_takes_no_new_work(self, make_endpoint,

@@ -17,6 +17,7 @@ from repro.telemetry import (
     write_jsonl,
 )
 from repro.telemetry.cli import main as cli_main
+from repro.telemetry.waterfall import render_gantt
 
 
 @pytest.fixture
@@ -125,11 +126,12 @@ class TestCli:
 
 
 def _span(name, trace_id, span_id, start_ns=0, end_ns=1000,
-          kind="stage"):
+          kind="stage", parent_id=None, status="ok"):
+    """A span, left open when ``end_ns`` is None."""
     s = TelemetrySpan(name=name, kind=kind, trace_id=trace_id,
-                      span_id=span_id, parent_id=None, start_ns=start_ns)
-    s.finish(end_ns)
-    return s
+                      span_id=span_id, parent_id=parent_id,
+                      start_ns=start_ns, status=status)
+    return s if end_ns is None else s.finish(end_ns)
 
 
 class TestFlowEvents:
@@ -177,3 +179,52 @@ class TestFlowEvents:
         ([back], _) = read_jsonl(str(path))
         assert back.links == []
         assert "links" in back.to_dict()
+
+
+def _gantt_spans():
+    """Two interleaved traces: nesting three deep, an unended span, an
+    error span, a parent that is not in the list, and a parent in the
+    other trace (neither counts toward a depth)."""
+    t1, t2 = "a" * 32, "b" * 32
+    return [
+        _span("serve", t1, "r1", 0, 8_000_000, "workflow"),
+        _span("orphan", t2, "o1", 10_001_000, 10_002_000, "task", "gone"),
+        _span("embed", t1, "s1", 500_000, 3_000_000, "stage", "r1"),
+        _span("train", t2, "r2", 10_000_000, 10_004_000, "workflow"),
+        _span("task:layer0", t1, "k1", 1_000_000, 2_500_000, "task", "s1"),
+        _span("gemm 256x1024 with a label too long to fit", t1, "g1",
+              1_200_000, 2_000_000, "kernel", "k1"),
+        _span("cross", t2, "x1", 10_001_000, 10_003_000, "task", "s1"),
+        _span("generate", t1, "s2", 3_000_000, 7_999_000, "stage", "r1",
+              status="error"),
+        _span("stream", t1, "s3", 6_000_000, None, "stage", "r1"),
+    ]
+
+
+GANTT = """\
+trace aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa  (6 spans, 8.000 ms)
+serve                              workflow   |########################################|     8.000 ms
+  embed                            stage      |  #############                         |     2.500 ms
+    task:layer0                    task       |     #######                            |     1.500 ms
+      gemm 256x1024 with a label t kernel     |      ####                              |     0.800 ms
+  generate                         stage      |               #########################|     4.999 ms !
+  stream                           stage      |                              ##########|     2.000 ms
+
+trace bbbbbbbbbbbbbbbbbbbbbbbbbbbbbbbb  (3 spans, 0.004 ms)
+train                              workflow   |########################################|     0.004 ms
+orphan                             task       |          ##########                    |     0.001 ms
+cross                              task       |          ####################          |     0.002 ms"""
+
+
+class TestGanttBytes:
+    def test_gantt_view_is_pinned(self):
+        assert render_gantt(_gantt_spans()) == GANTT
+
+    def test_cli_prints_the_same_bytes(self, tmp_path, capsys):
+        path = tmp_path / "gantt.jsonl"
+        write_jsonl(str(path), _gantt_spans())
+        assert cli_main(["waterfall", str(path)]) == 0
+        assert capsys.readouterr().out == GANTT + "\n"
+
+    def test_empty_trace(self):
+        assert render_gantt([]) == "(empty trace)"
