@@ -14,9 +14,10 @@ models that workload on the existing simulated stack:
   decode-iteration timings on a private simulated GPU, seeded
   mixed-length sampling, and a one-shot ``serve_batch`` baseline that
   drops into the dynamic-batching simulator unchanged;
-* :mod:`repro.llm.kvcache` — :class:`PagedKvCache`: fixed-size pages on
+* :mod:`repro.llm.kvcache` — :class:`PagedKvCache`: fixed-size pages as
+  block ids in one reservation on
   :class:`~repro.gpu.memory.MemoryPool`'s tracked ledger, per-sequence
-  page tables, soft-failure growth for preemption under pressure.
+  block tables, soft-failure growth for preemption under pressure.
 
 The iteration-level scheduler consuming all three lives in
 :mod:`repro.serve.continuous`; the memcheck token-budget pre-flight in

@@ -20,10 +20,11 @@ batches as members finish.
   instead of burning GPU time;
 * each replica owns a :class:`~repro.gpu.memory.MemoryPool` sized from
   its instance type, with the weights resident and a
-  :class:`~repro.llm.kvcache.PagedKvCache` on the remainder.  When
-  decode cannot grow every sequence by one page, the **youngest**
-  sequence is preempted — its pages freed, its request requeued for
-  recompute-style resumption — so the oldest work always completes;
+  :class:`~repro.llm.kvcache.PagedKvCache` reserving the remainder.
+  When decode cannot grow every sequence by one token, the
+  **youngest** sequence is preempted — its pages freed, its request
+  requeued for recompute-style resumption — so the oldest work always
+  completes;
 * before a single event fires, the run pre-flights the worst-case KV
   token budget (``max_batch_size × max_seq_tokens``) through
   :func:`repro.memcheck.llm_token_budget_preflight` and refuses
@@ -40,6 +41,7 @@ selected.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field as dc_field
 
 from repro.cloud.pricing import get_instance_type
@@ -82,7 +84,6 @@ class _ReplicaDecoder:
     pool: MemoryPool
     weights: Allocation
     kv: object                    # PagedKvCache (lazy-imported)
-    capacity_pages: int
     running: list[_Seq] = dc_field(default_factory=list)
     #: an iteration is scheduled or running on the replica
     scheduled: bool = False
@@ -107,6 +108,9 @@ class ContinuousBatching(BatchPolicy):
                     f"(LlmBackend-like); {sim.backend!r} has no {attr!r}")
         if kv_page_tokens < 1:
             raise ReproError("kv_page_tokens must be >= 1")
+        if kv_budget_bytes is not None and kv_budget_bytes < 0:
+            raise ReproError(
+                f"kv_budget_bytes must be >= 0, got {kv_budget_bytes}")
         super().__init__(sim)
         self.backend = sim.backend
         self.kv_budget_bytes = kv_budget_bytes
@@ -157,8 +161,7 @@ class ContinuousBatching(BatchPolicy):
         weights = pool.allocate(spec.weights_bytes, tag="weights")
         kv = PagedKvCache(pool, spec.kv_bytes_per_token,
                           page_tokens=self.kv_page_tokens)
-        st = _ReplicaDecoder(pool=pool, weights=weights, kv=kv,
-                             capacity_pages=kv.free_pages)
+        st = _ReplicaDecoder(pool=pool, weights=weights, kv=kv)
         self.decoders[replica.replica_id] = st
         return st
 
@@ -202,7 +205,7 @@ class ContinuousBatching(BatchPolicy):
                 continue
             prompt, gen = backend.sample_lengths(req.query)
             pages_lifetime = -(-(prompt + gen) // self.kv_page_tokens)
-            if pages_lifetime > st.capacity_pages:
+            if pages_lifetime > st.kv.capacity_pages:
                 # can never fit, even on an empty cache: fail fast
                 replica.queue.popleft()
                 sim._resolve_unserved(req, OUTCOME_SHED)
@@ -241,35 +244,31 @@ class ContinuousBatching(BatchPolicy):
 
     def _decode(self, replica: Replica, st: _ReplicaDecoder) -> WorkUnit:
         """One decode step for every running sequence, preempting the
-        youngest first when the KV pool cannot grow everyone.  A lone
+        youngest first when the KV cache cannot grow everyone.  A lone
         sequence always fits: admission checked its lifetime pages."""
         kv = st.kv
         running = st.running
         ids = [s.req.request_id for s in running]
-        # pages this step needs: counted once per iteration, and each
-        # victim takes its own share with it
-        need = kv.pages_to_grow(ids)
-        while len(running) > 1 and kv.free_pages < need:
+        # a missed grow changes nothing, and each victim takes its own
+        # share of the missing pages with it
+        while not kv.grow(ids):
+            if len(running) == 1:
+                raise ReproError(
+                    "KV grow failed after capacity check — "
+                    "page accounting is inconsistent")
             # recompute-style preemption: pages freed, request requeued
             # at the head; prefill re-runs on re-admission
             victim = running.pop()         # youngest boards last
-            vid = ids.pop()
-            need -= kv.pages_to_grow((vid,))
-            kv.release(vid)
+            kv.release(ids.pop())
             replica.queue.appendleft(victim.req)
             self.preemptions += 1
             telemetry.count("serve.preempted")
         ctxs = [s.prompt_tokens + s.produced for s in running]
         dt = self.backend.decode_ms(ctxs)
-        if not kv.grow(ids):
-            raise ReproError(
-                "KV grow failed after capacity check — "
-                "page accounting is inconsistent")
-        observe = self.itl_hist.observe
         for s in running:
             s.produced += 1
-            observe(dt)
         size = len(running)
+        self.itl_hist.observe_many(itertools.repeat(dt, size))
         self.backend.generated_tokens += size
         return self._unit(st, self.sim.now_ms + dt, size, "decode", size,
                           self.backend.decode_key(ctxs))
@@ -321,11 +320,13 @@ class ContinuousBatching(BatchPolicy):
         for s in st.running:
             st.kv.release(s.req.request_id)
         st.running = []
+        st.kv.close()
         st.pool.free(st.weights)
         self.interrupted[replica.replica_id] = st
 
     def teardown(self) -> None:
         for st in self.decoders.values():
+            st.kv.close()
             st.pool.free(st.weights)
 
     def check_invariants(self) -> None:

@@ -16,6 +16,7 @@ from __future__ import annotations
 import heapq
 import random
 import zlib
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -120,6 +121,33 @@ class Histogram:
             j = getrandbits(k)
         if j < self.max_samples:
             self.samples[j] = value
+
+    def observe_many(self, values: Iterable[float]) -> None:
+        """:meth:`observe` each of ``values`` in order, with no
+        exemplar, in one call: the same running sums, added one value at
+        a time, and the same reservoir draws."""
+        samples = self.samples
+        cap = self.max_samples
+        getrandbits = self._rng.getrandbits
+        n = self._observed
+        total = self._total
+        try:
+            for value in values:
+                value = float(value)
+                n += 1
+                total += value
+                if cap is None or len(samples) < cap:
+                    samples.append(value)
+                    continue
+                k = n.bit_length()
+                j = getrandbits(k)
+                while j >= n:
+                    j = getrandbits(k)
+                if j < cap:
+                    samples[j] = value
+        finally:
+            self._observed = n
+            self._total = total
 
     def _keep_exemplar(self, value: float, label: str) -> None:
         # top-k by (value, label): the heap root is the smallest kept

@@ -2,14 +2,16 @@
 
 A hypothesis state machine admits sequences, grows them a few tokens at
 a time (one sequence, or a random subset in one call, as a decode
-iteration does) and preempts (releases) them, over a pool that also
-holds a weights allocation.  After every step both ledgers pass their
-own ``check_invariants()``; each page lands on the lowest free slot; the
-cache never holds more pages than the pool can grant; and
-``peak_pages`` / ``peak_page_utilization`` equal a recount of the test's
-own tables.  A grow over a subset must equal the same grows made one
-sequence at a time, or, when their pages do not fit together, change
-nothing.  Releasing everything drains the cache and the pool to zero.
+iteration does) and preempts (releases) them, in a cache that reserved
+what a pool holding a weights allocation had left.  After every step
+both ledgers pass their own ``check_invariants()``; each page lands on
+the lowest free block id; the cache never holds more blocks than it
+reserved, and the pool holds exactly the weights and that reservation;
+and ``peak_pages`` / ``peak_page_utilization`` equal a recount of the
+test's own tables.  A grow over a subset must equal the same grows made
+one sequence at a time, or, when their pages do not fit together,
+change nothing.  Releasing everything and closing the cache drains the
+pool to zero.
 """
 
 from hypothesis import settings, strategies as st
@@ -40,7 +42,8 @@ class KvCacheMachine(RuleBasedStateMachine):
                                           tag="weights")
         self.kv = PagedKvCache(self.pool, BYTES_PER_TOKEN,
                                page_tokens=PAGE_TOKENS)
-        self.slots = set(self.weights.pages)   # the test's own page map
+        assert self.kv.capacity_pages == KV_PAGES
+        self.blocks: set[int] = set()          # the test's own block map
         self.tokens: dict[int, int] = {}       # seq -> tokens held
         self.next_seq = 0
         self.peak = 0
@@ -60,13 +63,13 @@ class KvCacheMachine(RuleBasedStateMachine):
 
     def _expect_placed(self, seq, before: tuple[int, ...]):
         """The pages added since ``before`` went, one by one, to the
-        lowest free slot of the map."""
+        lowest free block id."""
         table = self.kv.page_table(seq)
         assert table[:len(before)] == before
-        for slot in table[len(before):]:
-            lowest = min(set(range(POOL_PAGES)) - self.slots)
-            assert slot == lowest
-            self.slots.add(slot)
+        for block in table[len(before):]:
+            lowest = min(set(range(KV_PAGES)) - self.blocks)
+            assert block == lowest
+            self.blocks.add(block)
 
     # -- rules ---------------------------------------------------------------
 
@@ -109,7 +112,7 @@ class KvCacheMachine(RuleBasedStateMachine):
         assert self.kv.pages_to_grow(seqs, tokens) == extra
         fits = self._pages() + extra <= KV_PAGES
         before = {seq: self.kv.page_table(seq) for seq in self.tokens}
-        free_before = self.pool.free_bytes
+        free_before = self.kv.free_pages
         failed_before = self.kv.failed_grows
         assert self.kv.grow(seqs, tokens) == fits
         if fits:
@@ -123,7 +126,7 @@ class KvCacheMachine(RuleBasedStateMachine):
                     for seq in self.tokens} == before
             assert all(self.kv.tokens_of(seq) == held
                        for seq, held in self.tokens.items())
-            assert self.pool.free_bytes == free_before
+            assert self.kv.free_pages == free_before
             assert self.kv.failed_grows == failed_before + 1
 
     @precondition(lambda self: self.tokens)
@@ -132,7 +135,7 @@ class KvCacheMachine(RuleBasedStateMachine):
         seq = data.draw(st.sampled_from(sorted(self.tokens)))
         table = self.kv.page_table(seq)
         assert self.kv.release(seq) == pages_for(self.tokens.pop(seq))
-        self.slots -= set(table)
+        self.blocks -= set(table)
         assert self.kv.release(seq) == 0          # already gone
 
     # -- after every step ----------------------------------------------------
@@ -144,8 +147,7 @@ class KvCacheMachine(RuleBasedStateMachine):
         assert self.kv.live_seqs == len(self.tokens)
         assert self.kv.live_pages == self._pages() <= KV_PAGES
         assert self.kv.live_pages + self.kv.free_pages == KV_PAGES
-        assert self.pool.used_bytes == (
-            (self.kv.live_pages + WEIGHT_PAGES) * PAGE_BYTES)
+        assert self.pool.used_bytes == (KV_PAGES + WEIGHT_PAGES) * PAGE_BYTES
         assert (self.kv.peak_pages, self.kv.peak_page_utilization) == (
             self.peak, self.peak_util)
         live = sum(self.tokens.values())
@@ -158,6 +160,8 @@ class KvCacheMachine(RuleBasedStateMachine):
             self.kv.release(seq)
         self.kv.check_invariants()
         assert self.kv.live_seqs == self.kv.live_pages == 0
+        self.kv.close()
+        self.kv.check_invariants()
         assert self.pool.free(self.weights)
         self.pool.check_invariants()
         assert self.pool.used_bytes == 0

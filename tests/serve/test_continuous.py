@@ -45,6 +45,8 @@ class TestConservation:
             assert st.kv.live_seqs == 0 and st.kv.live_pages == 0
             assert st.pool.leak_report().ok
             assert st.pool.free_bytes == st.pool.total_bytes
+            # the weights and the KV reservation, nothing per page
+            assert st.pool.alloc_count == st.pool.free_count == 2
         sim.check_invariants()
 
     def test_interruption_releases_the_replicas_kv(self, make_endpoint):
@@ -63,6 +65,7 @@ class TestConservation:
         assert victim.kv.live_seqs == 0 and victim.kv.live_pages == 0
         assert victim.pool.leak_report().ok
         assert victim.pool.free_bytes == victim.pool.total_bytes
+        assert victim.pool.alloc_count == victim.pool.free_count == 2
         assert 0 not in sim.policy.decoders
         sim.check_invariants()
 
@@ -79,6 +82,34 @@ class TestConservation:
         assert victim.peak_pages == 70
         assert report.kv_peak_pages == victim.peak_pages
         assert report.kv_page_utilization == victim.peak_page_utilization
+
+
+class TestTeardownAudit:
+    """``run()`` tears every replica down, then audits what is left."""
+
+    @staticmethod
+    def _run_leaking(make_endpoint, leak):
+        sim = ContinuousBatchingSimulation(make_endpoint(), llm_backend())
+        teardown = sim.policy.teardown
+
+        def leaky_teardown():
+            for st in sim.policy.decoders.values():
+                leak(st)
+            teardown()
+
+        sim.policy.teardown = leaky_teardown
+        return sim.run(constant_trace(20.0, 200.0, PROMPTS, seed=1))
+
+    def test_a_sequence_left_in_a_cache_is_a_kv_leak(self, make_endpoint):
+        with pytest.raises(ReproError, match="KV ledger leak on replica "
+                           r"\d+: 1 sequences / 2 pages"):
+            self._run_leaking(make_endpoint,
+                              lambda st: st.kv.allocate(-1, 20))
+
+    def test_a_stray_pool_allocation_is_a_pool_leak(self, make_endpoint):
+        with pytest.raises(ReproError, match="device pool leak on replica"):
+            self._run_leaking(make_endpoint,
+                              lambda st: st.pool.allocate(64, tag="stray"))
 
 
 class TestLlmReportFields:
@@ -157,6 +188,16 @@ class TestPagedKvPressure:
         with pytest.raises(ReproError):
             ContinuousBatchingSimulation(make_endpoint(), llm_backend(),
                                          kv_page_tokens=0)
+
+    def test_negative_kv_budget_is_rejected_up_front(self, make_endpoint):
+        with pytest.raises(ReproError, match="kv_budget_bytes"):
+            ContinuousBatchingSimulation(make_endpoint(), llm_backend(),
+                                         kv_budget_bytes=-1)
+        # an empty budget is legal: no request can ever fit, so all shed
+        report = run_continuous(make_endpoint(), llm_backend(),
+                                constant_trace(20.0, 100.0, PROMPTS),
+                                kv_budget_bytes=0)
+        assert report.shed == report.submitted > 0
 
     def test_non_iteration_backend_rejected(self, make_endpoint, backend):
         with pytest.raises(ReproError):

@@ -1,5 +1,6 @@
 """Metrics instruments, the registry, and the CloudWatch bridge."""
 
+import itertools
 import random
 import zlib
 
@@ -100,6 +101,30 @@ class TestReservoirHistogram:
             if j < max_samples:
                 expected[j] = float(n)
         assert h.samples == expected
+
+    @pytest.mark.parametrize("max_samples", [1, 7, 64])
+    def test_observe_many_is_one_observe_per_value(self, max_samples):
+        # runs of one repeated value, as a decode iteration observes its
+        # ITL once per sequence; the run sizes cross the fill point in
+        # the middle of a call, and the values are ones whose repeated
+        # sum a product would round differently
+        stream = random.Random(max_samples)
+        runs = [(stream.random() * 100.0, size)
+                for size in [0, 1, 5, 32, 3] * 40]
+        one = Histogram("serve.itl_ms", max_samples=max_samples,
+                        max_exemplars=3)
+        many = Histogram("serve.itl_ms", max_samples=max_samples,
+                         max_exemplars=3)
+        for value, size in runs:
+            for _ in range(size):
+                one.observe(value)
+            many.observe_many(itertools.repeat(value, size))
+        assert many.samples == one.samples
+        assert many.count == one.count == 41 * 40
+        assert many.sum.hex() == one.sum.hex()
+        assert many.sum != sum(value * size for value, size in runs)
+        assert many._rng.getstate() == one._rng.getstate()
+        assert many.exemplars == one.exemplars == []
 
     def test_below_capacity_is_exact(self):
         h = Histogram("lat", max_samples=1000)
