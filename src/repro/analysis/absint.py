@@ -71,7 +71,13 @@ import math
 from dataclasses import dataclass, field
 
 from repro.analysis.cfg import build_cfg, unrolled_schedule
-from repro.analysis.context import _is_kernel_def, is_sync
+from repro.analysis.context import (
+    _is_kernel_def,
+    children,
+    is_sync,
+    nodes_of,
+    walk,
+)
 from repro.analysis.domains import (
     INF,
     AbsVal,
@@ -317,10 +323,10 @@ def _scan_launches(ctx, kernels) -> dict:
                 continue
             # only this statement's own expressions: its nested
             # statements follow it, with the assignments up to them
-            for child in ast.iter_child_nodes(stmt):
+            for child in children(stmt):
                 if isinstance(child, (ast.stmt, ast.ExceptHandler)):
                     continue
-                for node in ast.walk(child):
+                for node in walk(child):
                     if isinstance(node, ast.Call) \
                             and isinstance(node.func, ast.Subscript) \
                             and isinstance(node.func.value, ast.Name):
@@ -740,13 +746,13 @@ class _KernelInterp:
             return self._call(node, state, check)
         if isinstance(node, (ast.Compare, ast.BoolOp)):
             taint = T_NONE
-            for child in ast.iter_child_nodes(node):
+            for child in children(node):
                 if isinstance(child, ast.expr):
                     taint = max(taint,
                                 self._eval(child, state, check).taint)
             return AbsVal(None, Interval(0, 1), taint)
         taint = T_NONE
-        for child in ast.iter_child_nodes(node):
+        for child in children(node):
             if isinstance(child, ast.expr):
                 taint = max(taint, self._eval(child, state, check).taint)
         return AbsVal(None, Interval.top(), taint)
@@ -1203,12 +1209,12 @@ def _kernel_defs(ctx, live: str | None = None) -> tuple[list, dict]:
     ``cuda.jit(fn)`` may have made."""
     kernels: list = []
     helpers: dict = {}
-    for node in ctx.nodes:
-        if isinstance(node, ast.FunctionDef):
-            if node.name == live or _is_kernel_def(node, ctx.cuda_names):
-                kernels.append(node)
-            else:
-                helpers[node.name] = node
+    defs = () if ctx.tree is None else nodes_of(ctx.tree, ast.FunctionDef)
+    for node in defs:
+        if node.name == live or _is_kernel_def(node, ctx.cuda_names):
+            kernels.append(node)
+        else:
+            helpers[node.name] = node
     kernels.sort(key=lambda fn: (fn.name, fn.lineno))
     return kernels, helpers
 
@@ -1323,7 +1329,7 @@ def _reaches_sync(name: str, helpers: dict) -> bool:
         if fn is None:
             continue
         names = {n.id if isinstance(n, ast.Name) else n.attr
-                 for n in ast.walk(fn)
+                 for n in walk(fn)
                  if isinstance(n, (ast.Name, ast.Attribute))}
         if "syncthreads" in names:
             return True
@@ -1363,7 +1369,7 @@ def _shared_races(fn, shared, cuda_names, helpers: dict) -> list:
             pending.clear()
             continue
         reads, writes = [], []
-        for n in ast.walk(stmt):
+        for n in walk(stmt):
             if not (isinstance(n, ast.Subscript)
                     and isinstance(n.value, ast.Name)
                     and n.value.id in shared):
@@ -1404,19 +1410,19 @@ def _parse_base(rendered: str) -> dict:
 def _has_mac_loop(fn: ast.FunctionDef) -> bool:
     """A multiply-accumulate (``acc += a[...] * b[...]``) inside a
     loop — the tiled-matmul signature."""
-    for node in ast.walk(fn):
+    for node in walk(fn):
         if not isinstance(node, (ast.For, ast.While)):
             continue
-        for inner in ast.walk(node):
+        for inner in walk(node):
             if isinstance(inner, ast.AugAssign) \
                     and isinstance(inner.op, ast.Add):
-                for mul in ast.walk(inner.value):
+                for mul in walk(inner.value):
                     if isinstance(mul, ast.BinOp) \
                             and isinstance(mul.op, ast.Mult) \
                             and any(isinstance(n, ast.Subscript)
-                                    for n in ast.walk(mul.left)) \
+                                    for n in walk(mul.left)) \
                             and any(isinstance(n, ast.Subscript)
-                                    for n in ast.walk(mul.right)):
+                                    for n in walk(mul.right)):
                         return True
     return False
 

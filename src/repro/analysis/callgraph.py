@@ -34,28 +34,21 @@ import hashlib
 import json
 from dataclasses import dataclass, field
 
-from repro.analysis.context import AnalysisContext, _is_kernel_def
+from repro.analysis.context import (
+    LEAVES,
+    AnalysisContext,
+    _is_kernel_def,
+    children,
+    loop_bound_names,
+    nodes_of,
+)
 
 MODULE_SCOPE = "<module>"
 
 _FUNC_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef)
-
-
-def _loop_bound_names(loop: ast.stmt) -> frozenset:
-    """Every name the loop (re)binds: targets plus stores in the body
-    (mirrors ``perfpass._bound_names`` so caller-side loop-invariance
-    agrees with the intra-procedural PERF pass)."""
-    bound: set[str] = set()
-    nodes: list[ast.AST] = list(getattr(loop, "body", ()))
-    nodes.extend(getattr(loop, "orelse", ()))
-    target = getattr(loop, "target", None)
-    if target is not None:
-        nodes.append(target)
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                bound.add(n.id)
-    return frozenset(bound)
+#: nodes the call scan does not descend into: scopes whose calls are
+#: another scope's, and leaves, which hold none
+_NO_CALLS_BELOW = (*_FUNC_TYPES, ast.ClassDef, ast.Lambda, *LEAVES)
 
 
 def module_name_for(filename: str) -> str:
@@ -373,7 +366,7 @@ class _FileScanner:
                          class_name=None)
 
     def _scan_imports(self) -> None:
-        for node in self.ctx.nodes:
+        for node in nodes_of(self.ctx.tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 for alias in node.names:
                     bound = alias.asname or alias.name.split(".")[0]
@@ -427,7 +420,7 @@ class _FileScanner:
             # defs — those belong to the inner scope)
             is_loop = isinstance(stmt, (ast.For, ast.While, ast.AsyncFor))
             in_loop = loop_depth + (1 if is_loop else 0)
-            in_bound = _loop_bound_names(stmt) if is_loop else loop_bound
+            in_bound = loop_bound_names(stmt) if is_loop else loop_bound
             self._scan_calls(stmt, scope_fid, local, class_name,
                              loop_depth, loop_bound)
             for body in self._stmt_bodies(stmt):
@@ -455,22 +448,24 @@ class _FileScanner:
                 and isinstance(stmt.targets[0], ast.Name):
             bound_to = stmt.targets[0].id
         top_value = getattr(stmt, "value", None)
-        work: list[ast.AST] = []
-        for node in ast.iter_child_nodes(stmt):
-            if isinstance(node, (ast.stmt, *_FUNC_TYPES, ast.ClassDef)):
-                continue
-            work.append(node)
+        # the bindings as this statement sees them: one snapshot shared
+        # by its call sites, since resolution only reads it
+        snapshot = None
+        work = [node for node in children(stmt)
+                if not isinstance(node, ast.stmt)]
         while work:
             node = work.pop()
-            if isinstance(node, (*_FUNC_TYPES, ast.ClassDef, ast.Lambda)):
+            if isinstance(node, _NO_CALLS_BELOW):
                 continue
             if isinstance(node, ast.Call):
+                if snapshot is None:
+                    snapshot = dict(local)
                 self.pending.append((
-                    scope_fid, node, dict(local), class_name, loop_depth,
+                    scope_fid, node, snapshot, class_name, loop_depth,
                     loop_bound,
                     bound_to if node is top_value else None,
                     returned and node is top_value))
-            work.extend(ast.iter_child_nodes(node))
+            work.extend(children(node))
 
     def _record_alias(self, name: str, value: ast.AST, local: dict,
                       module_level: bool = False) -> None:

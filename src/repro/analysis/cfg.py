@@ -23,7 +23,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass, field
 
-from repro.analysis.context import module_nodes
+from repro.analysis.context import nodes_of, walk
 
 #: how many times the canonical schedule repeats a loop body: two, so a
 #: binding (or free) left by iteration one is observed by iteration two
@@ -222,12 +222,11 @@ def scopes(tree: ast.AST):
     function definition — the units a per-scope analysis runs over."""
     if isinstance(tree, ast.Module):
         yield tree, list(tree.body)
-        nodes = module_nodes(tree)
+        defs = nodes_of(tree, *SCOPE_TYPES)
     else:
-        nodes = ast.walk(tree)
-    for node in nodes:
-        if isinstance(node, SCOPE_TYPES):
-            yield node, list(node.body)
+        defs = [n for n in walk(tree) if isinstance(n, SCOPE_TYPES)]
+    for node in defs:
+        yield node, list(node.body)
 
 
 def unrolled_schedule(stmts, loop_passes: int = LOOP_PASSES

@@ -1,5 +1,5 @@
 """One parse and one walk per file: the :class:`AnalysisContext` every
-pass shares.
+pass shares, and the traversal layer every analyzer walks trees with.
 
 Before the unified framework, each analyzer family re-read and
 re-parsed the same file — the kernel linter, the perflint families, and
@@ -9,17 +9,32 @@ source, line index, namespace aliases, and suppression table
 (:meth:`AnalysisContext.is_suppressed`, which every entry point applies
 through the driver).
 
-:func:`module_nodes` walks a parsed module **once** and keeps its
-nodes, in ``ast.walk`` order, on the tree itself.  Every family's
-whole-module scan for file-level facts (imports, kernel defs, launch
-plans) reads that sequence, whether the pass is handed the context
-(``ctx.nodes``) or only the tree; sub-tree walks (one statement, one
-scope) stay walks.
+The traversal layer replaces the stdlib's generators in every analyzer
+(``analysis/``, ``perflint/``, ``memcheck/``, ``sanitize/``):
+
+* :func:`children` and :func:`walk` return exactly the nodes
+  ``ast.iter_child_nodes`` and ``ast.walk`` yield, in the same order,
+  from one flat loop over each node's ``_fields`` instead of a pair of
+  generators per node.
+* :class:`Visitor` keeps ``ast.NodeVisitor``'s contract
+  (``visit_<Class>`` methods, else :meth:`Visitor.generic_visit`) over
+  :func:`children`, and looks each node class's method up once per
+  visitor class.
+* A parsed module is walked **once**: the nodes below it, in
+  ``ast.walk`` order, are kept on the tree itself (never the tree, so
+  a module is no reference cycle), and the same pass files each node's
+  position under its class.  :func:`nodes_of` reads that index: the
+  module's nodes of some concrete classes, in walk order.  Every
+  family's whole-module scan for file-level facts (imports, kernel
+  defs, launch plans) reads it, whether the pass is handed the context
+  or only the tree, so no scan filters every node of the module.
+  :func:`module_nodes` (``ctx.nodes``) is the whole sequence.  The
+  walk stays lazy: parsing a file walks nothing.
 
 ``parse_count()`` / ``reset_parse_count()`` expose the framework's own
 instrumentation: the test-suite runs the full all-analyzers driver over
-the repository and asserts one parse per file (and, counting
-``ast.walk`` calls, one walk per module).
+the repository and asserts one parse per file (and, counting walks of
+an ``ast.Module``, one walk per module).
 """
 
 from __future__ import annotations
@@ -43,24 +58,152 @@ def reset_parse_count() -> None:
     _parse_count = 0
 
 
-def module_nodes(tree: ast.Module) -> tuple[ast.AST, ...]:
-    """Every node of ``tree`` in ``ast.walk`` order, walked once per tree.
+_AST = ast.AST
 
-    Pure in the tree, so the sequence is memoized on the module node
-    itself: every pass that scans the whole module, handed a context or
-    only the tree, reads the same tuple.
-    """
-    nodes = getattr(tree, "_repro_nodes", None)
-    if nodes is None:
-        nodes = tuple(ast.walk(tree))
-        tree._repro_nodes = nodes
+#: node classes with nothing but a load/store context below them: a
+#: walk that looks for calls, statements or assignments need not expand
+#: them (names and contexts are about half of a module's nodes)
+LEAVES = (ast.Name, ast.Constant, ast.expr_context)
+
+
+def children(node: ast.AST) -> list[ast.AST]:
+    """The nodes ``ast.iter_child_nodes(node)`` yields, in its order."""
+    out = []
+    for name in node._fields:
+        field = getattr(node, name, None)
+        if isinstance(field, _AST):
+            out.append(field)
+        elif isinstance(field, list):
+            for item in field:
+                if isinstance(item, _AST):
+                    out.append(item)
+    return out
+
+
+def walk(node: ast.AST) -> list[ast.AST]:
+    """The nodes ``ast.walk(node)`` yields, in its breadth-first order.
+
+    The loop runs over the list it appends to, so each node's children
+    join the queue as it is reached; the body is :func:`children`'s,
+    inlined, since this is the analyzers' hottest loop."""
+    nodes = [node]
+    for node in nodes:
+        for name in node._fields:
+            field = getattr(node, name, None)
+            if isinstance(field, _AST):
+                nodes.append(field)
+            elif isinstance(field, list):
+                for item in field:
+                    if isinstance(item, _AST):
+                        nodes.append(item)
     return nodes
+
+
+class Visitor:
+    """``ast.NodeVisitor`` over :func:`children`: ``visit(node)`` calls
+    the subclass's ``visit_<Class>`` method for the node's class, else
+    :meth:`generic_visit`, which does the same for each child in order.
+    The method for each node class is looked up once per visitor class,
+    and :meth:`generic_visit` dispatches the children itself, so a
+    subclass overrides ``visit_<Class>`` and ``generic_visit``, never
+    ``visit``."""
+
+    _methods: dict = {}
+
+    def __init_subclass__(cls, **kwargs) -> None:
+        super().__init_subclass__(**kwargs)
+        cls._methods = {}
+
+    @classmethod
+    def _method(cls, kind: type):
+        method = getattr(cls, "visit_" + kind.__name__, cls.generic_visit)
+        cls._methods[kind] = method
+        return method
+
+    def visit(self, node: ast.AST):
+        kind = node.__class__
+        return (self._methods.get(kind) or self._method(kind))(self, node)
+
+    def generic_visit(self, node: ast.AST) -> None:
+        methods = self._methods
+        for child in children(node):
+            kind = child.__class__
+            (methods.get(kind) or self._method(kind))(self, child)
+
+
+def _walked(tree: ast.Module) -> tuple[tuple, dict]:
+    """``(below, index)``: the nodes under ``tree`` in ``ast.walk``
+    order, and each class's positions among them, from one walk
+    memoized on the tree.  The memo never holds the tree itself: a
+    sequence stored on the tree that held the tree would make every
+    parsed module a reference cycle, freed only by a full garbage
+    collection instead of when its last user drops it."""
+    memo = getattr(tree, "_repro_walk", None)
+    if memo is None:
+        below = tuple(walk(tree)[1:])
+        index: dict[type, list[int]] = {}
+        for pos, node in enumerate(below):
+            index.setdefault(node.__class__, []).append(pos)
+        memo = tree._repro_walk = (below, index)
+    return memo
+
+
+def module_nodes(tree: ast.Module) -> tuple[ast.AST, ...]:
+    """Every node of ``tree`` in ``ast.walk`` order, the tree first,
+    from the one walk per tree that every pass shares, handed a context
+    or only the tree."""
+    return (tree, *_walked(tree)[0])
+
+
+_CONCRETE: set[type] = set()
+
+
+def _concrete(kind) -> type:
+    """``kind`` if it is a class parsed nodes are instances of; an
+    abstract class (``ast.stmt``, ``ast.expr``) has no fields of its own
+    and node classes under it."""
+    if kind not in _CONCRETE:
+        if not (type(kind) is type and issubclass(kind, _AST)) \
+                or (not kind._fields and kind.__subclasses__()):
+            raise TypeError(f"nodes_of takes concrete node classes, "
+                            f"not {kind!r}")
+        _CONCRETE.add(kind)
+    return kind
+
+
+def nodes_of(tree: ast.Module, *kinds: type) -> list[ast.AST]:
+    """The module's nodes whose class is one of ``kinds``, in
+    ``ast.walk`` order (also when several classes are mixed): what
+    filtering :func:`module_nodes` by ``isinstance`` gives, read from
+    the per-class index instead of testing every node."""
+    below, index = _walked(tree)
+    if len(kinds) == 1:
+        positions = index.get(_concrete(kinds[0]), ())
+    else:
+        positions = sorted(pos for kind in set(kinds)
+                           for pos in index.get(_concrete(kind), ()))
+    found = [below[pos] for pos in positions]
+    if tree.__class__ in kinds:
+        found.insert(0, tree)           # the walk yields the tree first
+    return found
+
+
+def loop_bound_names(loop: ast.stmt) -> frozenset[str]:
+    """Every name a loop (re)binds: stores in its body and ``else``,
+    then in its target (a ``for``'s; a ``while`` has none)."""
+    parts: list[ast.AST] = [*loop.body, *loop.orelse]
+    target = getattr(loop, "target", None)
+    if target is not None:
+        parts.append(target)
+    return frozenset(n.id for part in parts for n in walk(part)
+                     if isinstance(n, ast.Name)
+                     and isinstance(n.ctx, ast.Store))
 
 
 def _cuda_aliases(tree: ast.Module) -> set[str]:
     """Names the module binds to a cuda-like namespace (default: cuda)."""
     names = {"cuda"}
-    for node in module_nodes(tree):
+    for node in nodes_of(tree, ast.Import, ast.ImportFrom):
         if isinstance(node, ast.ImportFrom):
             for alias in node.names:
                 if alias.name == "cuda":
@@ -200,7 +343,7 @@ class AnalysisContext:
         marks = self.noqa.get(line, ())
         return "*" in marks or rule in marks
 
-    @property
+    @cached_property
     def nodes(self) -> tuple[ast.AST, ...]:
         """The module's nodes in ``ast.walk`` order (:func:`module_nodes`)."""
         return () if self.tree is None else module_nodes(self.tree)
@@ -225,7 +368,9 @@ class AnalysisContext:
     def imports_repro(self) -> bool:
         """Does the module import anything from the simulated stack?
         The DET wall-clock rule only applies to simulated-clock code."""
-        for node in self.nodes:
+        if self.tree is None:
+            return False
+        for node in nodes_of(self.tree, ast.Import, ast.ImportFrom):
             if isinstance(node, ast.Import):
                 if any(a.name == "repro" or a.name.startswith("repro.")
                        for a in node.names):
@@ -238,5 +383,6 @@ class AnalysisContext:
         return False
 
 
-__all__ = ["AnalysisContext", "is_sync", "module_nodes", "parse_count",
-           "reset_parse_count"]
+__all__ = ["LEAVES", "AnalysisContext", "Visitor", "children", "is_sync",
+           "loop_bound_names", "module_nodes", "nodes_of", "parse_count",
+           "reset_parse_count", "walk"]

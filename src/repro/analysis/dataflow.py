@@ -21,6 +21,7 @@ import ast
 from typing import Callable, Iterable
 
 from repro.analysis.cfg import CFG, BasicBlock
+from repro.analysis.context import children, walk
 
 Fact = tuple
 Facts = frozenset
@@ -43,17 +44,17 @@ def own_nodes(stmt: ast.stmt):
         yield stmt
         return
     if isinstance(stmt, (ast.If, ast.While)):
-        yield from ast.walk(stmt.test)
+        yield from walk(stmt.test)
         return
     if isinstance(stmt, (ast.For, ast.AsyncFor)):
-        yield from ast.walk(stmt.target)
-        yield from ast.walk(stmt.iter)
+        yield from walk(stmt.target)
+        yield from walk(stmt.iter)
         return
     if isinstance(stmt, (ast.With, ast.AsyncWith)):
         for item in stmt.items:
-            yield from ast.walk(item.context_expr)
+            yield from walk(item.context_expr)
             if item.optional_vars is not None:
-                yield from ast.walk(item.optional_vars)
+                yield from walk(item.optional_vars)
         return
     if isinstance(stmt, _TRY_TYPES):
         return
@@ -64,7 +65,7 @@ def own_nodes(stmt: ast.stmt):
         if node is not stmt and isinstance(node, (*_SCOPE_STMTS,
                                                   ast.Lambda)):
             continue
-        todo.extend(ast.iter_child_nodes(node))
+        todo.extend(children(node))
 
 
 def stmt_defs(stmt: ast.stmt) -> set[str]:

@@ -35,7 +35,7 @@ import ast
 from pathlib import Path
 
 from repro.analysis.cfg import CFG, SCOPE_TYPES, build_cfg, scopes
-from repro.analysis.context import AnalysisContext
+from repro.analysis.context import AnalysisContext, children, nodes_of, walk
 from repro.analysis.dataflow import ReachingDefinitions, reaching_at, solve
 from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
@@ -73,17 +73,17 @@ _SET_BINOPS = (ast.BitOr, ast.BitAnd, ast.Sub, ast.BitXor)
 
 
 def _walk_scope(node: ast.AST):
-    """``ast.walk`` that does not descend into nested function scopes
-    (they are analyzed as their own scopes).  A function definition
-    itself contributes nothing — its body belongs to the inner scope."""
+    """Every node under ``node``, depth first, not descending into
+    nested function scopes (they are analyzed as their own scopes).  A
+    function definition itself contributes nothing — its body belongs
+    to the inner scope."""
     work = [node]
     while work:
         n = work.pop()
         yield n
         if isinstance(n, SCOPE_TYPES):
             continue
-        for child in ast.iter_child_nodes(n):
-            work.append(child)
+        work.extend(children(n))
 
 
 class _Aliases:
@@ -204,29 +204,22 @@ class _DetPass:
     def __init__(self, ctx: AnalysisContext) -> None:
         self.ctx = ctx
         self.tree = ctx.tree
-        # one pass over the shared node sequence feeds every file-level
-        # gate: the alias tables, draw/seed presence, and set-construct
-        # presence
-        imports: list[ast.stmt] = []
-        calls: list[ast.Call] = []
-        self.has_sets = False
+        # the shared node index feeds every file-level gate: the alias
+        # tables, draw/seed presence, and set-construct presence
+        imports = nodes_of(self.tree, ast.Import, ast.ImportFrom)
+        calls = nodes_of(self.tree, ast.Call)
+        self.has_sets = bool(nodes_of(self.tree, ast.Set, ast.SetComp))
         self.has_emitters = False
-        for node in ctx.nodes:
-            if isinstance(node, (ast.Import, ast.ImportFrom)):
-                imports.append(node)
-            elif isinstance(node, ast.Call):
-                calls.append(node)
-                func = node.func
-                if isinstance(func, ast.Name):
-                    if func.id in ("set", "frozenset"):
-                        self.has_sets = True
-                    elif func.id in _EMIT_NAMES:
-                        self.has_emitters = True
-                elif isinstance(func, ast.Attribute) \
-                        and func.attr in _EMIT_ATTRS:
+        for node in calls:
+            func = node.func
+            if isinstance(func, ast.Name):
+                if func.id in ("set", "frozenset"):
+                    self.has_sets = True
+                elif func.id in _EMIT_NAMES:
                     self.has_emitters = True
-            elif isinstance(node, (ast.Set, ast.SetComp)):
-                self.has_sets = True
+            elif isinstance(func, ast.Attribute) \
+                    and func.attr in _EMIT_ATTRS:
+                self.has_emitters = True
         self.aliases = _Aliases(imports, ctx.namespaces[2])
         self.has_draws = any(self.aliases.global_rng_call(c) is not None
                              for c in calls)
@@ -465,7 +458,7 @@ class _DetPass:
                             ordered.add(t.id)
                 elif isinstance(stmt, ast.For) \
                         and is_unordered(stmt.iter):
-                    for n in ast.walk(stmt.target):
+                    for n in walk(stmt.target):
                         if isinstance(n, ast.Name):
                             taint(n.id, stmt)
                     for name in mutated_names(stmt):
@@ -538,7 +531,7 @@ class _DetPass:
                     continue
                 if isinstance(n, ast.Name) and is_unordered(n):
                     return n.id
-                work.extend(ast.iter_child_nodes(n))
+                work.extend(children(n))
         return None
 
 

@@ -8,7 +8,8 @@ The driver is the only way from source to a report: the CLI
 :class:`AnalysisContext` per file and hands the *same* context to every
 requested family; each family package keeps only the ``*_context``
 function called here, which reads the module's nodes from the
-context's one walk (``ctx.nodes``) rather than walking the tree again:
+context's one walk (:func:`~repro.analysis.context.nodes_of`, the
+per-class index over ``ctx.nodes``) rather than walking the tree again:
 
 * ``kernel`` — :func:`repro.sanitize.astlint.lint_context` (every
   kernel rule in it is the abstract interpreter's; it adds the

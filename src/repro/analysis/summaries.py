@@ -44,7 +44,7 @@ import hashlib
 from dataclasses import dataclass, field
 
 from repro.analysis.callgraph import CallGraph, CallSite, FunctionInfo
-from repro.analysis.context import AnalysisContext
+from repro.analysis.context import LEAVES, AnalysisContext, children, nodes_of
 from repro.analysis.detpass import _NP_RNG_FNS, _STD_RNG_FNS, _Aliases
 from repro.perflint.perfpass import (
     _ALLOCS,
@@ -69,8 +69,10 @@ _HOST_ALLOC_ATTRS = {"alloc"}
 _RNG_FNS = _STD_RNG_FNS | _NP_RNG_FNS
 
 _LOOP_TYPES = (ast.For, ast.While, ast.AsyncFor)
-_SCOPE_TYPES = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
-                ast.ClassDef)
+#: what :func:`_scope_walk` yields but does not expand: nested scopes
+#: and leaves
+_NOT_EXPANDED = (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda,
+                 ast.ClassDef, *LEAVES)
 
 
 @dataclass(frozen=True)
@@ -154,24 +156,19 @@ class FileEnv:
 
     def __init__(self, ctx: AnalysisContext) -> None:
         tree = ctx.tree
-        nodes = ctx.nodes
-        imports = [n for n in nodes
-                   if isinstance(n, (ast.Import, ast.ImportFrom))]
+        imports = nodes_of(tree, ast.Import, ast.ImportFrom)
         self.aliases = _Aliases(imports, ctx.namespaces[2])
         self.xp_names = ctx.namespaces[0]
         # families `seed(...)` is called for anywhere in the file — the
         # same file-level gate the intra DET fast path uses
         self.seeded: set[str] = set()
-        self.identifiers: set[str] = set()
-        for node in nodes:
-            if isinstance(node, ast.Call):
-                fam = self.aliases.seed_call(node)
-                if fam is not None:
-                    self.seeded.add(fam)
-            elif isinstance(node, ast.Name):
-                self.identifiers.add(node.id)
-            elif isinstance(node, ast.Attribute):
-                self.identifiers.add(node.attr)
+        for node in nodes_of(tree, ast.Call):
+            fam = self.aliases.seed_call(node)
+            if fam is not None:
+                self.seeded.add(fam)
+        self.identifiers = {n.id for n in nodes_of(tree, ast.Name)}
+        self.identifiers.update(n.attr
+                                for n in nodes_of(tree, ast.Attribute))
         # names bound at module top level: stable across a caller's
         # loop iterations for the transfer-invariance test
         self.module_names: set[str] = set()
@@ -235,17 +232,19 @@ def clear_summary_cache() -> None:
 
 
 def _scope_walk(stmts):
-    """Yield ``(node, loop_depth)`` for every node in the scope, not
-    descending into nested function/class scopes."""
+    """Yield ``(node, loop_depth)`` for every node in the scope, depth
+    first, not descending into nested function/class scopes, nor into
+    :data:`~repro.analysis.context.LEAVES` (a name's load/store context
+    is the one node it skips: no caller asks for one)."""
     work = [(s, 0) for s in reversed(list(stmts))]
     while work:
         node, depth = work.pop()
         yield node, depth
-        if isinstance(node, _SCOPE_TYPES):
+        if isinstance(node, _NOT_EXPANDED):
             continue
         child_depth = depth + 1 if isinstance(node, _LOOP_TYPES) else depth
-        for child in reversed(list(ast.iter_child_nodes(node))):
-            work.append((child, child_depth))
+        work.extend([(child, child_depth)
+                     for child in reversed(children(node))])
 
 
 def _display(func: ast.AST) -> str:

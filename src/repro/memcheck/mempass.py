@@ -38,7 +38,7 @@ import ast
 import numpy as np
 
 from repro.analysis.cfg import LOOP_PASSES
-from repro.analysis.context import module_nodes
+from repro.analysis.context import nodes_of, walk
 from repro.analysis.rules import make_finding
 from repro.cloud.pricing import get_instance_type
 from repro.errors import CloudError
@@ -219,13 +219,13 @@ class MemInterp(ShapeInterp):
     def _loop(self, stmt: ast.For | ast.While) -> None:
         if isinstance(stmt, ast.For):
             self._eval(stmt.iter)
-            for n in ast.walk(stmt.target):
+            for n in walk(stmt.target):
                 if isinstance(n, ast.Name):
                     self.env[n.id] = _UNKNOWN
         else:
             self._eval(stmt.test)
         bound: set[str] = set()
-        for node in ast.walk(stmt):
+        for node in walk(stmt):
             if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
                 bound.add(node.id)
         self._loop_bound.append(bound)
@@ -297,7 +297,7 @@ class MemInterp(ShapeInterp):
                 except TypeError:
                     nbytes = -1
         arg_names = frozenset(
-            n.id for a in call.args for n in ast.walk(a)
+            n.id for a in call.args for n in walk(a)
             if isinstance(n, ast.Name))
         self.buffers[name] = BufferInfo(
             name, nbytes, stmt.lineno, loop=self._in_loop,
@@ -411,9 +411,7 @@ def _device_budget(tree: ast.Module) -> tuple[int, str, object | None]:
     target_label, current_instance_or_None)``; ``(0, "", None)`` when
     nothing in the file names a target — no target, no OOM verdict.
     """
-    for node in module_nodes(tree):
-        if not isinstance(node, ast.Call):
-            continue
+    for node in nodes_of(tree, ast.Call):
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)

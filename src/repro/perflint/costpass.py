@@ -30,7 +30,7 @@ from __future__ import annotations
 import ast
 from dataclasses import dataclass
 
-from repro.analysis.context import module_nodes
+from repro.analysis.context import nodes_of
 from repro.analysis.rules import make_finding
 from repro.cloud.billing import DEFAULT_BUDGET_CAP_USD
 from repro.cloud.bootstrap import BootstrapScript
@@ -96,12 +96,8 @@ def _literal(node: ast.AST) -> object:
 
 def _identifiers(tree: ast.Module) -> set[str]:
     """Every Name id and Attribute attr in the module (context markers)."""
-    out: set[str] = set()
-    for n in module_nodes(tree):
-        if isinstance(n, ast.Name):
-            out.add(n.id)
-        elif isinstance(n, ast.Attribute):
-            out.add(n.attr)
+    out = {n.id for n in nodes_of(tree, ast.Name)}
+    out.update(n.attr for n in nodes_of(tree, ast.Attribute))
     return out
 
 
@@ -117,10 +113,8 @@ def extract_plans(tree: ast.Module) -> list[PlanSite]:
         return cached
     plans: list[PlanSite] = []
     owner = "student"
-    nodes = module_nodes(tree)
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
+    calls = nodes_of(tree, ast.Call)
+    for node in calls:
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)
@@ -128,9 +122,7 @@ def extract_plans(tree: ast.Module) -> list[PlanSite]:
             lit = _literal(node.args[0])
             if isinstance(lit, str):
                 owner = lit
-    for node in nodes:
-        if not isinstance(node, ast.Call):
-            continue
+    for node in calls:
         func = node.func
         name = func.attr if isinstance(func, ast.Attribute) else (
             func.id if isinstance(func, ast.Name) else None)

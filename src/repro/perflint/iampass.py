@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import ast
 
+from repro.analysis.context import Visitor
 from repro.analysis.rules import make_finding
 from repro.cloud.iam import (
     Role,
@@ -77,7 +78,7 @@ def _build_statement(node: ast.Call) -> Statement | None:
         return None
 
 
-class _RoleCollector(ast.NodeVisitor):
+class _RoleCollector(Visitor):
     """Extract every policy construction (with source line) from a tree."""
 
     def __init__(self) -> None:
@@ -198,8 +199,10 @@ def diff_plan_against_role(needed: list[tuple[str, str]], role: Role,
 def iam_pass(tree: ast.Module, filename: str) -> Report:
     """Run the IAM-* least-privilege diff over a parsed module."""
     plans = extract_plans(tree)
+    if not plans:
+        return Report()         # no plan to judge: no policy walk
     roles = extract_roles(tree)
-    if not plans or not roles:
+    if not roles:
         return Report()
     report = Report()
     for plan in plans:

@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.context import module_nodes
+from repro.analysis.context import Visitor, loop_bound_names, nodes_of, walk
 from repro.analysis.rules import make_finding
 from repro.distributed.collectives import PERFLINT_FUSED, PERFLINT_PER_TENSOR
 from repro.sanitize.findings import Report
@@ -53,7 +53,7 @@ _PER_TENSOR = set(PERFLINT_PER_TENSOR) - set(PERFLINT_FUSED)
 def _xp_aliases(tree: ast.Module) -> set[str]:
     """Names bound to the ``repro.xp`` (or ``cupy``-like) namespace."""
     names = {"xp", "cp", "cupy"}
-    for node in module_nodes(tree):
+    for node in nodes_of(tree, ast.Import, ast.ImportFrom):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 if alias.name in ("repro.xp", "cupy") and alias.asname:
@@ -83,26 +83,13 @@ def _receiver(func: ast.AST) -> str | None:
 def _arg_names(call: ast.Call) -> set[str]:
     names: set[str] = set()
     for arg in list(call.args) + [kw.value for kw in call.keywords]:
-        for n in ast.walk(arg):
+        for n in walk(arg):
             if isinstance(n, ast.Name):
                 names.add(n.id)
     return names
 
 
-def _bound_names(loop: ast.For | ast.While) -> set[str]:
-    """Every name the loop (re)binds: targets plus any store in the body."""
-    bound: set[str] = set()
-    nodes: list[ast.AST] = list(loop.body) + list(loop.orelse)
-    if isinstance(loop, ast.For):
-        nodes.append(loop.target)
-    for node in nodes:
-        for n in ast.walk(node):
-            if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store):
-                bound.add(n.id)
-    return bound
-
-
-class PerfPass(ast.NodeVisitor):
+class PerfPass(Visitor):
     """One file's PERF-* walk (module scope + every function body)."""
 
     def __init__(self, tree: ast.Module, filename: str) -> None:
@@ -141,13 +128,14 @@ class PerfPass(ast.NodeVisitor):
     def _visit_loop(self, node: ast.For | ast.While) -> None:
         targets: set[str] = set()
         if isinstance(node, ast.For):
-            for n in ast.walk(node.target):
+            for n in walk(node.target):
                 if isinstance(n, ast.Name):
                     targets.add(n.id)
             self.visit(node.iter)
         else:
             self.visit(node.test)
-        self._loops.append({"bound": _bound_names(node), "targets": targets})
+        self._loops.append({"bound": loop_bound_names(node),
+                            "targets": targets})
         for stmt in list(node.body) + list(node.orelse):
             self.visit(stmt)
         self._loops.pop()

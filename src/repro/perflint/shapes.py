@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from repro.analysis.context import module_nodes
+from repro.analysis.context import children, nodes_of, walk
 from repro.analysis.rules import make_finding
 from repro.nn.layers import PERFLINT_SHAPE_PRESERVING
 from repro.sanitize.findings import Report
@@ -154,7 +154,7 @@ class ShapeInterp:
             self.run(list(stmt.orelse))
         elif isinstance(stmt, ast.For):
             self._eval(stmt.iter)
-            for n in ast.walk(stmt.target):
+            for n in walk(stmt.target):
                 if isinstance(n, ast.Name):
                     self.env[n.id] = _UNKNOWN
             self.run(list(stmt.body))
@@ -243,7 +243,7 @@ class ShapeInterp:
             self._eval(node.value)
             self._eval(node.slice)
             return _UNKNOWN
-        for child in ast.iter_child_nodes(node):
+        for child in children(node):
             self._eval(child)
         return _UNKNOWN
 
@@ -551,9 +551,16 @@ class ShapeInterp:
 
 
 def _namespace_aliases(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
-    """(xp-like, nn-related, numpy) names bound by the module's imports."""
+    """(xp-like, nn-related, numpy) names bound by the module's imports.
+
+    Pure in the tree, so the tables are memoized on the module node:
+    the context's ``namespaces``, the shape pass and the memory pass
+    read the same sets (none of them adds to one)."""
+    cached = getattr(tree, "_repro_namespaces", None)
+    if cached is not None:
+        return cached
     xp, nn, np_names = {"xp"}, set(), {"np", "numpy"}
-    for node in module_nodes(tree):
+    for node in nodes_of(tree, ast.Import, ast.ImportFrom):
         if isinstance(node, ast.Import):
             for alias in node.names:
                 bound = alias.asname or alias.name.split(".")[0]
@@ -573,7 +580,8 @@ def _namespace_aliases(tree: ast.Module) -> tuple[set[str], set[str], set[str]]:
             elif node.module in ("repro.nn", "repro.nn.layers"):
                 for alias in node.names:
                     nn.add(alias.asname or alias.name)
-    return xp, nn, np_names
+    tree._repro_namespaces = xp, nn, np_names
+    return tree._repro_namespaces
 
 
 def shape_pass(tree: ast.Module, filename: str) -> Report:

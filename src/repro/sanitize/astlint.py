@@ -39,7 +39,7 @@ from __future__ import annotations
 
 import ast
 
-from repro.analysis.context import _is_kernel_def
+from repro.analysis.context import _is_kernel_def, nodes_of, walk
 from repro.analysis.rules import make_finding
 from repro.sanitize.findings import Report
 
@@ -50,44 +50,42 @@ _SYNC_ATTRS = {"synchronize", "wait_for", "record"}
 
 # -- stream-hazard scan (module- or function-level straight-line code) -----
 
+def _buffer_names(stmt: ast.stmt) -> list[str]:
+    """The names ``name = ….to_device(…)`` / ``….device_array(…)``
+    binds to a device buffer (none for any other statement)."""
+    if not (isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call)
+            and isinstance(stmt.value.func, ast.Attribute)
+            and stmt.value.func.attr in _BUFFER_MAKERS):
+        return []
+    return [t.id for t in stmt.targets if isinstance(t, ast.Name)]
+
+
 class _StreamScan:
     """Linear scan for same-buffer launches on two streams with no
     intervening event dependency or synchronization."""
 
-    def __init__(self, cuda_names: set[str], filename: str) -> None:
-        self.cuda_names = cuda_names
+    def __init__(self, filename: str) -> None:
         self.filename = filename
-        self.streams: set[str] = set()
         self.buffers: set[str] = set()
         self.last_stream: dict[str, tuple[str, int]] = {}
         self.report = Report()
 
     def scan(self, stmts) -> Report:
-        for stmt in stmts:
+        """Scan one scope's top-level statements from the first that
+        binds a buffer: before it no launch can pass a buffer, so no call
+        records a stream or reports, and a sync only clears an empty
+        table."""
+        stmts = list(stmts)
+        first = next((i for i, stmt in enumerate(stmts)
+                      if _buffer_names(stmt)), len(stmts))
+        for stmt in stmts[first:]:
             self._stmt(stmt)
         return self.report
 
     def _stmt(self, stmt: ast.stmt) -> None:
-        if isinstance(stmt, ast.Assign) and isinstance(stmt.value, ast.Call):
-            self._classify_assign(stmt)
-        for call in [n for n in ast.walk(stmt) if isinstance(n, ast.Call)]:
+        self.buffers.update(_buffer_names(stmt))
+        for call in [n for n in walk(stmt) if isinstance(n, ast.Call)]:
             self._call(call)
-
-    def _classify_assign(self, stmt: ast.Assign) -> None:
-        func = stmt.value.func
-        is_stream = (
-            (isinstance(func, ast.Attribute) and func.attr in
-             ("stream", "create_stream"))
-        )
-        is_buffer = (isinstance(func, ast.Attribute)
-                     and func.attr in _BUFFER_MAKERS)
-        for t in stmt.targets:
-            if not isinstance(t, ast.Name):
-                continue
-            if is_stream:
-                self.streams.add(t.id)
-            elif is_buffer:
-                self.buffers.add(t.id)
 
     def _call(self, call: ast.Call) -> None:
         func = call.func
@@ -128,8 +126,8 @@ class _StreamScan:
 def lint_context(ctx) -> Report:
     """Lint every ``@cuda.jit`` kernel (and the stream usage) in one
     parsed :class:`repro.analysis.context.AnalysisContext` — the
-    driver's ``kernel`` family; this pass reads the shared
-    ``ctx.nodes``.
+    driver's ``kernel`` family; this pass reads the shared node index
+    (:func:`repro.analysis.context.nodes_of`).
 
     Every kernel rule is the abstract interpreter's
     (:func:`repro.analysis.absint.absint_context`, cached on the
@@ -143,13 +141,10 @@ def lint_context(ctx) -> Report:
     report.extend(f for f in absint_context(ctx).report.findings
                   if f.rule.startswith("SAN-"))
     cuda_names = ctx.cuda_names
-    for node in ctx.nodes:
-        if isinstance(node, ast.FunctionDef) \
-                and not _is_kernel_def(node, cuda_names):
-            report.extend(
-                _StreamScan(cuda_names, filename).scan(node.body).findings)
-    report.extend(
-        _StreamScan(cuda_names, filename).scan(ctx.tree.body).findings)
+    for node in nodes_of(ctx.tree, ast.FunctionDef):
+        if not _is_kernel_def(node, cuda_names):
+            report.extend(_StreamScan(filename).scan(node.body).findings)
+    report.extend(_StreamScan(filename).scan(ctx.tree.body).findings)
     return report
 
 

@@ -1,10 +1,14 @@
-"""AnalysisContext: the one-parse, one-walk-per-file contract and
-derived views."""
+"""AnalysisContext: the one-parse, one-walk-per-file contract, the
+traversal layer every analyzer walks with, and derived views."""
 
 import ast
+import gc
+import importlib
 import os
+import pkgutil
 import subprocess
 import sys
+import weakref
 from pathlib import Path
 
 import pytest
@@ -17,9 +21,32 @@ from repro.analysis import (
     reset_parse_count,
     run_paths,
 )
+from repro.analysis import context
+from repro.analysis.context import Visitor, children, nodes_of, walk
 from repro.analysis.driver import collect_files
 
 REPO = Path(__file__).resolve().parents[2]
+
+#: the packages whose analyzers walk trees only through the framework
+ANALYZER_PACKAGES = ("analysis", "perflint", "memcheck", "sanitize")
+
+
+def _corpus_trees():
+    """``(path, tree)`` for every file of ``src/repro`` and the analysis
+    fixture corpora that parses."""
+    files = collect_files([REPO / "src" / "repro"]
+                          + sorted((REPO / "tests" / "analysis")
+                                   .glob("fixtures*")))
+    assert len(files) > 100
+    for f in files:
+        try:
+            yield f, ast.parse(Path(f).read_text(), filename=str(f))
+        except SyntaxError:
+            continue
+
+
+def _ids(nodes):
+    return [id(n) for n in nodes]
 
 
 class TestSingleParse:
@@ -61,31 +88,152 @@ class TestSingleWalk:
 
     def test_all_analyzers_walk_each_module_at_most_once(self, monkeypatch):
         """Every family and the interprocedural layer read the one
-        memoized node sequence instead of re-walking the module."""
+        memoized node sequence instead of re-walking the module, whether
+        a walk would go through ``ast.walk`` or the framework's
+        ``walk``."""
         walks: dict[int, list] = {}
-        walk = ast.walk
 
-        def counting_walk(node):
-            if isinstance(node, ast.Module):
-                # keep the module alive so its id is never reused
-                walks.setdefault(id(node), [node, 0])[1] += 1
-            return walk(node)
+        def counting(walk):
+            def counting_walk(node):
+                if isinstance(node, ast.Module):
+                    # keep the module alive so its id is never reused
+                    walks.setdefault(id(node), [node, 0])[1] += 1
+                return walk(node)
+            return counting_walk
 
-        monkeypatch.setattr(ast, "walk", counting_walk)
+        # every analyzer module is loaded first, so each name bound to
+        # the framework's walk is patched where it lives
+        for name in ANALYZER_PACKAGES:
+            package = importlib.import_module(f"repro.{name}")
+            for info in pkgutil.iter_modules(package.__path__):
+                importlib.import_module(f"repro.{name}.{info.name}")
+        framework_walk = context.walk
+        monkeypatch.setattr(ast, "walk", counting(ast.walk))
+        for module in list(sys.modules.values()):
+            if getattr(module, "walk", None) is framework_walk:
+                monkeypatch.setattr(module, "walk",
+                                    counting(framework_walk))
         run = run_paths([REPO / "src" / "repro", REPO / "examples"],
                         ALL_ANALYZERS, interprocedural=True)
         assert len(run.contexts) > 100
         assert len(walks) == len(run.contexts)
         assert max(count for _, count in walks.values()) == 1
 
-    def test_nodes_are_memoized_on_the_tree(self):
+    def test_nodes_are_memoized_on_the_tree(self, monkeypatch):
         from repro.analysis.context import module_nodes
 
+        walked = []
+        framework_walk = context.walk
+        monkeypatch.setattr(context, "walk",
+                            lambda node: walked.append(node)
+                            or framework_walk(node))
         ctx = AnalysisContext("import numpy as np\nx = np.zeros(3)\n",
                               "f.py")
-        assert ctx.nodes is module_nodes(ctx.tree)
+        assert ctx.nodes is ctx.nodes
+        assert _ids(ctx.nodes) == _ids(module_nodes(ctx.tree))
+        assert _ids(nodes_of(ctx.tree, ast.Call)) == _ids(
+            n for n in ctx.nodes if isinstance(n, ast.Call))
+        assert walked == [ctx.tree]     # one walk, kept on the tree
         assert ctx.nodes[0] is ctx.tree
         assert AnalysisContext("def broken(:\n", "bad.py").nodes == ()
+
+    def test_walked_modules_free_without_the_cycle_collector(self):
+        """The walk kept on a tree holds the nodes below it, not the
+        tree, so a parsed module is no reference cycle: dropping a run
+        frees its trees at once, with the cycle collector off."""
+        gc.collect()
+        gc.disable()
+        try:
+            run = run_paths([REPO / "examples"], ALL_ANALYZERS,
+                            interprocedural=True)
+            trees = [weakref.ref(ctx.tree) for ctx in run.contexts.values()]
+            del run
+            assert trees and all(tree() is None for tree in trees)
+        finally:
+            gc.enable()
+
+
+class TestTraversal:
+    """``children``, ``walk``, ``Visitor`` and ``nodes_of`` give exactly
+    what the stdlib gives, node for node, in the same order."""
+
+    def test_children_and_walk_match_the_stdlib_at_every_node(self):
+        for f, tree in _corpus_trees():
+            for node in ast.walk(tree):
+                assert _ids(children(node)) \
+                    == _ids(ast.iter_child_nodes(node)), f
+                assert _ids(walk(node)) == _ids(ast.walk(node)), f
+
+    def test_visitor_visits_in_node_visitor_order(self):
+        def recorder(base):
+            class Recorder(base):
+                def __init__(self):
+                    self.seen = []
+
+                def visit_Call(self, node):
+                    self.seen.append(("call", id(node)))
+                    self.generic_visit(node)
+
+                def visit_Name(self, node):
+                    self.seen.append(("name", id(node)))
+
+                def visit_Lambda(self, node):
+                    self.seen.append(("lambda", id(node)))  # no descent
+
+                def generic_visit(self, node):
+                    self.seen.append(("generic", id(node)))
+                    super().generic_visit(node)
+            return Recorder
+
+        for f, tree in _corpus_trees():
+            ours, stdlib = recorder(Visitor)(), recorder(ast.NodeVisitor)()
+            ours.visit(tree)
+            stdlib.visit(tree)
+            assert ours.seen == stdlib.seen, f
+
+    @pytest.mark.parametrize("kinds", [
+        (ast.Call,), (ast.FunctionDef,), (ast.Load,),
+        (ast.Import, ast.ImportFrom),
+        (ast.Name, ast.Attribute, ast.Subscript),
+        (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda),
+    ], ids=lambda kinds: "+".join(k.__name__ for k in kinds))
+    def test_nodes_of_is_the_filtered_walk(self, kinds):
+        for f, tree in _corpus_trees():
+            expected = [n for n in ast.walk(tree) if isinstance(n, kinds)]
+            assert _ids(nodes_of(tree, *kinds)) == _ids(expected), f
+
+    @pytest.mark.parametrize("kind", [ast.AST, ast.stmt, ast.expr,
+                                      ast.expr_context, ast.operator,
+                                      ast.excepthandler, int])
+    def test_nodes_of_rejects_abstract_classes(self, kind):
+        tree = ast.parse("x = 1\n")
+        with pytest.raises(TypeError):
+            nodes_of(tree, kind)
+        with pytest.raises(TypeError):
+            nodes_of(tree, ast.Name, kind)
+
+    def test_no_analyzer_walks_through_the_stdlib(self):
+        """Every analyzer module walks trees through ``context.py``:
+        none calls ``ast.walk`` / ``ast.iter_child_nodes`` or subclasses
+        ``ast.NodeVisitor``."""
+        banned = {"walk", "iter_child_nodes", "NodeVisitor"}
+        src = REPO / "src" / "repro"
+        offenders = []
+        for name in ANALYZER_PACKAGES:
+            for path in sorted((src / name).glob("*.py")):
+                if path == src / "analysis" / "context.py":
+                    continue
+                for node in ast.walk(ast.parse(path.read_text())):
+                    if isinstance(node, ast.Attribute) \
+                            and node.attr in banned \
+                            and isinstance(node.value, ast.Name) \
+                            and node.value.id == "ast":
+                        offenders.append(f"{path.name}:{node.lineno}")
+                    elif isinstance(node, ast.ImportFrom) \
+                            and node.module == "ast" \
+                            and banned & {a.name for a in node.names}:
+                        offenders.append(f"{path.name}:{node.lineno}")
+        assert offenders == []
 
 
 @pytest.mark.parametrize("package", ["repro.analysis", "repro.sanitize",

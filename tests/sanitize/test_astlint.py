@@ -416,3 +416,59 @@ class TestOneEngine:
         report = analyze_paths([KERNEL_FIXTURES / fixture],
                                analyzers=KERNEL)
         assert [f.line for f in report.findings if f.rule == rule] == lines
+
+
+class TestStreamScanStart:
+    """The stream-hazard scan starts each scope at its first statement
+    that binds a device buffer: before it no launch can pass a buffer,
+    so skipping those statements changes no finding."""
+
+    @staticmethod
+    def _scanned(monkeypatch, source):
+        from repro.sanitize import astlint
+
+        seen = []
+        scan_stmt = astlint._StreamScan._stmt
+
+        def recording(self, stmt):
+            seen.append(stmt.lineno)
+            scan_stmt(self, stmt)
+
+        monkeypatch.setattr(astlint._StreamScan, "_stmt", recording)
+        report = analyze_source(textwrap.dedent(source), analyzers=KERNEL)
+        return seen, [(f.rule, f.line) for f in report.findings]
+
+    def test_scope_without_a_buffer_maker_walks_no_statement(
+            self, monkeypatch):
+        seen, findings = self._scanned(monkeypatch, '''\
+            from repro.jit import cuda
+
+
+            def relaunch(kernel, x):
+                s1 = cuda.stream()
+                s2 = cuda.stream()
+                kernel[32, 64, s1](x)
+                s1.synchronize()
+                kernel[32, 64, s2](x)
+                kernel[32, 64, s1](x)
+
+            relaunch(None, None)
+        ''')
+        assert seen == []
+        assert findings == []
+
+    def test_scan_starts_at_the_first_buffer_binding(self, monkeypatch):
+        seen, findings = self._scanned(monkeypatch, '''\
+            from repro.jit import cuda
+
+
+            def overlap(kernel, y):
+                s1 = cuda.stream()
+                s2 = cuda.stream()
+                kernel[32, 64, s1](y)
+                x = cuda.to_device(None)
+                kernel[32, 64, s1](x)
+                kernel[32, 64, s2](x)
+        ''')
+        assert seen == [8, 9, 10]
+        assert findings == [("SAN-STREAM-HAZARD", 10)]
